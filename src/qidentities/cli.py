@@ -26,8 +26,13 @@ from .sums import FSumSpec, enumerate_indices, f_enumerated, f_term, theorem1_lh
 _STYLE = {"text": "plain", "json": "json", "latex": "latex"}
 
 
-def _parse_range(text: str):
-    """Inclusive integer range "A..B", or a single integer "A"."""
+def _parse_range(text):
+    """Inclusive integer range "A..B", or a single integer "A" (a config
+    file may also give a JSON integer)."""
+    if type(text) is int:
+        return range(text, text + 1)
+    if not isinstance(text, str):
+        raise ValueError("expected A..B or an integer, got %r" % (text,))
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
@@ -93,7 +98,9 @@ def _run_cell(cell):
     """Compute one grid cell.  Top-level so it pickles for worker pools.
 
     cell = (identity, params-dict, corrupt-flag).  Returns a record dict,
-    or None for a degenerate cell.
+    or None for a degenerate cell.  An ArithmeticError (two internal code
+    paths disagreeing) gives a failed record carrying the message under
+    "error", with null lhs and rhs.
     """
     identity, params, corrupt = cell
     start = time.perf_counter()
@@ -115,6 +122,17 @@ def _run_cell(cell):
         # a lower-parameter Pochhammer symbol vanishes in range: the series
         # is undefined there, so the cell is degenerate rather than failed
         return None
+    except ArithmeticError as exc:
+        # two internal code paths disagreed: a failed cell, not a crash
+        return {
+            "identity": identity,
+            "params": params,
+            "lhs": None,
+            "rhs": None,
+            "equal": False,
+            "error": "%s: %s" % (type(exc).__name__, exc),
+            "elapsed_ms": int((time.perf_counter() - start) * 1000),
+        }
     if corrupt:
         if isinstance(lhs, RationalFunction):
             lhs = RationalFunction(lhs.num + lhs.den, lhs.den)
@@ -310,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name in ("d0", "d1", "d2", "D", "k0", "a", "b", "c", "N"):
         p_verify.add_argument("--%s" % name, default=None, metavar="A..B")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument(
+        "--jobs", type=int, default=None, help="worker processes (default 1)"
+    )
     p_verify.add_argument("--output", default=None, metavar="FILE")
     p_verify.add_argument("--config", default=None, metavar="FILE")
     p_verify.add_argument(
@@ -348,8 +368,10 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return _cmd_eval(args, parser)
         if args.command == "verify":
-            if args.jobs < 1:
-                parser.error("--jobs must be >= 1")
+            if args.jobs is None:
+                args.jobs = 1
+            if type(args.jobs) is not int or args.jobs < 1:
+                parser.error("--jobs must be an integer >= 1, got %r" % (args.jobs,))
             return _cmd_verify(args, parser)
         return _cmd_explain(args, parser)
     except QIdentitiesError as exc:

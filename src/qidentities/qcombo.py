@@ -2,15 +2,17 @@
 
 Everything is built on QFactored, a signed monomial times a product of
 cyclotomic-style factors (1 - x^e).  Keeping values factored for as long
-as possible means a single exact expansion (plus at most one exact
-division) at the end, instead of a chain of polynomial divisions.
+as possible means a single exact expansion at the end (plus one strided
+O(n) division per denominator factor), instead of a chain of general
+polynomial divisions.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
-from .errors import DivisionByZero, NotPolynomial
+from .errors import DivisionByZero, NotDivisible, NotPolynomial
 from .laurent import ONE, ZERO, LaurentPoly, RationalFunction
 
 
@@ -151,17 +153,49 @@ def qf_to_rational(a: QFactored) -> RationalFunction:
 
 
 def qf_expand_ratio(a: QFactored) -> LaurentPoly:
-    """Expand a factored value known to be polynomial, via one exact division.
+    """Expand a factored value known to be polynomial.
 
     Unlike qf_expand this tolerates negative multiplicities as long as the
-    overall value is a Laurent polynomial; it expands numerator and
-    denominator separately and divides once.  Raises NotDivisible if the
+    overall value is a Laurent polynomial: it expands the positive factors
+    (with sign and monomial) and then divides by each negative factor
+    1 - x^e in turn with _divide_one_minus_x.  Raises NotDivisible if the
     value is not actually polynomial.
     """
-    frac = qf_to_rational(a)
-    if frac.den == ONE:
-        return frac.num
-    return frac.num.exact_div(frac.den)
+    if a.zero:
+        return ZERO
+    positive = {e: m for e, m in a.factors.items() if m > 0}
+    num = qf_expand(QFactored(a.sign, a.x_power, positive))
+    dens = sorted((e, -m) for e, m in a.factors.items() if m < 0)
+    if not dens:
+        return num
+    terms = num.terms
+    low = min(terms)
+    coeffs = [0] * (max(terms) - low + 1)
+    for e, c in terms.items():
+        coeffs[e - low] = c
+    for e, m in dens:
+        for _ in range(m):
+            coeffs = _divide_one_minus_x(coeffs, e)
+    return LaurentPoly({low + i: c for i, c in enumerate(coeffs) if c})
+
+
+def _divide_one_minus_x(t, e):
+    """Dense quotient of t by (1 - x^e), both lowest coefficient first.
+
+    q[i] = t[i] + q[i - e] in one ascending pass, which along each residue
+    class mod e is a running sum.  The quotient is exact iff the top e
+    coefficients of t equal -q[i - e]; otherwise raise NotDivisible.
+    """
+    size = len(t) - e
+    if size < 1:
+        raise NotDivisible("no exact quotient by 1 - x^%d" % e)
+    q = [0] * size
+    for r in range(min(e, size)):
+        q[r::e] = accumulate(t[r:size:e])
+    tail = q[max(size - e, 0):]
+    if t[size:] != [0] * (e - len(tail)) + [-c for c in tail]:
+        raise NotDivisible("no exact quotient by 1 - x^%d" % e)
+    return q
 
 
 def q_int(alpha: int) -> QFactored:

@@ -206,6 +206,110 @@ def test_verify_bad_jobs_is_usage_error(capsys):
     assert info.value.code == 2
 
 
+def test_verify_internal_disagreement_is_failed_cell(monkeypatch, capsys):
+    import qidentities.cli as cli
+
+    def disagree(d1, d2):
+        raise ArithmeticError("internal disagreement in theorem2_lhs(%d, %d)" % (d1, d2))
+
+    monkeypatch.setattr(cli, "theorem2_lhs", disagree)
+    rc, out = run(
+        capsys, "verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2",
+        "--jobs", "1",
+    )
+    assert rc == 1
+    records, summary = parse_records(out)
+    assert summary == {"pass": 0, "fail": 4, "degenerate": 0}
+    assert [r["params"] for r in records] == [
+        {"d1": 1, "d2": 1}, {"d1": 1, "d2": 2}, {"d1": 2, "d2": 1}, {"d1": 2, "d2": 2},
+    ]
+    assert all(r["equal"] is False for r in records)
+    assert records[0]["error"] == (
+        "ArithmeticError: internal disagreement in theorem2_lhs(1, 1)"
+    )
+
+
+def test_verify_negative_ranges_readme_spelling(capsys):
+    rc, out = run(
+        capsys,
+        "verify", "--identity", "saalschutz",
+        "--a=-2..0", "--b=-1..0", "--c=-1..1", "--N", "1..1",
+    )
+    assert rc == 0
+    records, summary = parse_records(out)
+    assert summary["fail"] == 0
+    assert summary["pass"] + summary["degenerate"] == 3 * 2 * 3
+    assert min(r["params"]["a"] for r in records) < 0
+
+
+def test_verify_config_integer_range(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"d1": 2, "d2": "1..3"}))
+    rc, out = run(capsys, "verify", "--identity", "thm2", "--config", str(config))
+    assert rc == 0
+    records, summary = parse_records(out)
+    assert summary == {"pass": 3, "fail": 0, "degenerate": 0}
+    assert {r["params"]["d1"] for r in records} == {2}
+
+
+def test_verify_config_bad_range_type_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"d1": [1, 2], "d2": "1..2"}))
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--identity", "thm2", "--config", str(config)])
+    assert info.value.code == 2
+
+
+def test_verify_config_jobs_is_applied(tmp_path, monkeypatch, capsys):
+    import qidentities.cli as cli
+
+    used = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            used.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    args = ["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2"]
+    rc, expected = run(capsys, *args)
+    assert rc == 0 and used == []
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"jobs": 2}))
+    rc, out = run(capsys, *args, "--config", str(config))
+    assert rc == 0 and used == [2]
+    assert out == expected
+    # an explicit flag still wins over the config value
+    rc, out = run(capsys, *args, "--config", str(config), "--jobs", "1")
+    assert rc == 0 and used == [2]
+
+
+@pytest.mark.parametrize("jobs", [0, -3, "2", 1.5, True, None])
+def test_verify_config_bad_jobs_is_usage_error(tmp_path, capsys, jobs):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"jobs": jobs}))
+    argv = ["verify", "--identity", "thm2", "--d1", "1", "--d2", "1",
+            "--config", str(config)]
+    if jobs is None:
+        # JSON null leaves the default in place
+        assert main(argv) == 0
+        return
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--jobs must be an integer >= 1" in err
+    assert "Traceback" not in err
+
+
 # -- explain -------------------------------------------------------------------
 
 

@@ -1,7 +1,7 @@
 """Arithmetic-core tests: exact Laurent polynomials and unreduced fractions."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qidentities import (
     DivisionByZero,
@@ -12,6 +12,8 @@ from qidentities import (
     ZERO,
     rf_eq,
 )
+from qidentities import laurent
+from qidentities.laurent import KRONECKER_MIN_PRODUCTS, _kronecker_mul
 
 
 def lp(terms):
@@ -179,6 +181,126 @@ def test_identities(a):
 @given(polys, polys)
 def test_mul_matches_oracle(a, b):
     assert a * b == convolve(a, b)
+
+
+# -- Kronecker-substitution multiply ------------------------------------------
+
+small_coeffs = st.integers(min_value=-9, max_value=9)
+wide_coeffs = st.one_of(
+    st.integers(min_value=2**64, max_value=2**100),
+    st.integers(min_value=-(2**100), max_value=-(2**64)),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+
+
+@st.composite
+def operand(draw, size, spread, coeffs):
+    """A LaurentPoly with exactly `size` terms and exponents in a window of
+    `spread` (>= size) starting at a possibly negative exponent."""
+    low = draw(st.integers(min_value=-60, max_value=60))
+    exps = draw(
+        st.lists(
+            st.integers(min_value=low, max_value=low + spread),
+            min_size=size, max_size=size, unique=True,
+        )
+    )
+    cs = draw(st.lists(coeffs.filter(bool), min_size=size, max_size=size))
+    return LaurentPoly(dict(zip(exps, cs)))
+
+
+# term counts whose product sits just below or at/above the threshold
+threshold_sizes = st.sampled_from(
+    [(15, 17), (16, 16), (16, 17), (8, 31), (8, 32), (3, 85), (3, 86), (1, 255), (1, 256)]
+)
+
+
+def operand_pair(coeffs, spread_factor=2):
+    return threshold_sizes.flatmap(
+        lambda sizes: st.tuples(
+            operand(sizes[0], spread_factor * sizes[0], coeffs),
+            operand(sizes[1], spread_factor * sizes[1], coeffs),
+        )
+    )
+
+
+def check_product(a, b):
+    expected = convolve(a, b)
+    assert a * b == expected
+    assert b * a == expected
+    kron = _kronecker_mul(a.terms, b.terms)
+    assert 0 not in kron.values()
+    assert LaurentPoly(kron) == expected
+
+
+def test_kronecker_selection(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append(len(a) * len(b))
+        return _kronecker_mul(a, b)
+
+    monkeypatch.setattr(laurent, "_kronecker_mul", spy)
+
+    def alternating(lo, hi, step=1):
+        return lp({e: (e + 99) * (1 if e % 2 else -1) for e in range(lo, hi, step)})
+
+    a15, a16, b17 = alternating(-8, 7), alternating(-8, 8), alternating(0, 17)
+    assert a15 * b17 == convolve(a15, b17)
+    assert calls == []
+    assert a16 * a16 == convolve(a16, a16)
+    assert calls == [KRONECKER_MIN_PRODUCTS]
+    # same term count, but the product span exceeds half the term products
+    sparse = alternating(0, 160, 10)
+    assert sparse * sparse == convolve(sparse, sparse)
+    assert calls == [KRONECKER_MIN_PRODUCTS]
+
+
+@settings(max_examples=50)
+@given(operand_pair(small_coeffs))
+def test_kronecker_matches_schoolbook_near_threshold(pair):
+    check_product(*pair)
+
+
+@settings(max_examples=40)
+@given(operand_pair(wide_coeffs))
+def test_kronecker_wide_coefficients(pair):
+    check_product(*pair)
+
+
+@settings(max_examples=30)
+@given(operand_pair(st.one_of(small_coeffs, wide_coeffs), spread_factor=1))
+def test_kronecker_dense_mixed_widths(pair):
+    check_product(*pair)
+
+
+@settings(max_examples=30)
+@given(
+    operand(20, 4000, st.integers(min_value=-(2**40), max_value=2**40)),
+    operand(20, 4000, small_coeffs),
+)
+def test_kronecker_sparse_large_gaps(a, b):
+    check_product(a, b)
+
+
+@settings(max_examples=30)
+@given(
+    operand(24, 30, small_coeffs),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=12, max_value=40),
+)
+def test_kronecker_cancellation(c, e, n):
+    # c * (1 + x^e + ... + x^((n-1)e)) * (1 - x^e) telescopes to
+    # c * (1 - x^(ne)): the interior of the product cancels to zero
+    geometric = lp({e * i: 1 for i in range(n)})
+    f = c * geometric
+    g = lp({0: 1, e: -1})
+    check_product(f, g * lp({0: 1, 1: 1}))
+    assert f * g == c * lp({0: 1, e * n: -1})
+    # a product and its negation cancel to the canonical zero
+    h = f * f
+    assert h + (-f) * f == ZERO
+    assert (h + (-f) * f).terms == {}
+    assert f * ZERO == ZERO and ZERO * f == ZERO
 
 
 @given(polys, nonzero_polys)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from qidentities import (
     DivisionByZero,
     LaurentPoly,
+    NotDivisible,
     NotPolynomial,
     ONE,
     QFactored,
@@ -114,6 +115,60 @@ def test_qf_expand_ratio_requires_divisibility():
 
     with pytest.raises(NotDivisible):
         qf_expand_ratio(QFactored(factors={4: 1, 6: -1}))
+
+
+def exact_div_ratio(a):
+    """The expansion by one general long division, as an oracle."""
+    frac = qf_to_rational(a)
+    return frac.num.exact_div(frac.den)
+
+
+def test_qf_expand_ratio_matches_exact_div_on_q_binomials():
+    for n in range(0, 15):
+        for k in range(0, n + 1):
+            a = q_binomial_factored(n, k)
+            assert qf_expand_ratio(a) == exact_div_ratio(a)
+    for n in range(-9, 0):
+        for k in range(0, 7):
+            a = q_binomial_signed_factored(n, k)
+            assert qf_expand_ratio(a) == exact_div_ratio(a)
+
+
+def test_qf_expand_ratio_strided_division_cases():
+    # x^3 (1 - x^6) / (1 - x^2) = x^3 (1 + x^2 + x^4), with sign
+    a = QFactored(sign=-1, x_power=3, factors={6: 1, 2: -1})
+    assert qf_expand_ratio(a) == lp({3: -1, 5: -1, 7: -1})
+    # denominator wider than the numerator
+    with pytest.raises(NotDivisible):
+        qf_expand_ratio(QFactored(factors={2: 1, 6: -1}))
+    with pytest.raises(NotDivisible):
+        qf_expand_ratio(QFactored(factors={3: -1}))
+    # repeated denominator factor: (1 - x^4)^2 / (1 - x^2)^2 = (1 + x^2)^2
+    a = QFactored(factors={4: 2, 2: -2})
+    assert qf_expand_ratio(a) == lp({0: 1, 2: 2, 4: 1})
+    with pytest.raises(NotDivisible):
+        qf_expand_ratio(QFactored(factors={4: 1, 2: -2}))
+    assert qf_expand_ratio(QFactored.zero_value()) == ZERO
+
+
+@given(
+    st.dictionaries(
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=-2, max_value=3).filter(bool),
+        max_size=5,
+    ),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=-6, max_value=6),
+)
+def test_qf_expand_ratio_agrees_with_exact_div(factors, sign, x_power):
+    a = QFactored(sign=sign, x_power=x_power, factors=factors)
+    try:
+        expected = exact_div_ratio(a)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            qf_expand_ratio(a)
+    else:
+        assert qf_expand_ratio(a) == expected
 
 
 # -- q-binomial coefficients ---------------------------------------------------
