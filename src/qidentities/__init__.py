@@ -30,7 +30,6 @@ from .qcombo import (
     q_binomial,
     q_binomial_factored,
     q_binomial_signed,
-    q_binomial_signed_factored,
     q_int,
     q_pochhammer,
     qf_div,
@@ -80,7 +79,6 @@ __all__ = [
     "q_binomial",
     "q_binomial_factored",
     "q_binomial_signed",
-    "q_binomial_signed_factored",
     "q_int",
     "q_pochhammer",
     "qf_div",

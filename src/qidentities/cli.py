@@ -1,7 +1,13 @@
 """Command-line front end: single evaluations, grid verification, traces.
 
+Every identity the tool checks is one entry of IDENTITIES: its parameter
+names (flag, grid-axis and JSON-key order), its hypothesis, both sides, and
+the summands that explain lists.  eval, verify and explain all dispatch
+through that registry, so adding an identity is one entry.
+
 Exit codes: 0 = all verifications passed, 1 = at least one mismatch,
-2 = usage or domain error.
+2 = usage or domain error.  A usage error found after parsing prints the
+subcommand's own usage line.
 
 Verification records are line-delimited JSON.  When written to a file via
 --output they carry a measured elapsed_ms field; when streamed to stdout
@@ -11,19 +17,83 @@ the field is omitted so that identical reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, NamedTuple
 
 from .closed_forms import SURFACE_TAGS, nlog_value, prop3_rhs, theorem1_rhs, theorem2_rhs
 from .errors import Degenerate, PoleInDenominator, QIdentitiesError
 from .hypergeom import SaalschutzInstance, phi_evaluate, saalschutz_rhs
 from .laurent import ONE, LaurentPoly, RationalFunction
 from .qcombo import q_binomial, q_int, qf_expand
-from .sums import FSumSpec, enumerate_indices, f_enumerated, f_term, theorem1_lhs, theorem2_lhs
+from .sums import (
+    FSumSpec,
+    enumerate_indices,
+    f_enumerated,
+    f_term,
+    theorem1_lhs,
+    theorem1_terms,
+    theorem2_lhs,
+    theorem2_terms,
+)
 
 _STYLE = {"text": "plain", "json": "json", "latex": "latex"}
+
+
+class Identity(NamedTuple):
+    """One registry entry.  holds, lhs, rhs and terms take the parameter
+    values in params order.  holds is the hypothesis, used only to skip
+    grid cells up front; terms yields explain's (label, summand) pairs, or
+    is None when explain does not support the identity."""
+
+    params: tuple
+    holds: Callable
+    lhs: Callable
+    rhs: Callable
+    terms: Callable | None = None
+
+
+def _prop3_terms(D, d1, k0):
+    for idx in enumerate_indices(d1, k0):
+        yield idx.to_json_obj(), f_term(D, idx)
+
+
+# The entries look the library functions up in this module's globals at
+# call time, so patching e.g. cli.theorem2_lhs (as a tracer or a test does)
+# reaches every subcommand.
+IDENTITIES = {
+    "thm1": Identity(
+        ("d0", "d1"),
+        holds=lambda d0, d1: d0 > d1 >= 1,
+        lhs=lambda d0, d1: theorem1_lhs(d0, d1),
+        rhs=lambda d0, d1: theorem1_rhs(d0, d1),
+        terms=lambda d0, d1: theorem1_terms(d0, d1),
+    ),
+    "thm2": Identity(
+        ("d1", "d2"),
+        holds=lambda d1, d2: d1 >= 1 and d2 >= 1,
+        lhs=lambda d1, d2: theorem2_lhs(d1, d2),
+        rhs=lambda d1, d2: theorem2_rhs(d1, d2),
+        terms=lambda d1, d2: theorem2_terms(d1, d2),
+    ),
+    "prop3": Identity(
+        ("D", "d1", "k0"),
+        holds=lambda D, d1, k0: D >= 1 and 1 <= k0 <= d1,
+        lhs=lambda D, d1, k0: f_enumerated(FSumSpec(D, d1, k0)),
+        rhs=lambda D, d1, k0: prop3_rhs(D, d1, k0),
+        terms=_prop3_terms,
+    ),
+    "saalschutz": Identity(
+        ("a", "b", "c", "N"),
+        holds=lambda a, b, c, N: N >= 0,
+        lhs=lambda a, b, c, N: phi_evaluate(SaalschutzInstance(a, b, c, N).lhs_series()),
+        rhs=lambda a, b, c, N: saalschutz_rhs(SaalschutzInstance(a, b, c, N)),
+    ),
+}
 
 
 def _parse_range(text):
@@ -44,9 +114,13 @@ def _parse_range(text):
 
 
 def _require(args, parser, names):
-    missing = [n for n in names if getattr(args, n) is None]
+    """The values of the named flags, in order; a usage error if any is
+    missing."""
+    values = [getattr(args, n) for n in names]
+    missing = [n for n, v in zip(names, values) if v is None]
     if missing:
         parser.error("missing required parameter(s): %s" % ", ".join(missing))
+    return values
 
 
 # -- eval ------------------------------------------------------------------
@@ -55,34 +129,18 @@ def _require(args, parser, names):
 def _eval_value(args, parser) -> LaurentPoly:
     kind = args.kind
     if kind == "qbinom":
-        _require(args, parser, ["n", "k"])
-        return q_binomial(args.n, args.k)
+        return q_binomial(*_require(args, parser, ["n", "k"]))
     if kind == "qint":
-        _require(args, parser, ["alpha"])
-        return qf_expand(q_int(args.alpha))
+        return qf_expand(q_int(*_require(args, parser, ["alpha"])))
     if kind == "f":
-        _require(args, parser, ["D", "d1", "k0"])
-        return f_enumerated(FSumSpec(args.D, args.d1, args.k0))
+        return f_enumerated(FSumSpec(*_require(args, parser, ["D", "d1", "k0"])))
     if kind == "nlog":
-        _require(args, parser, ["surface", "p", "r"])
-        return nlog_value(args.surface, args.p, args.r)
-    # lhs / rhs dispatch on --identity
-    _require(args, parser, ["identity"])
-    ident = args.identity
-    if ident == "thm1":
-        _require(args, parser, ["d0", "d1"])
-        fn = theorem1_lhs if kind == "lhs" else theorem1_rhs
-        return fn(args.d0, args.d1)
-    if ident == "thm2":
-        _require(args, parser, ["d1", "d2"])
-        fn = theorem2_lhs if kind == "lhs" else theorem2_rhs
-        return fn(args.d1, args.d2)
-    if ident == "prop3":
-        _require(args, parser, ["D", "d1", "k0"])
-        if kind == "lhs":
-            return f_enumerated(FSumSpec(args.D, args.d1, args.k0))
-        return prop3_rhs(args.D, args.d1, args.k0)
-    parser.error("identity must be thm1, thm2, or prop3 for eval")
+        return nlog_value(*_require(args, parser, ["surface", "p", "r"]))
+    # lhs / rhs of the identity named by --identity
+    (name,) = _require(args, parser, ["identity"])
+    ident = IDENTITIES[name]
+    side = ident.lhs if kind == "lhs" else ident.rhs
+    return side(*_require(args, parser, ident.params))
 
 
 def _cmd_eval(args, parser) -> int:
@@ -103,21 +161,11 @@ def _run_cell(cell):
     "error", with null lhs and rhs.
     """
     identity, params, corrupt = cell
+    ident = IDENTITIES[identity]
     start = time.perf_counter()
     try:
-        if identity == "thm1":
-            lhs = theorem1_lhs(params["d0"], params["d1"])
-            rhs = theorem1_rhs(params["d0"], params["d1"])
-        elif identity == "thm2":
-            lhs = theorem2_lhs(params["d1"], params["d2"])
-            rhs = theorem2_rhs(params["d1"], params["d2"])
-        elif identity == "prop3":
-            lhs = f_enumerated(FSumSpec(params["D"], params["d1"], params["k0"]))
-            rhs = prop3_rhs(params["D"], params["d1"], params["k0"])
-        else:
-            inst = SaalschutzInstance(params["a"], params["b"], params["c"], params["N"])
-            lhs = phi_evaluate(inst.lhs_series())
-            rhs = saalschutz_rhs(inst)
+        lhs = ident.lhs(*params.values())
+        rhs = ident.rhs(*params.values())
     except (Degenerate, PoleInDenominator):
         # a lower-parameter Pochhammer symbol vanishes in range: the series
         # is undefined there, so the cell is degenerate rather than failed
@@ -133,19 +181,14 @@ def _run_cell(cell):
             "error": "%s: %s" % (type(exc).__name__, exc),
             "elapsed_ms": int((time.perf_counter() - start) * 1000),
         }
+    rational = isinstance(lhs, RationalFunction)
     if corrupt:
-        if isinstance(lhs, RationalFunction):
-            lhs = RationalFunction(lhs.num + lhs.den, lhs.den)
-        else:
-            lhs = lhs + ONE
-    if isinstance(lhs, RationalFunction):
-        equal = lhs == rhs
-        lhs_json = lhs.to_json_obj()
-        rhs_json = rhs.to_json_obj()
+        lhs = RationalFunction(lhs.num + lhs.den, lhs.den) if rational else lhs + ONE
+    equal = lhs == rhs
+    if rational:
+        lhs_json, rhs_json = lhs.to_json_obj(), rhs.to_json_obj()
     else:
-        equal = lhs == rhs
-        lhs_json = lhs.to_pairs()
-        rhs_json = rhs.to_pairs()
+        lhs_json, rhs_json = lhs.to_pairs(), rhs.to_pairs()
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return {
         "identity": identity,
@@ -158,74 +201,41 @@ def _run_cell(cell):
 
 
 def _grid_cells(args, parser):
-    """The cell list for the requested identity, in canonical parameter
-    order.  Cells outside an identity's hypothesis are skipped up front
-    and counted as degenerate."""
-    ident = args.identity
-    skipped = 0
+    """The params dicts of the requested identity's grid, in canonical
+    order (the last parameter varies fastest).  Cells outside the
+    identity's hypothesis are skipped up front and counted as degenerate."""
+    ident = IDENTITIES[args.identity]
+    ranges = []
+    for name in ident.params:
+        if getattr(args, name) is None:
+            parser.error("verify --identity %s needs --%s A..B" % (args.identity, name))
+        try:
+            ranges.append(_parse_range(getattr(args, name)))
+        except ValueError as exc:
+            parser.error(str(exc))
     cells = []
-
-    def ranges(*names):
-        out = []
-        for n in names:
-            if getattr(args, n) is None:
-                parser.error("verify --identity %s needs --%s A..B" % (ident, n))
-            try:
-                out.append(_parse_range(getattr(args, n)))
-            except ValueError as exc:
-                parser.error(str(exc))
-        return out
-
-    if ident == "thm1":
-        (r0, r1) = ranges("d0", "d1")
-        for d0 in r0:
-            for d1 in r1:
-                if d0 > d1 >= 1:
-                    cells.append(("thm1", {"d0": d0, "d1": d1}))
-                else:
-                    skipped += 1
-    elif ident == "thm2":
-        (r1, r2) = ranges("d1", "d2")
-        for d1 in r1:
-            for d2 in r2:
-                if d1 >= 1 and d2 >= 1:
-                    cells.append(("thm2", {"d1": d1, "d2": d2}))
-                else:
-                    skipped += 1
-    elif ident == "prop3":
-        (rD, r1, r0) = ranges("D", "d1", "k0")
-        for D in rD:
-            for d1 in r1:
-                for k0 in r0:
-                    if D >= 1 and 1 <= k0 <= d1:
-                        cells.append(("prop3", {"D": D, "d1": d1, "k0": k0}))
-                    else:
-                        skipped += 1
-    elif ident == "saalschutz":
-        (ra, rb, rc, rN) = ranges("a", "b", "c", "N")
-        for a in ra:
-            for b in rb:
-                for c in rc:
-                    for N in rN:
-                        if N >= 0:
-                            cells.append(
-                                ("saalschutz", {"a": a, "b": b, "c": c, "N": N})
-                            )
-                        else:
-                            skipped += 1
-    else:
-        parser.error("unknown identity %r" % ident)
+    skipped = 0
+    for values in itertools.product(*ranges):
+        if ident.holds(*values):
+            cells.append(dict(zip(ident.params, values)))
+        else:
+            skipped += 1
     return cells, skipped
 
 
 def _cmd_verify(args, parser) -> int:
+    if args.jobs is None:
+        args.jobs = 1
+    if type(args.jobs) is not int or args.jobs < 1:
+        parser.error("--jobs must be an integer >= 1, got %r" % (args.jobs,))
     cells, skipped = _grid_cells(args, parser)
     work = [
-        (ident, params, args.selftest_corrupt and i == 0)
-        for i, (ident, params) in enumerate(cells)
+        (args.identity, params, args.selftest_corrupt and i == 0)
+        for i, params in enumerate(cells)
     ]
-    if args.jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, os.cpu_count() or 1, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, work, chunksize=16))
     else:
         results = [_run_cell(cell) for cell in work]
@@ -259,39 +269,12 @@ def _cmd_verify(args, parser) -> int:
 # -- explain ---------------------------------------------------------------
 
 
-def _explain_terms(args, parser):
-    """(label-dict, term) pairs for the requested identity instance."""
-    ident = args.identity
-    if ident == "prop3":
-        _require(args, parser, ["D", "d1", "k0"])
-        for idx in enumerate_indices(args.d1, args.k0):
-            yield idx.to_json_obj(), f_term(args.D, idx)
-    elif ident == "thm1":
-        _require(args, parser, ["d0", "d1"])
-        if not args.d0 > args.d1 >= 1:
-            parser.error("thm1 requires d0 > d1 >= 1")
-        for idx in enumerate_indices(args.d0 - args.d1):
-            k0 = args.d1 - idx.mult_sum()
-            if k0 < 0:
-                continue
-            label = {"k0": k0, **idx.to_json_obj()}
-            yield label, f_term(2 * args.d0, idx) * q_binomial(2 * args.d1, k0)
-    elif ident == "thm2":
-        _require(args, parser, ["d1", "d2"])
-        if args.d1 < 1 or args.d2 < 1:
-            parser.error("thm2 requires d1 >= 1 and d2 >= 1")
-        D = 2 * args.d1 + args.d2
-        for idx in enumerate_indices(args.d1):
-            yield idx.to_json_obj(), f_term(D, idx) * q_binomial(
-                args.d2, idx.mult_sum()
-            )
-    else:
-        parser.error("explain supports thm1, thm2, and prop3")
-
-
 def _cmd_explain(args, parser) -> int:
+    """One label/summand line per term of the identity's left-hand side,
+    then their total."""
+    ident = IDENTITIES[args.identity]
     total = LaurentPoly()
-    for label, term in _explain_terms(args, parser):
+    for label, term in ident.terms(*_require(args, parser, ident.params)):
         total = total + term
         print("%s\t%s" % (json.dumps(label, separators=(",", ":")), term.render("plain")))
     print("total\t%s" % total.render("plain"))
@@ -313,20 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact evaluation and verification of q-binomial identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    with_terms = [name for name, ident in IDENTITIES.items() if ident.terms]
 
     p_eval = sub.add_parser("eval", help="evaluate one quantity exactly")
     p_eval.add_argument(
         "--kind", required=True, choices=["qbinom", "qint", "f", "lhs", "rhs", "nlog"]
     )
-    p_eval.add_argument("--identity", choices=["thm1", "thm2", "prop3"], default=None)
+    p_eval.add_argument("--identity", choices=with_terms, default=None)
     p_eval.add_argument("--format", choices=sorted(_STYLE), default="text")
     _add_param_flags(p_eval)
 
     p_verify = sub.add_parser("verify", help="verify an identity over a parameter grid")
-    p_verify.add_argument(
-        "--identity", required=True, choices=["thm1", "thm2", "prop3", "saalschutz"]
-    )
-    for name in ("d0", "d1", "d2", "D", "k0", "a", "b", "c", "N"):
+    p_verify.add_argument("--identity", required=True, choices=list(IDENTITIES))
+    for name in dict.fromkeys(p for ident in IDENTITIES.values() for p in ident.params):
         p_verify.add_argument("--%s" % name, default=None, metavar="A..B")
     p_verify.add_argument(
         "--jobs", type=int, default=None, help="worker processes (default 1)"
@@ -340,10 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_explain = sub.add_parser("explain", help="list each summand of an identity LHS")
-    p_explain.add_argument(
-        "--identity", required=True, choices=["thm1", "thm2", "prop3"]
-    )
+    p_explain.add_argument("--identity", required=True, choices=with_terms)
     _add_param_flags(p_explain)
+
+    # post-parse usage errors are reported against the subcommand's parser
+    p_eval.set_defaults(run=_cmd_eval, subparser=p_eval)
+    p_verify.set_defaults(run=_cmd_verify, subparser=p_verify)
+    p_explain.set_defaults(run=_cmd_explain, subparser=p_explain)
     return parser
 
 
@@ -361,19 +346,10 @@ def _apply_config(args, parser):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_config(args, parser)
+    args = build_parser().parse_args(argv)
+    _apply_config(args, args.subparser)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args, parser)
-        if args.command == "verify":
-            if args.jobs is None:
-                args.jobs = 1
-            if type(args.jobs) is not int or args.jobs < 1:
-                parser.error("--jobs must be an integer >= 1, got %r" % (args.jobs,))
-            return _cmd_verify(args, parser)
-        return _cmd_explain(args, parser)
+        return args.run(args, args.subparser)
     except QIdentitiesError as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2

@@ -12,7 +12,6 @@ from .errors import InvalidHypothesis
 from .laurent import LaurentPoly
 from .qcombo import (
     q_binomial_factored,
-    q_binomial_signed_factored,
     q_int,
     qf_div,
     qf_expand_ratio,
@@ -36,7 +35,7 @@ def prop3_rhs(D: int, d1: int, k0: int) -> LaurentPoly:
     if not 1 <= k0 <= d1:
         raise InvalidHypothesis("requires 1 <= k0 <= d1")
     qf = qf_div(q_int(D), q_int(k0))
-    qf = qf_mul(qf, q_binomial_signed_factored(D - d1 + k0 - 1, k0 - 1))
+    qf = qf_mul(qf, q_binomial_factored(D - d1 + k0 - 1, k0 - 1))
     qf = qf_mul(qf, q_binomial_factored(d1 - 1, k0 - 1))
     return qf_expand_ratio(qf)
 

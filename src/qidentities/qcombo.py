@@ -228,13 +228,14 @@ def q_pochhammer(t: int, m: int) -> QFactored:
 
 
 def q_binomial_factored(n: int, k: int) -> QFactored:
-    """The q-binomial coefficient as a QFactored ratio of q-integers.
+    """The q-binomial coefficient as a QFactored ratio of q-integers, in
+    the generic-ratio convention: n may be negative.
 
-    Returns zero outside 0 <= k <= n.  The ratio typically carries negative
-    multiplicities even though its value is polynomial; expand it with
-    qf_expand_ratio.
+    Returns zero for k < 0 and for 0 <= n < k.  The ratio typically carries
+    negative multiplicities even though its value is polynomial; expand it
+    with qf_expand_ratio.
     """
-    if k < 0 or n < 0 or k > n:
+    if k < 0 or 0 <= n < k:
         return QFactored.zero_value()
     out = QFactored.one()
     for i in range(k):
@@ -273,15 +274,4 @@ def q_binomial_signed(n: int, k: int) -> LaurentPoly:
         return ZERO
     if n >= 0:
         return q_binomial(n, k)
-    return qf_expand_ratio(q_binomial_signed_factored(n, k))
-
-
-def q_binomial_signed_factored(n: int, k: int) -> QFactored:
-    """Factored form of the generic-ratio q-binomial; n may be negative."""
-    if k < 0 or (0 <= n < k):
-        return QFactored.zero_value()
-    out = QFactored.one()
-    for i in range(k):
-        out = qf_mul(out, q_int(n - i))
-        out = qf_div(out, q_int(k - i))
-    return out
+    return qf_expand_ratio(q_binomial_factored(n, k))

@@ -172,22 +172,42 @@ def f_recursive(spec: FSumSpec, cache: dict | None = None) -> LaurentPoly:
     return rec(spec.d1, spec.k0)
 
 
+def theorem1_terms(d0: int, d1: int):
+    """The summands of the first theorem's left-hand side, by direct
+    transcription: (label, term) in canonical index order, the label
+    carrying k0 = d1 - sum k_i >= 0 and the partition with
+    sum n_i k_i = d0 - d1.  Requires d0 > d1 >= 1 (checked on the first
+    next())."""
+    if d1 < 1 or d0 <= d1:
+        raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
+    for idx in enumerate_indices(d0 - d1):
+        k0 = d1 - idx.mult_sum()
+        if k0 >= 0:
+            label = {"k0": k0, **idx.to_json_obj()}
+            yield label, f_term(2 * d0, idx) * q_binomial(2 * d1, k0)
+
+
+def theorem2_terms(d1: int, d2: int):
+    """The summands of the second theorem's left-hand side, by direct
+    transcription with the trailing qbinom(d2, sum k_i) factor: (label,
+    term) in canonical index order.  Requires d1 >= 1 and d2 >= 1 (checked
+    on the first next())."""
+    if d1 < 1 or d2 < 1:
+        raise InvalidHypothesis("theorem 2 requires d1 >= 1 and d2 >= 1")
+    D = 2 * d1 + d2
+    for idx in enumerate_indices(d1):
+        yield idx.to_json_obj(), f_term(D, idx) * q_binomial(d2, idx.mult_sum())
+
+
 def theorem1_lhs(d0: int, d1: int) -> LaurentPoly:
     """The full partition sum on the left of the first theorem.
 
-    Computed two ways (direct transcription, and the refined-sum
-    refactoring over the trailing binomial) and asserted equal.
-    Requires d0 > d1 >= 1.
+    Computed two ways (direct transcription, theorem1_terms, and the
+    refined-sum refactoring over the trailing binomial) and asserted
+    equal.  Requires d0 > d1 >= 1.
     """
-    if d1 < 1 or d0 <= d1:
-        raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
-    # (a) direct transcription: k0 >= 0, sum k_i = d1 - k0, sum n_i k_i = d0 - d1
-    direct = ZERO
-    for idx in enumerate_indices(d0 - d1):
-        k0 = d1 - idx.mult_sum()
-        if k0 < 0:
-            continue
-        direct = direct + f_term(2 * d0, idx) * q_binomial(2 * d1, k0)
+    # (a) direct transcription; its hypothesis check runs before (b)
+    direct = sum((term for _, term in theorem1_terms(d0, d1)), ZERO)
     # (b) via the refined sum
     refined = ZERO
     for k0 in range(0, d1 + 1):
@@ -203,16 +223,14 @@ def theorem1_lhs(d0: int, d1: int) -> LaurentPoly:
 def theorem2_lhs(d1: int, d2: int) -> LaurentPoly:
     """The full partition sum on the left of the second theorem.
 
-    Computed two ways (direct transcription with the trailing
-    qbinom(d2, sum k_i) factor, and the refined-sum refactoring) and
-    asserted equal.  Requires d1 >= 1 and d2 >= 1.
+    Computed two ways (direct transcription, theorem2_terms, and the
+    refined-sum refactoring) and asserted equal.  Requires d1 >= 1 and
+    d2 >= 1.
     """
-    if d1 < 1 or d2 < 1:
-        raise InvalidHypothesis("theorem 2 requires d1 >= 1 and d2 >= 1")
+    # (a) direct transcription; its hypothesis check runs before (b)
+    direct = sum((term for _, term in theorem2_terms(d1, d2)), ZERO)
+    # (b) via the refined sum
     D = 2 * d1 + d2
-    direct = ZERO
-    for idx in enumerate_indices(d1):
-        direct = direct + f_term(D, idx) * q_binomial(d2, idx.mult_sum())
     refined = ZERO
     for k0 in range(1, d1 + 1):
         part = f_enumerated(FSumSpec(D, d1, k0))

@@ -353,3 +353,69 @@ def test_explain_total_matches_library_value(capsys):
     _, out = run(capsys, "explain", "--identity", "thm2", "--d1", "3", "--d2", "2")
     total = out.strip().splitlines()[-1].split("\t", 1)[1]
     assert total == theorem2_lhs(3, 2).render("plain")
+
+
+# -- usage errors after parsing ---------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, usage, message", [
+    (["verify", "--identity", "thm1", "--d0", "2..4"],
+     "usage: qident verify", "verify --identity thm1 needs --d1 A..B"),
+    (["verify", "--identity", "thm1", "--d0", "2..4", "--d1", "1..2", "--jobs", "0"],
+     "usage: qident verify", "--jobs must be an integer >= 1, got 0"),
+    (["verify", "--identity", "thm2", "--d1", "3..1", "--d2", "1"],
+     "usage: qident verify", "empty range '3..1'"),
+    (["verify", "--identity", "thm2", "--config", "/nonexistent/grid.json"],
+     "usage: qident verify", "cannot read config file"),
+    (["eval", "--kind", "qbinom", "--n", "4"],
+     "usage: qident eval", "missing required parameter(s): k"),
+    (["explain", "--identity", "prop3", "--D", "4"],
+     "usage: qident explain", "missing required parameter(s): d1, k0"),
+])
+def test_post_parse_usage_error_names_subcommand(capsys, argv, usage, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(usage)
+    assert message in captured.err
+
+
+# -- worker cap ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [
+    (64, 3, [3]),      # capped by the CPU count
+    (64, 8, [4]),      # capped by the 4 cells
+    (2, 8, [2]),       # the flag itself
+    (64, 1, []),       # one CPU: serial, no pool
+    (64, None, []),    # unknown CPU count counts as one
+])
+def test_verify_jobs_capped(monkeypatch, capsys, jobs, cpus, expected):
+    import qidentities.cli as cli
+
+    used = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            used.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    args = ["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2"]
+    rc, serial = run(capsys, *args)
+    assert rc == 0
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    rc, out = run(capsys, *args, "--jobs", str(jobs))
+    assert rc == 0
+    assert used == expected
+    assert out == serial

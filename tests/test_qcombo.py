@@ -17,7 +17,6 @@ from qidentities import (
     q_binomial,
     q_binomial_factored,
     q_binomial_signed,
-    q_binomial_signed_factored,
     q_int,
     q_pochhammer,
     qf_div,
@@ -130,7 +129,7 @@ def test_qf_expand_ratio_matches_exact_div_on_q_binomials():
             assert qf_expand_ratio(a) == exact_div_ratio(a)
     for n in range(-9, 0):
         for k in range(0, 7):
-            a = q_binomial_signed_factored(n, k)
+            a = q_binomial_factored(n, k)
             assert qf_expand_ratio(a) == exact_div_ratio(a)
 
 
@@ -243,7 +242,7 @@ def test_signed_palindromic():
 def test_signed_factored_matches():
     for n in range(-6, 7):
         for k in range(0, 5):
-            got = q_binomial_signed_factored(n, k)
+            got = q_binomial_factored(n, k)
             if got.zero:
                 assert q_binomial_signed(n, k) == ZERO
             else:
