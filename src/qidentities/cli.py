@@ -6,17 +6,21 @@ the summands that explain lists.  eval, verify and explain all dispatch
 through that registry, so adding an identity is one entry.
 
 Exit codes: 0 = all verifications passed, 1 = at least one mismatch,
-2 = usage or domain error.  A usage error found after parsing prints the
-subcommand's own usage line.
+2 = usage or domain error.  A usage error found after parsing, such as an
+--output file that cannot be opened, prints the subcommand's own usage
+line; a domain error or a library ValueError prints one line on stderr.
 
-Verification records are line-delimited JSON.  When written to a file via
---output they carry a measured elapsed_ms field; when streamed to stdout
-the field is omitted so that identical reruns are byte-identical.
+Verification records are line-delimited JSON, written in cell order as the
+cells finish and then a summary line, so no list of records is kept and an
+interrupted run keeps the records it wrote.  Records written to a file via
+--output carry a measured elapsed_ms field; on stdout it is omitted so
+that identical reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -155,14 +159,16 @@ def _cmd_eval(args, parser) -> int:
 def _run_cell(cell):
     """Compute one grid cell.  Top-level so it pickles for worker pools.
 
-    cell = (identity, params-dict, corrupt-flag).  Returns a record dict,
-    or None for a degenerate cell.  An ArithmeticError (two internal code
-    paths disagreeing) gives a failed record carrying the message under
-    "error", with null lhs and rhs.
+    cell = (identity, params-dict, corrupt-flag, timing-flag).  Returns the
+    cell's record in its final form, or None for a degenerate cell.  An
+    ArithmeticError (two internal code paths disagreeing) gives a failed
+    record carrying the message under "error", with null lhs and rhs.  The
+    measured elapsed_ms is added only when the timing flag is set.
     """
-    identity, params, corrupt = cell
+    identity, params, corrupt, timing = cell
     ident = IDENTITIES[identity]
     start = time.perf_counter()
+    record = {"identity": identity, "params": params}
     try:
         lhs = ident.lhs(*params.values())
         rhs = ident.rhs(*params.values())
@@ -172,32 +178,21 @@ def _run_cell(cell):
         return None
     except ArithmeticError as exc:
         # two internal code paths disagreed: a failed cell, not a crash
-        return {
-            "identity": identity,
-            "params": params,
-            "lhs": None,
-            "rhs": None,
-            "equal": False,
-            "error": "%s: %s" % (type(exc).__name__, exc),
-            "elapsed_ms": int((time.perf_counter() - start) * 1000),
-        }
-    rational = isinstance(lhs, RationalFunction)
-    if corrupt:
-        lhs = RationalFunction(lhs.num + lhs.den, lhs.den) if rational else lhs + ONE
-    equal = lhs == rhs
-    if rational:
-        lhs_json, rhs_json = lhs.to_json_obj(), rhs.to_json_obj()
+        error = "%s: %s" % (type(exc).__name__, exc)
+        record.update(lhs=None, rhs=None, equal=False, error=error)
     else:
-        lhs_json, rhs_json = lhs.to_pairs(), rhs.to_pairs()
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return {
-        "identity": identity,
-        "params": params,
-        "lhs": lhs_json,
-        "rhs": rhs_json,
-        "equal": equal,
-        "elapsed_ms": elapsed_ms,
-    }
+        rational = isinstance(lhs, RationalFunction)
+        if corrupt:
+            lhs = RationalFunction(lhs.num + lhs.den, lhs.den) if rational else lhs + ONE
+        equal = lhs == rhs
+        if rational:
+            record.update(lhs=lhs.to_json_obj(), rhs=rhs.to_json_obj())
+        else:
+            record.update(lhs=lhs.to_pairs(), rhs=rhs.to_pairs())
+        record["equal"] = equal
+    if timing:
+        record["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
+    return record
 
 
 def _grid_cells(args, parser):
@@ -229,41 +224,38 @@ def _cmd_verify(args, parser) -> int:
     if type(args.jobs) is not int or args.jobs < 1:
         parser.error("--jobs must be an integer >= 1, got %r" % (args.jobs,))
     cells, skipped = _grid_cells(args, parser)
+    timing = args.output is not None
     work = [
-        (args.identity, params, args.selftest_corrupt and i == 0)
+        (args.identity, params, args.selftest_corrupt and i == 0, timing)
         for i, params in enumerate(cells)
     ]
     workers = min(args.jobs, os.cpu_count() or 1, len(work))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, work, chunksize=16))
-    else:
-        results = [_run_cell(cell) for cell in work]
-
-    out = open(args.output, "w") if args.output else sys.stdout
-    timing = args.output is not None
-    npass = nfail = 0
-    ndegen = skipped
-    try:
-        for record in results:
+    tally = {"pass": 0, "fail": 0, "degenerate": skipped}
+    with contextlib.ExitStack() as stack:
+        out = sys.stdout
+        if timing:
+            try:
+                out = stack.enter_context(open(args.output, "w"))
+            except OSError as exc:
+                parser.error("cannot open output file: %s" % exc)
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            records = pool.map(_run_cell, work, chunksize=16)
+        else:
+            records = map(_run_cell, work)
+        # Executor.map yields in submission order, so stdout is independent
+        # of --jobs
+        for record in records:
             if record is None:
-                ndegen += 1
+                tally["degenerate"] += 1
                 continue
-            if record["equal"]:
-                npass += 1
-            else:
-                nfail += 1
-            if not timing:
-                record = {k: v for k, v in record.items() if k != "elapsed_ms"}
+            tally["pass" if record["equal"] else "fail"] += 1
             out.write(json.dumps(record, separators=(",", ":")) + "\n")
-        summary = {"pass": npass, "fail": nfail, "degenerate": ndegen}
-        out.write(json.dumps(summary, separators=(",", ":")) + "\n")
-    finally:
-        if args.output:
-            out.close()
-    if args.output:
-        print(json.dumps(summary, separators=(",", ":")))
-    return 1 if nfail else 0
+        summary = json.dumps(tally, separators=(",", ":"))
+        out.write(summary + "\n")
+    if timing:
+        print(summary)
+    return 1 if tally["fail"] else 0
 
 
 # -- explain ---------------------------------------------------------------
@@ -350,7 +342,7 @@ def main(argv=None) -> int:
     _apply_config(args, args.subparser)
     try:
         return args.run(args, args.subparser)
-    except QIdentitiesError as exc:
+    except (QIdentitiesError, ValueError) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
 

@@ -206,7 +206,7 @@ def test_verify_bad_jobs_is_usage_error(capsys):
     assert info.value.code == 2
 
 
-def test_verify_internal_disagreement_is_failed_cell(monkeypatch, capsys):
+def test_verify_internal_disagreement_is_failed_cell(tmp_path, monkeypatch, capsys):
     import qidentities.cli as cli
 
     def disagree(d1, d2):
@@ -227,6 +227,19 @@ def test_verify_internal_disagreement_is_failed_cell(monkeypatch, capsys):
     assert records[0]["error"] == (
         "ArithmeticError: internal disagreement in theorem2_lhs(1, 1)"
     )
+    assert list(records[0]) == ["identity", "params", "lhs", "rhs", "equal", "error"]
+    # written to a file, the same record also carries its timing, last
+    target = tmp_path / "report.jsonl"
+    rc, out = run(
+        capsys, "verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2",
+        "--jobs", "1", "--output", str(target),
+    )
+    assert rc == 1
+    assert json.loads(out) == summary
+    records, _ = parse_records(target.read_text())
+    assert list(records[0]) == [
+        "identity", "params", "lhs", "rhs", "equal", "error", "elapsed_ms",
+    ]
 
 
 def test_verify_negative_ranges_readme_spelling(capsys):
@@ -310,6 +323,63 @@ def test_verify_config_bad_jobs_is_usage_error(tmp_path, capsys, jobs):
     assert "Traceback" not in err
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: runs the cells lazily, in order,
+    in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_interrupted_run_keeps_finished_records(
+        tmp_path, monkeypatch, capsys, jobs):
+    import qidentities.cli as cli
+
+    original = cli.theorem2_lhs
+    calls = []
+
+    def fail_third(d1, d2):
+        calls.append((d1, d2))
+        if len(calls) == 3:
+            raise RuntimeError("interrupted")
+        return original(d1, d2)
+
+    monkeypatch.setattr(cli, "theorem2_lhs", fail_third)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    target = tmp_path / "report.jsonl"
+    with pytest.raises(RuntimeError):
+        main(["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2",
+              "--jobs", str(jobs), "--output", str(target)])
+    lines = target.read_text().splitlines()
+    assert [json.loads(line)["params"] for line in lines] == [
+        {"d1": 1, "d2": 1}, {"d1": 1, "d2": 2},
+    ]
+    assert all(json.loads(line)["equal"] is True for line in lines)
+
+
+def test_verify_unopenable_output_runs_no_cell(monkeypatch, capsys):
+    import qidentities.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "_run_cell", ran.append)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1",
+              "--output", "/nonexistent/x.jsonl"])
+    assert info.value.code == 2
+    assert ran == []
+
+
 # -- explain -------------------------------------------------------------------
 
 
@@ -355,6 +425,19 @@ def test_explain_total_matches_library_value(capsys):
     assert total == theorem2_lhs(3, 2).render("plain")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["explain", "--identity", "prop3", "--D", "4", "--d1", "0", "--k0", "1"],
+     "ValueError: d must be >= 1\n"),
+    (["eval", "--kind", "f", "--D", "4", "--d1", "-1", "--k0", "1"],
+     "ValueError: d1 and k0 must be nonnegative\n"),
+], ids=["explain-prop3", "eval-f"])
+def test_library_value_error_is_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 # -- usage errors after parsing ---------------------------------------------------
 
 
@@ -371,6 +454,9 @@ def test_explain_total_matches_library_value(capsys):
      "usage: qident eval", "missing required parameter(s): k"),
     (["explain", "--identity", "prop3", "--D", "4"],
      "usage: qident explain", "missing required parameter(s): d1, k0"),
+    (["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1",
+      "--output", "/nonexistent/x.jsonl"],
+     "usage: qident verify", "cannot open output file"),
 ])
 def test_post_parse_usage_error_names_subcommand(capsys, argv, usage, message):
     with pytest.raises(SystemExit) as info:
