@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
 
 from .closed_forms import SURFACE_TAGS, nlog_value, prop3_rhs, theorem1_rhs, theorem2_rhs
-from .errors import Degenerate, PoleInDenominator, QIdentitiesError
+from .errors import Degenerate, InvalidHypothesis, PoleInDenominator, QIdentitiesError
 from .hypergeom import SaalschutzInstance, phi_evaluate, saalschutz_rhs
 from .laurent import ONE, LaurentPoly, RationalFunction
 from .qcombo import q_binomial, q_int, qf_expand
@@ -50,9 +50,10 @@ _STYLE = {"text": "plain", "json": "json", "latex": "latex"}
 
 class Identity(NamedTuple):
     """One registry entry.  holds, lhs, rhs and terms take the parameter
-    values in params order.  holds is the hypothesis, used only to skip
-    grid cells up front; terms yields explain's (label, summand) pairs, or
-    is None when explain does not support the identity."""
+    values in params order.  holds is the hypothesis, used to skip grid
+    cells up front and to reject eval of either side outside it; terms
+    yields explain's (label, summand) pairs, or is None when explain does
+    not support the identity."""
 
     params: tuple
     holds: Callable
@@ -143,8 +144,14 @@ def _eval_value(args, parser) -> LaurentPoly:
     # lhs / rhs of the identity named by --identity
     (name,) = _require(args, parser, ["identity"])
     ident = IDENTITIES[name]
+    values = _require(args, parser, ident.params)
+    if not ident.holds(*values):
+        raise InvalidHypothesis(
+            "outside the %s hypothesis: %s"
+            % (name, ", ".join("%s=%d" % p for p in zip(ident.params, values)))
+        )
     side = ident.lhs if kind == "lhs" else ident.rhs
-    return side(*_require(args, parser, ident.params))
+    return side(*values)
 
 
 def _cmd_eval(args, parser) -> int:
@@ -324,17 +331,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The JSON type a --config value must have, for the flags whose values no
+# later check validates: ranges go through _parse_range and "jobs" through
+# _cmd_verify.
+_CONFIG_TYPES = {
+    "output": (str, "a string"),
+    "selftest_corrupt": (bool, "true or false"),
+}
+
+
 def _apply_config(args, parser):
+    """Fill the flags left unset from the --config JSON object; a null
+    value leaves the default.  A file that is not a JSON object, or a value
+    of the wrong JSON type, is a usage error."""
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
                 defaults = json.load(fh)
         except (OSError, ValueError) as exc:
             parser.error("cannot read config file: %s" % exc)
+        if not isinstance(defaults, dict):
+            parser.error(
+                "config file must hold a JSON object, got %.40s" % json.dumps(defaults)
+            )
         for key, value in defaults.items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) in (None, False):
-                setattr(args, attr, value)
+            current = getattr(args, attr, True)
+            # an unset flag is None (False for --selftest-corrupt); compared
+            # by identity, since an explicit --jobs 0 == False must stay
+            if value is None or (current is not None and current is not False):
+                continue
+            if attr in _CONFIG_TYPES:
+                expected, described = _CONFIG_TYPES[attr]
+                if type(value) is not expected:
+                    parser.error(
+                        "config value for %s must be %s, got %s"
+                        % (key, described, json.dumps(value))
+                    )
+            setattr(args, attr, value)
 
 
 def main(argv=None) -> int:

@@ -202,16 +202,19 @@ def theorem2_terms(d1: int, d2: int):
 def theorem1_lhs(d0: int, d1: int) -> LaurentPoly:
     """The full partition sum on the left of the first theorem.
 
-    Computed two ways (direct transcription, theorem1_terms, and the
-    refined-sum refactoring over the trailing binomial) and asserted
-    equal.  Requires d0 > d1 >= 1.
+    Computed two ways and asserted equal: (a) the direct transcription,
+    theorem1_terms, and (b) the refined-sum refactoring over the trailing
+    binomial, each refined sum by the memoized recursion f_recursive with
+    one cache shared across the k0 loop (D = 2*d0 is fixed within the
+    call).  Requires d0 > d1 >= 1.
     """
     # (a) direct transcription; its hypothesis check runs before (b)
     direct = sum((term for _, term in theorem1_terms(d0, d1)), ZERO)
     # (b) via the refined sum
+    cache = {}
     refined = ZERO
     for k0 in range(0, d1 + 1):
-        part = f_enumerated(FSumSpec(2 * d0, d0 - d1, d1 - k0))
+        part = f_recursive(FSumSpec(2 * d0, d0 - d1, d1 - k0), cache)
         refined = refined + part * q_binomial(2 * d1, k0)
     if direct != refined:
         raise ArithmeticError(
@@ -223,17 +226,20 @@ def theorem1_lhs(d0: int, d1: int) -> LaurentPoly:
 def theorem2_lhs(d1: int, d2: int) -> LaurentPoly:
     """The full partition sum on the left of the second theorem.
 
-    Computed two ways (direct transcription, theorem2_terms, and the
-    refined-sum refactoring) and asserted equal.  Requires d1 >= 1 and
-    d2 >= 1.
+    Computed two ways and asserted equal: (a) the direct transcription,
+    theorem2_terms, and (b) the refined-sum refactoring, each refined sum
+    by the memoized recursion f_recursive with one cache shared across the
+    k0 loop (D = 2*d1 + d2 is fixed within the call).  Requires d1 >= 1
+    and d2 >= 1.
     """
     # (a) direct transcription; its hypothesis check runs before (b)
     direct = sum((term for _, term in theorem2_terms(d1, d2)), ZERO)
     # (b) via the refined sum
     D = 2 * d1 + d2
+    cache = {}
     refined = ZERO
     for k0 in range(1, d1 + 1):
-        part = f_enumerated(FSumSpec(D, d1, k0))
+        part = f_recursive(FSumSpec(D, d1, k0), cache)
         refined = refined + part * q_binomial(d2, k0)
     if direct != refined:
         raise ArithmeticError(

@@ -87,6 +87,21 @@ def test_eval_domain_error_exit_code(capsys):
     assert "InvalidHypothesis" in err
 
 
+@pytest.mark.parametrize("kind", ["lhs", "rhs"])
+@pytest.mark.parametrize("params", [
+    ["--D", "4", "--d1", "0", "--k0", "1"],
+    ["--D", "4", "--d1", "2", "--k0", "3"],
+    ["--D", "0", "--d1", "2", "--k0", "1"],
+], ids=["d1-zero", "k0-above-d1", "D-zero"])
+def test_eval_prop3_outside_hypothesis_is_domain_error(capsys, kind, params):
+    # both sides share one domain: the lhs used to print the empty sum 0
+    assert main(["eval", "--kind", kind, "--identity", "prop3", *params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("InvalidHypothesis: outside the prop3 hypothesis")
+    assert len(captured.err.splitlines()) == 1
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -321,6 +336,59 @@ def test_verify_config_bad_jobs_is_usage_error(tmp_path, capsys, jobs):
     err = capsys.readouterr().err
     assert "--jobs must be an integer >= 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", "config file must hold a JSON object, got [1, 2]"),
+    ('"d1"', 'config file must hold a JSON object, got "d1"'),
+    ("null", "config file must hold a JSON object, got null"),
+    ('{"selftest_corrupt": "no"}',
+     'config value for selftest_corrupt must be true or false, got "no"'),
+    ('{"selftest-corrupt": 1}',
+     "config value for selftest-corrupt must be true or false, got 1"),
+    ('{"output": 5}', "config value for output must be a string, got 5"),
+    ('{"output": ["x.jsonl"]}',
+     'config value for output must be a string, got ["x.jsonl"]'),
+], ids=["array", "string", "null", "corrupt-string", "corrupt-int", "output-int",
+        "output-array"])
+def test_verify_config_bad_shape_is_usage_error(tmp_path, capsys, content, message):
+    config = tmp_path / "grid.json"
+    config.write_text(content)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--identity", "thm2", "--d1", "1", "--d2", "1",
+              "--config", str(config)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qident verify")
+    assert captured.err.splitlines()[-1] == "qident verify: error: " + message
+    assert "Traceback" not in captured.err
+
+
+def test_verify_config_does_not_replace_explicit_jobs_zero(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"jobs": 2}))
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--identity", "thm2", "--d1", "1", "--d2", "1",
+              "--jobs", "0", "--config", str(config)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--jobs must be an integer >= 1, got 0" in captured.err
+
+
+def test_verify_config_typed_values_are_applied(tmp_path, capsys):
+    out_file = tmp_path / "records.jsonl"
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps(
+        {"output": str(out_file), "selftest_corrupt": True, "jobs": None}
+    ))
+    rc, out = run(capsys, "verify", "--identity", "thm2", "--d1", "1", "--d2", "1",
+                  "--config", str(config))
+    assert rc == 1
+    assert json.loads(out) == {"pass": 0, "fail": 1, "degenerate": 0}
+    records, summary = parse_records(out_file.read_text())
+    assert records[0]["equal"] is False and "elapsed_ms" in records[0]
 
 
 class SerialPool:

@@ -1,6 +1,8 @@
 """Tests for partition-index enumeration, the refined sum, and the theorem
 left-hand sides."""
 
+import json
+
 import pytest
 
 from qidentities import (
@@ -205,3 +207,42 @@ def test_lhs_values_palindromic():
         for d2 in range(1, 5):
             v = theorem2_lhs(d1, d2)
             assert v.reverse() == v
+
+
+def test_refined_path_is_the_memoized_recursion(monkeypatch, capsys):
+    # path (b) of theorem*_lhs goes through f_recursive with one cache per
+    # call, and a wrong refined value is caught by the two-path check
+    from qidentities import sums
+    from qidentities.cli import main
+
+    real = sums.f_recursive
+    caches = []
+
+    def recording(spec, cache=None):
+        caches.append(cache)
+        return real(spec, cache)
+
+    monkeypatch.setattr(sums, "f_recursive", recording)
+    assert theorem1_lhs(5, 2) == theorem1_rhs(5, 2)
+    assert theorem2_lhs(3, 2) == theorem2_rhs(3, 2)
+    # thm1 (5, 2): k0 = 0..2; thm2 (3, 2): k0 = 1..3; one cache each
+    assert len(caches) == 6
+    assert all(c is caches[0] for c in caches[:3])
+    assert all(c is caches[3] for c in caches[3:])
+    assert caches[0] is not caches[3]
+
+    def perturbed(spec, cache=None):
+        return real(spec, cache) + ONE
+
+    monkeypatch.setattr(sums, "f_recursive", perturbed)
+    with pytest.raises(ArithmeticError, match="theorem1_lhs"):
+        theorem1_lhs(5, 2)
+    with pytest.raises(ArithmeticError, match="theorem2_lhs"):
+        theorem2_lhs(3, 2)
+    assert main(["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    records = [json.loads(line) for line in lines[:-1]]
+    assert json.loads(lines[-1]) == {"pass": 0, "fail": 2, "degenerate": 0}
+    for record in records:
+        assert record["equal"] is False and record["lhs"] is None
+        assert record["error"].startswith("ArithmeticError: internal disagreement")
