@@ -20,21 +20,7 @@ bound < 2^(8k-1), i.e. k = bound.bit_length() // 8 + 1 (then rounded up to
 1, 2, 4 or 8 bytes where possible, so packing and unpacking can use machine
 words).  Adding the output's bias back to the product then leaves every
 slot at p_i + 2^(8k-1), which lies in [0, 2^(8k)): no slot carries into the
-next, and the slots read back the exact coefficients.
-
-Slots are laid out on the operands' common exponent stride.  With g the
-gcd of every e - min(a) over a and every e - min(b) over b, each operand is
-x^v times a polynomial in y = x^g, and the product is x^(va+vb) times the
-product of those two polynomials in y; substituting y = x^g is a ring
-isomorphism onto polynomials supported on that stride, so nothing is lost.
-An operand's term at e goes to slot (e - v) / g and product slot i back to
-exponent va + vb + g*i.  The slot-width bound above counts term products,
-which the substitution leaves unchanged, so it still holds.  q-binomials in
-x = q^(1/2) use exponents of one parity only, so g = 2 halves the slots and
-the big-integer product for them, which is most of the cost once operands
-have hundreds of terms.  An operand with more than span/2 + 1 terms cannot
-lie on a stride g >= 2, so for it g = 1 is known without the gcd scan.
-The dense layout
+next, and the slots read back the exact coefficients.  The dense layout
 costs memory and time in the exponent span, so a product whose span has
 more than half as many exponents as it has term products stays on the
 schoolbook loop, as do products below the threshold: there the dict loop is
@@ -46,7 +32,6 @@ from __future__ import annotations
 
 import json
 from array import array
-from math import gcd
 from sys import byteorder as _ORDER
 
 from .errors import DivisionByZero, NotDivisible
@@ -248,16 +233,10 @@ def _kronecker_mul(a: dict, b: dict) -> dict:
     """Product of two nonzero term mappings by Kronecker substitution.
 
     Returns the canonical product mapping (no zero coefficients); see the
-    module docstring for why the slot width k makes it exact and why
-    exponents may be packed on their common stride g.
+    module docstring for why the slot width k makes it exact.
     """
     va, vb = min(a), min(b)
-    span_a, span_b = max(a) - va, max(b) - vb
-    if 2 * len(a) > span_a + 2 or 2 * len(b) > span_b + 2:
-        g = 1
-    else:
-        g = gcd(*[e - va for e in a], *[e - vb for e in b]) or 1
-    n = (span_a + span_b) // g + 1
+    n = max(a) - va + max(b) - vb + 1
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     k = bound.bit_length() // 8 + 1
     fmt = _WORD_FORMAT.get(k)
@@ -265,31 +244,31 @@ def _kronecker_mul(a: dict, b: dict) -> dict:
         k = array(fmt).itemsize
     half = 1 << (8 * k - 1)
     fill = array(fmt, [half]) if fmt else half.to_bytes(k, _ORDER)
-    product = _pack(a, va, g, fill, k, half) * _pack(b, vb, g, fill, k, half)
+    product = _pack(a, va, fill, k, half) * _pack(b, vb, fill, k, half)
     data = (product + int.from_bytes(fill * n, _ORDER)).to_bytes(n * k, _ORDER)
     if fmt:
         slots = array(fmt, data)
     else:
         slots = [int.from_bytes(data[i : i + k], _ORDER) for i in range(0, n * k, k)]
     vc = va + vb
-    return {e: c - half for e, c in zip(range(vc, vc + g * n, g), slots) if c != half}
+    return {vc + i: c - half for i, c in enumerate(slots) if c != half}
 
 
-def _pack(terms: dict, low: int, g: int, fill, k: int, half: int) -> int:
-    """sum of c * 2^(8k(e - low)/g) over the terms, built from biased slots.
+def _pack(terms: dict, low: int, fill, k: int, half: int) -> int:
+    """sum of c * 2^(8k(e - low)) over the terms, built from biased slots.
 
-    Every e - low is a multiple of g.  fill is one slot holding the bias
-    `half`: an array item when k is a machine-word width, else k bytes.
+    fill is one slot holding the bias `half`: an array item when k is a
+    machine-word width, else k bytes.
     """
-    size = (max(terms) - low) // g + 1
+    size = max(terms) - low + 1
     if isinstance(fill, array):
         buf = fill * size
         for e, c in terms.items():
-            buf[(e - low) // g] = c + half
+            buf[e - low] = c + half
     else:
         buf = bytearray(fill * size)
         for e, c in terms.items():
-            i = (e - low) // g * k
+            i = (e - low) * k
             buf[i : i + k] = (c + half).to_bytes(k, _ORDER)
     return int.from_bytes(buf, _ORDER) - int.from_bytes(fill * size, _ORDER)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import sub
 
 from .errors import DivisionByZero, NotDivisible, NotPolynomial
 from .laurent import ONE, ZERO, LaurentPoly, RationalFunction
@@ -157,25 +156,27 @@ def qf_expand_ratio(a: QFactored) -> LaurentPoly:
     """Expand a factored value known to be polynomial.
 
     Unlike qf_expand this tolerates negative multiplicities as long as the
-    overall value is a Laurent polynomial.  It works on one dense
-    coefficient list: each positive factor 1 - x^e is one strided O(n)
-    update, then each negative factor is divided out in turn with
-    _divide_one_minus_x.  Raises NotDivisible if the value is not actually
-    polynomial.
+    overall value is a Laurent polynomial: it expands the positive factors
+    (with sign and monomial) and then divides by each negative factor
+    1 - x^e in turn with _divide_one_minus_x.  Raises NotDivisible if the
+    value is not actually polynomial.
     """
     if a.zero:
         return ZERO
-    factors = sorted(a.factors.items())
-    coeffs = [a.sign]
-    for e, m in factors:
+    positive = {e: m for e, m in a.factors.items() if m > 0}
+    num = qf_expand(QFactored(a.sign, a.x_power, positive))
+    dens = sorted((e, -m) for e, m in a.factors.items() if m < 0)
+    if not dens:
+        return num
+    terms = num.terms
+    low = min(terms)
+    coeffs = [0] * (max(terms) - low + 1)
+    for e, c in terms.items():
+        coeffs[e - low] = c
+    for e, m in dens:
         for _ in range(m):
-            out = coeffs + [0] * e
-            out[e:] = map(sub, out[e:], coeffs)
-            coeffs = out
-    for e, m in factors:
-        for _ in range(-m):
             coeffs = _divide_one_minus_x(coeffs, e)
-    return LaurentPoly({a.x_power + i: c for i, c in enumerate(coeffs) if c})
+    return LaurentPoly({low + i: c for i, c in enumerate(coeffs) if c})
 
 
 def _divide_one_minus_x(t, e):

@@ -303,98 +303,6 @@ def test_kronecker_cancellation(c, e, n):
     assert f * ZERO == ZERO and ZERO * f == ZERO
 
 
-@st.composite
-def strided_operand(draw, stride, size, coeffs):
-    """A LaurentPoly with `size` (>= 2) terms at exponents low + stride*i,
-    low negative.  i = 0 and i = 1 are always present, so the operand's own
-    stride is exactly `stride`."""
-    low = draw(st.integers(min_value=-60, max_value=-1))
-    rest = draw(
-        st.lists(
-            st.integers(min_value=2, max_value=2 * size),
-            min_size=size - 2, max_size=size - 2, unique=True,
-        )
-    )
-    cs = draw(st.lists(coeffs.filter(bool), min_size=size, max_size=size))
-    return LaurentPoly({low + stride * i: c for i, c in zip([0, 1] + rest, cs)})
-
-
-strides = st.sampled_from([2, 3, 5])
-stride_sizes = st.sampled_from([(2, 40), (16, 16), (17, 30), (40, 40)])
-
-
-def strided_pair(coeffs):
-    """Two operands on one common stride g in {2, 3, 5}."""
-    return st.tuples(strides, stride_sizes).flatmap(
-        lambda t: st.tuples(
-            strided_operand(t[0], t[1][0], coeffs),
-            strided_operand(t[0], t[1][1], coeffs),
-        )
-    )
-
-
-def test_kronecker_packs_on_common_stride(monkeypatch):
-    packed = []
-    real_pack = laurent._pack
-
-    def spy(terms, low, g, *rest):
-        packed.append(g)
-        return real_pack(terms, low, g, *rest)
-
-    monkeypatch.setattr(laurent, "_pack", spy)
-
-    def on_stride(g, low, n):
-        return lp({low + g * i: (i + 7) * (-1) ** i for i in range(n)})
-
-    cases = [
-        (on_stride(2, -9, 20), on_stride(2, -4, 20), 2),
-        (on_stride(3, -7, 20), on_stride(3, 1, 20), 3),
-        (lp({-3: 5}), on_stride(5, -12, 20), 5),  # a monomial has no stride
-        (on_stride(4, -8, 20), on_stride(6, -5, 20), 2),
-        (on_stride(2, -8, 20), on_stride(3, -5, 20), 1),
-        (lp({-2: 3}), lp({7: -4}), 1),
-    ]
-    for a, b, g in cases:
-        assert LaurentPoly(_kronecker_mul(a.terms, b.terms)) == convolve(a, b)
-        assert packed[-2:] == [g, g]
-
-
-@settings(max_examples=40)
-@given(strided_pair(small_coeffs))
-def test_kronecker_common_stride(pair):
-    check_product(*pair)
-
-
-@settings(max_examples=30)
-@given(
-    strides.flatmap(lambda g: strided_operand(g, 30, small_coeffs)),
-    st.integers(min_value=-40, max_value=40),
-    small_coeffs.filter(bool),
-)
-def test_kronecker_monomial_times_strided(a, e, c):
-    check_product(LaurentPoly.monomial(c, e), a)
-
-
-@settings(max_examples=30)
-@given(strided_pair(wide_coeffs))
-def test_kronecker_common_stride_wide_coefficients(pair):
-    check_product(*pair)
-
-
-@settings(max_examples=30)
-@given(
-    st.sampled_from([(2, 3), (4, 6), (6, 9), (3, 5), (10, 4)]).flatmap(
-        lambda s: st.tuples(
-            strided_operand(s[0], 20, small_coeffs),
-            strided_operand(s[1], 20, st.one_of(small_coeffs, wide_coeffs)),
-        )
-    )
-)
-def test_kronecker_different_strides(pair):
-    # the packing stride drops to the gcd of the two strides, or to 1
-    check_product(*pair)
-
-
 @given(polys, nonzero_polys)
 def test_exact_div_roundtrip(p, b):
     a = p * b
