@@ -30,7 +30,14 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
 
 from .closed_forms import SURFACE_TAGS, nlog_value, prop3_rhs, theorem1_rhs, theorem2_rhs
-from .errors import Degenerate, InvalidHypothesis, PoleInDenominator, QIdentitiesError
+from .errors import (
+    Degenerate,
+    InvalidHypothesis,
+    NotDivisible,
+    NotPolynomial,
+    PoleInDenominator,
+    QIdentitiesError,
+)
 from .hypergeom import SaalschutzInstance, phi_evaluate, saalschutz_rhs
 from .laurent import ONE, LaurentPoly, RationalFunction
 from .qcombo import q_binomial, q_int, qf_expand
@@ -168,9 +175,11 @@ def _run_cell(cell):
 
     cell = (identity, params-dict, corrupt-flag, timing-flag).  Returns the
     cell's record in its final form, or None for a degenerate cell.  An
-    ArithmeticError (two internal code paths disagreeing) gives a failed
-    record carrying the message under "error", with null lhs and rhs.  The
-    measured elapsed_ms is added only when the timing flag is set.
+    ArithmeticError (two internal code paths disagreeing), or a value the
+    expansion kernel finds not polynomial (NotDivisible, NotPolynomial),
+    gives a failed record carrying the message under "error", with null
+    lhs and rhs.  The measured elapsed_ms is added only when the timing
+    flag is set.
     """
     identity, params, corrupt, timing = cell
     ident = IDENTITIES[identity]
@@ -183,8 +192,8 @@ def _run_cell(cell):
         # a lower-parameter Pochhammer symbol vanishes in range: the series
         # is undefined there, so the cell is degenerate rather than failed
         return None
-    except ArithmeticError as exc:
-        # two internal code paths disagreed: a failed cell, not a crash
+    except (ArithmeticError, NotDivisible, NotPolynomial) as exc:
+        # an internal disagreement: a failed cell, not a crash
         error = "%s: %s" % (type(exc).__name__, exc)
         record.update(lhs=None, rhs=None, equal=False, error=error)
     else:
@@ -342,8 +351,9 @@ _CONFIG_TYPES = {
 
 def _apply_config(args, parser):
     """Fill the flags left unset from the --config JSON object; a null
-    value leaves the default.  A file that is not a JSON object, or a value
-    of the wrong JSON type, is a usage error."""
+    value leaves the default.  A file that is not a JSON object, a key that
+    names no flag of the subcommand, or a value of the wrong JSON type, is a
+    usage error."""
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -354,9 +364,15 @@ def _apply_config(args, parser):
             parser.error(
                 "config file must hold a JSON object, got %.40s" % json.dumps(defaults)
             )
+        flags = {a.dest for a in parser._actions if a.option_strings}
+        flags -= {"help", "config"}
         for key, value in defaults.items():
             attr = key.replace("-", "_")
-            current = getattr(args, attr, True)
+            if attr not in flags:
+                parser.error(
+                    "config key %s names no %s flag" % (json.dumps(key), args.command)
+                )
+            current = getattr(args, attr)
             # an unset flag is None (False for --selftest-corrupt); compared
             # by identity, since an explicit --jobs 0 == False must stay
             if value is None or (current is not None and current is not False):

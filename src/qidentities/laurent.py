@@ -23,9 +23,10 @@ slot at p_i + 2^(8k-1), which lies in [0, 2^(8k)): no slot carries into the
 next, and the slots read back the exact coefficients.  The dense layout
 costs memory and time in the exponent span, so a product whose span has
 more than half as many exponents as it has term products stays on the
-schoolbook loop, as do products below the threshold: there the dict loop is
-faster, notably on the small, sparse factors such as 1 - x^12 that dominate
-the hypergeometric series.
+schoolbook loop, as do products below the threshold, where the dict loop is
+faster.  Below it fall most cross-multiplications of RationalFunction sums
+and comparisons in the hypergeometric series, and many of the q-binomial
+products in the refined sums.
 """
 
 from __future__ import annotations

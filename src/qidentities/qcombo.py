@@ -1,16 +1,18 @@
 """q-integers, q-Pochhammer symbols, and q-binomial coefficients.
 
 Everything is built on QFactored, a signed monomial times a product of
-cyclotomic-style factors (1 - x^e).  Keeping values factored for as long
-as possible means a single exact expansion at the end (plus one strided
-O(n) division per denominator factor), instead of a chain of general
-polynomial divisions.
+cyclotomic-style factors (1 - x^e).  Values stay factored for as long as
+possible and are expanded once, in a single dense pass over a coefficient
+list: each numerator factor is one strided O(n) update and each
+denominator factor one strided O(n) division, with no general polynomial
+multiplication or division.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
+from operator import sub
 
 from .errors import DivisionByZero, NotDivisible, NotPolynomial
 from .laurent import ONE, ZERO, LaurentPoly, RationalFunction
@@ -130,16 +132,10 @@ def qf_expand(a: QFactored) -> LaurentPoly:
 
     Raises NotPolynomial if any multiplicity is negative.
     """
-    if a.zero:
-        return ZERO
-    out = LaurentPoly.monomial(a.sign, a.x_power)
     for e, m in sorted(a.factors.items()):
         if m < 0:
             raise NotPolynomial("negative multiplicity %d at exponent %d" % (m, e))
-        factor = LaurentPoly({0: 1, e: -1})
-        for _ in range(m):
-            out = out * factor
-    return out
+    return _expand(a)
 
 
 def qf_to_rational(a: QFactored) -> RationalFunction:
@@ -156,27 +152,33 @@ def qf_expand_ratio(a: QFactored) -> LaurentPoly:
     """Expand a factored value known to be polynomial.
 
     Unlike qf_expand this tolerates negative multiplicities as long as the
-    overall value is a Laurent polynomial: it expands the positive factors
-    (with sign and monomial) and then divides by each negative factor
-    1 - x^e in turn with _divide_one_minus_x.  Raises NotDivisible if the
+    overall value is a Laurent polynomial.  Raises NotDivisible if the
     value is not actually polynomial.
+    """
+    return _expand(a)
+
+
+def _expand(a):
+    """The one expansion pass: dense coefficients from x**x_power up.
+
+    Starting from [sign], each positive factor 1 - x^e is multiplied in by
+    a strided O(n) update, t - x^e t; then each negative factor is divided
+    out with _divide_one_minus_x, which raises NotDivisible if the quotient
+    is not exact.
     """
     if a.zero:
         return ZERO
-    positive = {e: m for e, m in a.factors.items() if m > 0}
-    num = qf_expand(QFactored(a.sign, a.x_power, positive))
-    dens = sorted((e, -m) for e, m in a.factors.items() if m < 0)
-    if not dens:
-        return num
-    terms = num.terms
-    low = min(terms)
-    coeffs = [0] * (max(terms) - low + 1)
-    for e, c in terms.items():
-        coeffs[e - low] = c
-    for e, m in dens:
+    coeffs = [a.sign]
+    factors = sorted(a.factors.items())
+    for e, m in factors:
         for _ in range(m):
+            out = coeffs + [0] * e
+            out[e:] = map(sub, out[e:], coeffs)
+            coeffs = out
+    for e, m in factors:
+        for _ in range(-m):
             coeffs = _divide_one_minus_x(coeffs, e)
-    return LaurentPoly({low + i: c for i, c in enumerate(coeffs) if c})
+    return LaurentPoly({a.x_power + i: c for i, c in enumerate(coeffs) if c})
 
 
 def _divide_one_minus_x(t, e):
@@ -252,9 +254,7 @@ def q_binomial(n: int, k: int) -> LaurentPoly:
     0 <= k <= n, and the zero polynomial otherwise (negative arguments
     included).  Always palindromic under x -> x^(-1).
     """
-    if k < 0 or n < 0 or k > n:
-        return ZERO
-    return qf_expand_ratio(q_binomial_factored(n, k))
+    return ZERO if n < 0 else q_binomial_signed(n, k)
 
 
 @lru_cache(maxsize=None)
@@ -270,8 +270,4 @@ def q_binomial_signed(n: int, k: int) -> LaurentPoly:
     convention under which the refined-sum closed form holds for every
     positive D, not just D large relative to d1.
     """
-    if k < 0:
-        return ZERO
-    if n >= 0:
-        return q_binomial(n, k)
     return qf_expand_ratio(q_binomial_factored(n, k))

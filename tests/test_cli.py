@@ -257,6 +257,35 @@ def test_verify_internal_disagreement_is_failed_cell(tmp_path, monkeypatch, caps
     ]
 
 
+def test_verify_expansion_error_is_failed_cell(monkeypatch, capsys):
+    import qidentities.cli as cli
+    from qidentities import NotDivisible
+
+    original = cli.theorem2_rhs
+
+    def not_divisible_once(d1, d2):
+        if (d1, d2) == (1, 2):
+            raise NotDivisible("no exact quotient by 1 - x^4")
+        return original(d1, d2)
+
+    monkeypatch.setattr(cli, "theorem2_rhs", not_divisible_once)
+    rc, out = run(
+        capsys, "verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2",
+        "--jobs", "1",
+    )
+    assert rc == 1
+    records, summary = parse_records(out)
+    assert summary == {"pass": 3, "fail": 1, "degenerate": 0}
+    assert [r["params"] for r in records] == [
+        {"d1": 1, "d2": 1}, {"d1": 1, "d2": 2}, {"d1": 2, "d2": 1}, {"d1": 2, "d2": 2},
+    ]
+    assert [r["equal"] for r in records] == [True, False, True, True]
+    assert records[1] == {
+        "identity": "thm2", "params": {"d1": 1, "d2": 2}, "lhs": None, "rhs": None,
+        "equal": False, "error": "NotDivisible: no exact quotient by 1 - x^4",
+    }
+
+
 def test_verify_negative_ranges_readme_spelling(capsys):
     rc, out = run(
         capsys,
@@ -363,6 +392,31 @@ def test_verify_config_bad_shape_is_usage_error(tmp_path, capsys, content, messa
     assert captured.err.startswith("usage: qident verify")
     assert captured.err.splitlines()[-1] == "qident verify: error: " + message
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key", ["job", "run", "subparser", "command", "help", "config"])
+def test_verify_config_unknown_key_is_usage_error(tmp_path, capsys, key):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({key: 2, "d1": "1..2"}))
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--identity", "thm2", "--d2", "1", "--config", str(config)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        'qident verify: error: config key "%s" names no verify flag' % key
+    )
+
+
+def test_verify_config_known_key_still_applies(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"selftest-corrupt": True, "d1": "1..2"}))
+    rc, out = run(capsys, "verify", "--identity", "thm2", "--d2", "1",
+                  "--config", str(config))
+    assert rc == 1
+    records, summary = parse_records(out)
+    assert summary == {"pass": 1, "fail": 1, "degenerate": 0}
+    assert [r["params"]["d1"] for r in records] == [1, 2]
 
 
 def test_verify_config_does_not_replace_explicit_jobs_zero(tmp_path, capsys):

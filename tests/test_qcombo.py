@@ -116,10 +116,47 @@ def test_qf_expand_ratio_requires_divisibility():
         qf_expand_ratio(QFactored(factors={4: 1, 6: -1}))
 
 
+def product_oracle(a):
+    """Numerator and denominator of a nonzero a as explicit LaurentPoly
+    products of 1 - x^e, independent of the expansion kernel."""
+    num, den = lp({a.x_power: a.sign}), ONE
+    for e, m in a.factors.items():
+        for _ in range(abs(m)):
+            if m > 0:
+                num = num * lp({0: 1, e: -1})
+            else:
+                den = den * lp({0: 1, e: -1})
+    return num, den
+
+
 def exact_div_ratio(a):
     """The expansion by one general long division, as an oracle."""
-    frac = qf_to_rational(a)
-    return frac.num.exact_div(frac.den)
+    if a.zero:
+        return ZERO
+    num, den = product_oracle(a)
+    return num.exact_div(den)
+
+
+@given(
+    st.dictionaries(
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=1, max_value=4),
+        max_size=5,
+    ),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=-12, max_value=6),
+)
+def test_qf_expand_matches_product(factors, sign, x_power):
+    a = QFactored(sign=sign, x_power=x_power, factors=factors)
+    num, den = product_oracle(a)
+    assert den == ONE
+    assert qf_expand(a) == num
+
+
+def test_qf_expand_big_coefficients():
+    got = qf_expand(QFactored(factors={1: 80}))
+    assert got == lp({i: (-1) ** i * math.comb(80, i) for i in range(81)})
+    assert max(got.terms.values()) > 2**64
 
 
 def test_qf_expand_ratio_matches_exact_div_on_q_binomials():
