@@ -292,10 +292,9 @@ def _cmd_explain(args, parser) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-def _add_param_flags(p):
-    for name in ("n", "k", "alpha", "D", "d0", "d1", "d2", "k0", "p", "r", "N"):
+def _add_param_flags(p, names):
+    for name in names:
         p.add_argument("--%s" % name, type=int, default=None)
-    p.add_argument("--surface", choices=SURFACE_TAGS, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     with_terms = [name for name, ident in IDENTITIES.items() if ident.terms]
+    term_params = [*dict.fromkeys(p for n in with_terms for p in IDENTITIES[n].params)]
 
     p_eval = sub.add_parser("eval", help="evaluate one quantity exactly")
     p_eval.add_argument(
@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--identity", choices=with_terms, default=None)
     p_eval.add_argument("--format", choices=sorted(_STYLE), default="text")
-    _add_param_flags(p_eval)
+    _add_param_flags(p_eval, ["n", "k", "alpha", "p", "r", *term_params])
+    p_eval.add_argument("--surface", choices=SURFACE_TAGS, default=None)
 
     p_verify = sub.add_parser("verify", help="verify an identity over a parameter grid")
     p_verify.add_argument("--identity", required=True, choices=list(IDENTITIES))
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_explain = sub.add_parser("explain", help="list each summand of an identity LHS")
     p_explain.add_argument("--identity", required=True, choices=with_terms)
-    _add_param_flags(p_explain)
+    _add_param_flags(p_explain, term_params)
 
     # post-parse usage errors are reported against the subcommand's parser
     p_eval.set_defaults(run=_cmd_eval, subparser=p_eval)

@@ -44,12 +44,6 @@ def _termination_order(upper) -> int:
     return min(orders)
 
 
-def _pochhammer_vanishes(t: int, count: int) -> bool:
-    """True iff (x**t; q)_count has a zero factor, i.e. t + 2j = 0 for
-    some 0 <= j < count."""
-    return t <= 0 and t % 2 == 0 and -t // 2 < count
-
-
 def phi_evaluate(series: PhiSeries) -> RationalFunction:
     """Exact value of a terminating series as an unreduced fraction.
 
@@ -60,7 +54,7 @@ def phi_evaluate(series: PhiSeries) -> RationalFunction:
     """
     n_max = _termination_order(series.upper)
     for t in series.lower:
-        if _pochhammer_vanishes(t, n_max):
+        if q_pochhammer(t, n_max).zero:
             raise PoleInDenominator(
                 "lower parameter x^%d vanishes within summation range" % t
             )
@@ -135,7 +129,7 @@ def verify_saalschutz(inst: SaalschutzInstance) -> bool:
     vanishes); such instances are skipped, not failed.
     """
     for t in (inst.c_exp, inst.derived_lower_exp()):
-        if _pochhammer_vanishes(t, inst.N):
+        if q_pochhammer(t, inst.N).zero:
             raise Degenerate("lower parameter x^%d hits q^0 within range" % t)
     return rf_eq(phi_evaluate(inst.lhs_series()), saalschutz_rhs(inst))
 

@@ -1,11 +1,12 @@
 """q-integers, q-Pochhammer symbols, and q-binomial coefficients.
 
 Everything is built on QFactored, a signed monomial times a product of
-cyclotomic-style factors (1 - x^e).  Values stay factored for as long as
-possible and are expanded once, in a single dense pass over a coefficient
-list: each numerator factor is one strided O(n) update and each
-denominator factor one strided O(n) division, with no general polynomial
-multiplication or division.
+cyclotomic-style factors (1 - x^e).  One constructor, _product, builds
+every q-symbol and is the only code that turns an exponent into a stored
+factor.  Values stay factored for as long as possible and are expanded
+once, in a single dense pass over a coefficient list: each numerator
+factor is one strided O(n) update and each denominator factor one strided
+O(n) division, with no general polynomial multiplication or division.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from .laurent import ONE, ZERO, LaurentPoly, RationalFunction
 class QFactored:
     """sign * x**x_power * prod over e of (1 - x**e)**mult, or zero.
 
-    Invariants: factor keys e are >= 1 (negative exponents are normalized
-    via 1 - x^(-e) = -x^(-e) (1 - x^e), and 1 - x^0 = 0 collapses the
-    whole value to zero); no stored multiplicity is zero.  Multiplicities
-    may be negative, in which case the value is a genuine rational
-    function rather than a Laurent polynomial.
+    Invariants: factor keys e are >= 1 (_product normalizes an exponent
+    e <= 0); no stored multiplicity is zero.  Multiplicities may be
+    negative, in which case the value is a genuine rational function
+    rather than a Laurent polynomial.
     """
 
     __slots__ = ("zero", "sign", "x_power", "factors")
@@ -65,11 +65,7 @@ class QFactored:
     @classmethod
     def one_minus_x(cls, e: int) -> "QFactored":
         """The factor 1 - x**e, normalized so the stored exponent is >= 1."""
-        if e == 0:
-            return cls.zero_value()
-        if e > 0:
-            return cls(factors={e: 1})
-        return cls(sign=-1, x_power=e, factors={-e: 1})
+        return _product((e,))
 
     def __eq__(self, other):
         if not isinstance(other, QFactored):
@@ -97,18 +93,36 @@ class QFactored:
         )
 
 
+def _product(exps, x_power=0, sign=1) -> QFactored:
+    """sign * x**x_power * prod over e in exps of (1 - x**e), normalized:
+    1 - x^0 = 0 makes the value zero, and 1 - x^e = -x^e (1 - x^(-e))."""
+    factors = {}
+    for e in exps:
+        if e == 0:
+            return QFactored.zero_value()
+        if e < 0:
+            sign, x_power, e = -sign, x_power + e, -e
+        factors[e] = factors.get(e, 0) + 1
+    return QFactored(sign, x_power, factors)
+
+
+def _merge(a, b, s):
+    """a * b**s for s = +1 or -1, both nonzero: multiplicities add."""
+    factors = dict(a.factors)
+    for e, m in b.factors.items():
+        v = factors.get(e, 0) + s * m
+        if v:
+            factors[e] = v
+        else:
+            del factors[e]
+    return QFactored(a.sign * b.sign, a.x_power + s * b.x_power, factors)
+
+
 def qf_mul(a: QFactored, b: QFactored) -> QFactored:
     """Exact product; zero absorbs."""
     if a.zero or b.zero:
         return QFactored.zero_value()
-    factors = dict(a.factors)
-    for e, m in b.factors.items():
-        v = factors.get(e, 0) + m
-        if v:
-            factors[e] = v
-        else:
-            factors.pop(e, None)
-    return QFactored(a.sign * b.sign, a.x_power + b.x_power, factors)
+    return _merge(a, b, 1)
 
 
 def qf_div(a: QFactored, b: QFactored) -> QFactored:
@@ -117,14 +131,7 @@ def qf_div(a: QFactored, b: QFactored) -> QFactored:
         raise DivisionByZero("division of QFactored by zero")
     if a.zero:
         return QFactored.zero_value()
-    factors = dict(a.factors)
-    for e, m in b.factors.items():
-        v = factors.get(e, 0) - m
-        if v:
-            factors[e] = v
-        else:
-            factors.pop(e, None)
-    return QFactored(a.sign * b.sign, a.x_power - b.x_power, factors)
+    return _merge(a, b, -1)
 
 
 def qf_expand(a: QFactored) -> LaurentPoly:
@@ -201,16 +208,12 @@ def _divide_one_minus_x(t, e):
 
 
 def q_int(alpha: int) -> QFactored:
-    """The symmetric q-integer x**alpha - x**(-alpha), in factored form.
+    """The symmetric q-integer x**alpha - x**(-alpha), in the factored
+    form -x**(-alpha) (1 - x**(2 alpha)).
 
     Vanishes at alpha = 0 and is antisymmetric in alpha.
     """
-    if alpha == 0:
-        return QFactored.zero_value()
-    if alpha < 0:
-        pos = q_int(-alpha)
-        return QFactored(-pos.sign, pos.x_power, pos.factors)
-    return QFactored(sign=-1, x_power=-alpha, factors={2 * alpha: 1})
+    return _product((2 * alpha,), -alpha, -1)
 
 
 def q_pochhammer(t: int, m: int) -> QFactored:
@@ -221,29 +224,24 @@ def q_pochhammer(t: int, m: int) -> QFactored:
     """
     if m < 0:
         raise ValueError("Pochhammer count must be >= 0")
-    out = QFactored.one()
-    for j in range(m):
-        out = qf_mul(out, QFactored.one_minus_x(t + 2 * j))
-        if out.zero:
-            break
-    return out
+    return _product(range(t, t + 2 * m, 2))
 
 
 def q_binomial_factored(n: int, k: int) -> QFactored:
     """The q-binomial coefficient as a QFactored ratio of q-integers, in
     the generic-ratio convention: n may be negative.
 
-    Returns zero for k < 0 and for 0 <= n < k.  The ratio typically carries
-    negative multiplicities even though its value is polynomial; expand it
-    with qf_expand_ratio.
+    The 2k q-integers' signs cancel and their monomials leave
+    x**(k (k - n)).  Returns zero for k < 0 and for 0 <= n < k.  The ratio
+    typically carries negative multiplicities even though its value is
+    polynomial; expand it with qf_expand_ratio.
     """
     if k < 0 or 0 <= n < k:
         return QFactored.zero_value()
-    out = QFactored.one()
-    for i in range(k):
-        out = qf_mul(out, q_int(n - i))
-        out = qf_div(out, q_int(k - i))
-    return out
+    return qf_div(
+        _product([2 * (n - i) for i in range(k)], k * (k - n)),
+        _product([2 * (k - i) for i in range(k)]),
+    )
 
 
 @lru_cache(maxsize=None)

@@ -560,6 +560,22 @@ def test_library_value_error_is_one_line(capsys, argv, message):
     assert captured.err == message
 
 
+@pytest.mark.parametrize("argv, flags", [
+    # explain takes only the parameters of the identities it explains
+    (["explain", "--identity", "thm2", "--d1", "2", "--d2", "1",
+      "--alpha", "7", "--surface", "F0_04"], "--alpha 7 --surface F0_04"),
+    # no eval kind reads --N
+    (["eval", "--kind", "qbinom", "--n", "4", "--k", "2", "--N", "9"], "--N 9"),
+], ids=["explain-alpha-surface", "eval-N"])
+def test_flag_the_subcommand_does_not_read_is_usage_error(capsys, argv, flags):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + flags in captured.err
+
+
 # -- usage errors after parsing ---------------------------------------------------
 
 

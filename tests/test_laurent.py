@@ -255,25 +255,25 @@ def test_kronecker_selection(monkeypatch):
     assert calls == [KRONECKER_MIN_PRODUCTS]
 
 
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 @given(operand_pair(small_coeffs))
 def test_kronecker_matches_schoolbook_near_threshold(pair):
     check_product(*pair)
 
 
-@settings(max_examples=40)
+@settings(max_examples=40, deadline=None)
 @given(operand_pair(wide_coeffs))
 def test_kronecker_wide_coefficients(pair):
     check_product(*pair)
 
 
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)
 @given(operand_pair(st.one_of(small_coeffs, wide_coeffs), spread_factor=1))
 def test_kronecker_dense_mixed_widths(pair):
     check_product(*pair)
 
 
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)
 @given(
     operand(20, 4000, st.integers(min_value=-(2**40), max_value=2**40)),
     operand(20, 4000, small_coeffs),
@@ -282,7 +282,7 @@ def test_kronecker_sparse_large_gaps(a, b):
     check_product(a, b)
 
 
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)
 @given(
     operand(24, 30, small_coeffs),
     st.integers(min_value=1, max_value=5),

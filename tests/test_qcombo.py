@@ -26,6 +26,7 @@ from qidentities import (
     qf_to_rational,
     rf_eq,
 )
+from qidentities.qcombo import _product
 
 
 def lp(terms):
@@ -72,6 +73,92 @@ def test_pochhammer_negative_count():
 def test_pochhammer_step(t, m):
     stepped = qf_mul(q_pochhammer(t, m), QFactored.one_minus_x(t + 2 * m))
     assert stepped == q_pochhammer(t, m + 1)
+
+
+# -- the one constructor, against the per-factor builders it replaced ------------
+
+
+def ref_one_minus_x(e):
+    """1 - x^e by the old three-branch normalization."""
+    if e == 0:
+        return QFactored.zero_value()
+    if e > 0:
+        return QFactored(factors={e: 1})
+    return QFactored(sign=-1, x_power=e, factors={-e: 1})
+
+
+def ref_q_int(alpha):
+    """The q-integer by the old recursion for negative alpha."""
+    if alpha == 0:
+        return QFactored.zero_value()
+    if alpha < 0:
+        pos = ref_q_int(-alpha)
+        return QFactored(-pos.sign, pos.x_power, pos.factors)
+    return QFactored(sign=-1, x_power=-alpha, factors={2 * alpha: 1})
+
+
+def ref_q_pochhammer(t, m):
+    """(x^t; q)_m by the old loop, one factor at a time."""
+    out = QFactored.one()
+    for j in range(m):
+        out = qf_mul(out, ref_one_minus_x(t + 2 * j))
+        if out.zero:
+            break
+    return out
+
+
+def ref_q_binomial_factored(n, k):
+    """The q-binomial ratio by the old loop over pairs of q-integers."""
+    if k < 0 or 0 <= n < k:
+        return QFactored.zero_value()
+    out = QFactored.one()
+    for i in range(k):
+        out = qf_mul(out, ref_q_int(n - i))
+        out = qf_div(out, ref_q_int(k - i))
+    return out
+
+
+def ref_pochhammer_vanishes(t, count):
+    """The old arithmetic rule: t + 2j = 0 for some 0 <= j < count."""
+    return t <= 0 and t % 2 == 0 and -t // 2 < count
+
+
+@given(
+    st.lists(st.integers(min_value=-12, max_value=12), max_size=8),
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([1, -1]),
+)
+def test_product_matches_one_factor_values(exps, x_power, sign):
+    expected = QFactored.monomial(sign, x_power)
+    for e in exps:
+        expected = qf_mul(expected, ref_one_minus_x(e))
+    got = _product(exps, x_power, sign)
+    assert got == expected
+    assert all(e >= 1 and m >= 1 for e, m in got.factors.items())
+    # and by value, as an explicit LaurentPoly product
+    value = lp({x_power: sign})
+    for e in exps:
+        value = value * (ONE - lp({e: 1}))
+    assert rf_eq(qf_to_rational(got), RationalFunction(value))
+
+
+def test_builders_match_old_loops():
+    for e in range(-12, 13):
+        assert QFactored.one_minus_x(e) == ref_one_minus_x(e)
+    for alpha in range(-20, 21):
+        assert q_int(alpha) == ref_q_int(alpha)
+    for t in range(-8, 9):
+        for m in range(0, 9):
+            assert q_pochhammer(t, m) == ref_q_pochhammer(t, m)
+    for n in range(-12, 15):
+        for k in range(-1, 11):
+            assert q_binomial_factored(n, k) == ref_q_binomial_factored(n, k)
+
+
+def test_pochhammer_zero_matches_old_rule():
+    for t in range(-20, 21):
+        for n in range(0, 13):
+            assert q_pochhammer(t, n).zero == ref_pochhammer_vanishes(t, n)
 
 
 # -- factored arithmetic ----------------------------------------------------------
