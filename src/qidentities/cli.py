@@ -7,8 +7,10 @@ through that registry, so adding an identity is one entry.
 
 Exit codes: 0 = all verifications passed, 1 = at least one mismatch,
 2 = usage or domain error.  A usage error found after parsing, such as an
---output file that cannot be opened, prints the subcommand's own usage
-line; a domain error or a library ValueError prints one line on stderr.
+--output file that cannot be opened, a flag the subcommand does not take,
+or a parameter flag that the chosen --kind or --identity does not read,
+prints the subcommand's own usage line; a domain error or a library
+ValueError prints one line on stderr.
 
 Verification records are line-delimited JSON, written in cell order as the
 cells finish and then a summary line, so no list of records is kept and an
@@ -26,7 +28,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
 
 from .closed_forms import SURFACE_TAGS, nlog_value, prop3_rhs, theorem1_rhs, theorem2_rhs
@@ -108,6 +109,28 @@ IDENTITIES = {
 }
 
 
+# The eval kinds other than lhs and rhs: the parameter flags each reads,
+# in argument order, and the value they name.  Like IDENTITIES, the
+# functions are looked up in this module's globals at call time.
+_KINDS = {
+    "qbinom": (("n", "k"), lambda n, k: q_binomial(n, k)),
+    "qint": (("alpha",), lambda alpha: qf_expand(q_int(alpha))),
+    "f": (("D", "d1", "k0"), lambda D, d1, k0: f_enumerated(FSumSpec(D, d1, k0))),
+    "nlog": (("surface", "p", "r"), lambda surface, p, r: nlog_value(surface, p, r)),
+}
+
+
+def __getattr__(name):
+    # ProcessPoolExecutor is imported on first use: importing it loads
+    # multiprocessing, which eval, explain and serial runs never need.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
 def _parse_range(text):
     """Inclusive integer range "A..B", or a single integer "A" (a config
     file may also give a JSON integer)."""
@@ -135,22 +158,31 @@ def _require(args, parser, names):
     return values
 
 
+def _reject_unread(args, parser, read, chosen):
+    """A usage error if a parameter flag of the subcommand that is not in
+    `read` was given: the chosen kind or identity would ignore it."""
+    unread = [
+        "--" + p for p in args.param_flags if p not in read and getattr(args, p) is not None
+    ]
+    if unread:
+        parser.error("%s does not read %s" % (chosen, ", ".join(unread)))
+
+
 # -- eval ------------------------------------------------------------------
 
 
 def _eval_value(args, parser) -> LaurentPoly:
     kind = args.kind
-    if kind == "qbinom":
-        return q_binomial(*_require(args, parser, ["n", "k"]))
-    if kind == "qint":
-        return qf_expand(q_int(*_require(args, parser, ["alpha"])))
-    if kind == "f":
-        return f_enumerated(FSumSpec(*_require(args, parser, ["D", "d1", "k0"])))
-    if kind == "nlog":
-        return nlog_value(*_require(args, parser, ["surface", "p", "r"]))
+    if kind in _KINDS:
+        names, value = _KINDS[kind]
+        _reject_unread(args, parser, names, "--kind " + kind)
+        return value(*_require(args, parser, names))
     # lhs / rhs of the identity named by --identity
     (name,) = _require(args, parser, ["identity"])
     ident = IDENTITIES[name]
+    _reject_unread(
+        args, parser, ("identity", *ident.params), "--kind %s --identity %s" % (kind, name)
+    )
     values = _require(args, parser, ident.params)
     if not ident.holds(*values):
         raise InvalidHypothesis(
@@ -216,6 +248,7 @@ def _grid_cells(args, parser):
     order (the last parameter varies fastest).  Cells outside the
     identity's hypothesis are skipped up front and counted as degenerate."""
     ident = IDENTITIES[args.identity]
+    _reject_unread(args, parser, ident.params, "--identity " + args.identity)
     ranges = []
     for name in ident.params:
         if getattr(args, name) is None:
@@ -255,7 +288,11 @@ def _cmd_verify(args, parser) -> int:
             except OSError as exc:
                 parser.error("cannot open output file: %s" % exc)
         if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            # the module attribute (a test may patch it), else imported now
+            executor = globals().get("ProcessPoolExecutor") or __getattr__(
+                "ProcessPoolExecutor"
+            )
+            pool = stack.enter_context(executor(max_workers=workers))
             records = pool.map(_run_cell, work, chunksize=16)
         else:
             records = map(_run_cell, work)
@@ -281,6 +318,7 @@ def _cmd_explain(args, parser) -> int:
     """One label/summand line per term of the identity's left-hand side,
     then their total."""
     ident = IDENTITIES[args.identity]
+    _reject_unread(args, parser, ident.params, "--identity " + args.identity)
     total = LaurentPoly()
     for label, term in ident.terms(*_require(args, parser, ident.params)):
         total = total + term
@@ -312,12 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--identity", choices=with_terms, default=None)
     p_eval.add_argument("--format", choices=sorted(_STYLE), default="text")
-    _add_param_flags(p_eval, ["n", "k", "alpha", "p", "r", *term_params])
+    eval_params = ["n", "k", "alpha", "p", "r", *term_params]
+    _add_param_flags(p_eval, eval_params)
     p_eval.add_argument("--surface", choices=SURFACE_TAGS, default=None)
 
     p_verify = sub.add_parser("verify", help="verify an identity over a parameter grid")
     p_verify.add_argument("--identity", required=True, choices=list(IDENTITIES))
-    for name in dict.fromkeys(p for ident in IDENTITIES.values() for p in ident.params):
+    verify_params = [*dict.fromkeys(p for ident in IDENTITIES.values() for p in ident.params)]
+    for name in verify_params:
         p_verify.add_argument("--%s" % name, default=None, metavar="A..B")
     p_verify.add_argument(
         "--jobs", type=int, default=None, help="worker processes (default 1)"
@@ -334,10 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--identity", required=True, choices=with_terms)
     _add_param_flags(p_explain, term_params)
 
-    # post-parse usage errors are reported against the subcommand's parser
-    p_eval.set_defaults(run=_cmd_eval, subparser=p_eval)
-    p_verify.set_defaults(run=_cmd_verify, subparser=p_verify)
-    p_explain.set_defaults(run=_cmd_explain, subparser=p_explain)
+    # post-parse usage errors are reported against the subcommand's parser;
+    # param_flags are the flags _reject_unread checks
+    p_eval.set_defaults(
+        run=_cmd_eval, subparser=p_eval, param_flags=["identity", *eval_params, "surface"]
+    )
+    p_verify.set_defaults(run=_cmd_verify, subparser=p_verify, param_flags=verify_params)
+    p_explain.set_defaults(run=_cmd_explain, subparser=p_explain, param_flags=term_params)
     return parser
 
 
@@ -389,7 +432,9 @@ def _apply_config(args, parser):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        args.subparser.error("unrecognized arguments: %s" % " ".join(extras))
     _apply_config(args, args.subparser)
     try:
         return args.run(args, args.subparser)

@@ -5,140 +5,161 @@ q^(3/2).  Coefficients are Python ints, hence arbitrary precision.  All
 values are immutable and all operations are pure functions, so instances
 may be shared freely between threads.
 
-Multiplication has two kernels.  Operands with fewer than
-KRONECKER_MIN_PRODUCTS term products use a dict schoolbook loop.  Larger
-ones use Kronecker substitution (Harvey, "Faster polynomial multiplication
-via multipoint Kronecker substitution", J. Symb. Comput. 2009): each
-operand is written densely into one Python int, with a k-byte slot per
-exponent holding coefficient + 2^(8k-1), the bias of all slots is
-subtracted, and a single big-integer multiply does all term products in C.
+Storage is dense: a valuation (the smallest exponent) and the list of
+coefficients from there up.  The list is canonical: its first and last
+entries are nonzero, interior zeros are allowed, and the zero polynomial
+is the empty list with valuation 0.  Degree and valuation are O(1),
+equality is list equality, and a sum is one aligned slice addition
+followed by trimming the zeros that cancellation leaves at either end.  A
+stored list is never changed, so two values may share one.
+
+Multiplication has two kernels, chosen by the number of nonzero term
+products.  Below KRONECKER_MIN_PRODUCTS a schoolbook loop forms the term
+products of the nonzero entries one at a time; a one-term operand scales
+the other's list in one pass.  From there on Kronecker
+substitution (Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symb. Comput. 2009) writes each coefficient
+list into one Python int, a k-byte slot per exponent, and a single
+big-integer multiply does all term products in C.
+
+Packing works on two's complement slots.  For k <= 8 the slots are a
+signed machine-word array: array(fmt, coeffs).tobytes(), read as one
+unsigned int U, holds each coefficient c as c mod 2^(8k).  Let B be the
+int with the bias 2^(8k-1) in every slot.  XOR with B flips each slot's top
+bit, which adds the bias modulo 2^(8k); since c + 2^(8k-1) already lies in
+[0, 2^(8k)), U ^ B holds exactly c + 2^(8k-1) per slot, and (U ^ B) - B is
+sum c_i 2^(8k i).  Unpacking runs the same steps backward: the product P
+plus its B, XOR B, written out as bytes and read back as the signed array.
+Slots wider than 8 bytes take the same steps with int.to_bytes and
+int.from_bytes (signed=True) per coefficient.
 
 Exactness does not depend on coefficient size.  Every output coefficient
-is a sum of at most min(len a, len b) products, so its absolute value is at
-most bound = max|a| * max|b| * min(len a, len b).  k is chosen with
-bound < 2^(8k-1), i.e. k = bound.bit_length() // 8 + 1 (then rounded up to
-1, 2, 4 or 8 bytes where possible, so packing and unpacking can use machine
-words).  Adding the output's bias back to the product then leaves every
-slot at p_i + 2^(8k-1), which lies in [0, 2^(8k)): no slot carries into the
-next, and the slots read back the exact coefficients.  The dense layout
-costs memory and time in the exponent span, so a product whose span has
-more than half as many exponents as it has term products stays on the
-schoolbook loop, as do products below the threshold, where the dict loop is
-faster.  Below it fall most cross-multiplications of RationalFunction sums
-and comparisons in the hypergeometric series, and many of the q-binomial
-products in the refined sums.
+is a sum of at most min(nonzeros of a, nonzeros of b) products, so its
+absolute value is at most bound = max|a| * max|b| * that minimum.  k is
+chosen with bound < 2^(8k-1), i.e. k = bound.bit_length() // 8 + 1 (then
+rounded up to 1, 2, 4 or 8 bytes where possible, so packing and unpacking
+can use machine words).  Adding B to the product then leaves every slot at
+p_i + 2^(8k-1), which lies in [0, 2^(8k)): no slot carries into or borrows
+from the next, and the slots read back the exact coefficients.  The dense
+layout costs memory and time in the exponent span, so a product whose span
+has more than half as many exponents as it has nonzero term products stays
+on the schoolbook loop, as do products below the threshold, where the
+schoolbook loop is faster.  Below it fall most cross-multiplications of
+RationalFunction sums and comparisons in the hypergeometric series, and
+many of the q-binomial products in the refined sums.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
+from itertools import compress, count, repeat
+from operator import add, mul, neg, sub
 from sys import byteorder as _ORDER
 
 from .errors import DivisionByZero, NotDivisible
 
-# Term products (len(a) * len(b)) from which __mul__ uses Kronecker
-# substitution instead of the schoolbook loop.
+# Nonzero term products (nonzeros of a times nonzeros of b) from which
+# __mul__ uses Kronecker substitution instead of the schoolbook loop.
 KRONECKER_MIN_PRODUCTS = 256
 
-# Smallest unsigned machine-word array type holding a k-byte slot, k <= 8.
+# Smallest signed machine-word array type holding a k-byte slot, k <= 8.
 _WORD_FORMAT = {
-    k: next(f for f in "BHIQ" if array(f).itemsize >= k) for k in range(1, 9)
+    k: next(f for f in "bhiq" if array(f).itemsize >= k) for k in range(1, 9)
 }
 
 
 class LaurentPoly:
-    """A Laurent polynomial stored as a mapping {x-exponent: coefficient}.
+    """A Laurent polynomial stored as its valuation and dense coefficients.
 
-    Canonical form: no stored coefficient is zero; the zero polynomial has
-    an empty mapping.  Equality is equality of the term mappings.
+    Canonical form: the coefficient list, lowest exponent first, starts
+    and ends with a nonzero entry; the zero polynomial is the empty list
+    with valuation 0.  Equality is equality of (valuation, list).  The
+    constructor takes a mapping {x-exponent: coefficient}.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_val", "_coeffs")
 
     def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    cleaned[int(e)] = c
-        self._terms = cleaned
+        nonzero = {int(e): c for e, c in terms.items() if c} if terms else None
+        if not nonzero:
+            self._val, self._coeffs = 0, []
+            return
+        low = min(nonzero)
+        coeffs = [0] * (max(nonzero) - low + 1)
+        for e, c in nonzero.items():
+            coeffs[e - low] = c
+        self._val, self._coeffs = low, coeffs
 
     @classmethod
     def monomial(cls, coeff: int, e: int = 0) -> "LaurentPoly":
         """coeff * x**e; a zero coefficient gives the zero polynomial."""
-        return cls({e: coeff})
+        return _from_coeffs(e, [coeff])
 
     @property
     def terms(self):
-        """A copy of the term mapping {exponent: coefficient}."""
-        return dict(self._terms)
+        """The nonzero terms as a new mapping {exponent: coefficient}."""
+        c = self._coeffs
+        return dict(zip(compress(count(self._val), c), compress(c, c)))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def degree(self) -> int:
         """Largest exponent; raises ValueError on the zero polynomial."""
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no degree")
-        return max(self._terms)
+        return self._val + len(self._coeffs) - 1
 
     def valuation(self) -> int:
         """Smallest exponent; raises ValueError on the zero polynomial."""
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no valuation")
-        return min(self._terms)
+        return self._val
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._val == other._val and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(tuple(sorted(self._terms.items())))
+        return hash((self._val, tuple(self._coeffs)))
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return _new(self._val, list(map(neg, self._coeffs)))
 
     def __add__(self, other):
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = out
-        return result
+        a, b = self._coeffs, other._coeffs
+        if not b:
+            return self
+        if not a:
+            return other
+        low, off = self._val, other._val - self._val
+        if off < 0:
+            a, b, low, off = b, a, other._val, -off
+        end = off + len(b)
+        out = a + [0] * (end - len(a))
+        out[off:end] = map(add, out[off:end], b)
+        return _from_coeffs(low, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        a = self._terms
-        b = other._terms
-        result = LaurentPoly.__new__(LaurentPoly)
-        products = len(a) * len(b)
-        if products >= KRONECKER_MIN_PRODUCTS and (
-            2 * (max(a) - min(a) + max(b) - min(b) + 1) <= products
-        ):
-            result._terms = _kronecker_mul(a, b)
-            return result
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                v = out.get(e, 0) + ca * cb
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        result._terms = out
-        return result
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return ZERO
+        na = len(a) - a.count(0)
+        nb = len(b) - b.count(0)
+        products = na * nb
+        # the product of two nonzero polynomials has nonzero end
+        # coefficients, so either kernel's list is already canonical
+        if products >= KRONECKER_MIN_PRODUCTS and 2 * (len(a) + len(b) - 1) <= products:
+            return _new(self._val + other._val, _kronecker_mul(a, b, na, nb))
+        return _new(self._val + other._val, _schoolbook_mul(a, b, na, nb))
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Return q with self = q * other, exactly.
@@ -151,42 +172,43 @@ class LaurentPoly:
             raise DivisionByZero("division of LaurentPoly by zero")
         if self.is_zero():
             return ZERO
-        rem = dict(self._terms)
-        out = {}
-        deg_b = other.degree()
-        lead_b = other._terms[deg_b]
-        # Any exact quotient has valuation val(self) - val(other).
-        low_bound = self.valuation() - other.valuation()
-        while rem:
-            e = max(rem) - deg_b
-            if e < low_bound:
-                raise NotDivisible("no exact quotient")
-            c, r = divmod(rem[e + deg_b], lead_b)
+        b = other._coeffs
+        n = len(b)
+        # Any exact quotient spans valuation(self) - valuation(other) to
+        # degree(self) - degree(other).
+        size = len(self._coeffs) - n + 1
+        if size < 1:
+            raise NotDivisible("no exact quotient")
+        rem = self._coeffs[:]
+        lead = b[-1]
+        out = [0] * size
+        for i in range(size - 1, -1, -1):
+            c, r = divmod(rem[i + n - 1], lead)
             if r:
                 raise NotDivisible("leading coefficient not divisible")
-            out[e] = c
-            for eb, cb in other._terms.items():
-                k = e + eb
-                v = rem.get(k, 0) - c * cb
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-        return LaurentPoly(out)
+            if c:
+                out[i] = c
+                rem[i : i + n] = map(sub, rem[i : i + n], map(mul, b, repeat(c)))
+        if any(rem[: n - 1]):
+            raise NotDivisible("no exact quotient")
+        return _new(self._val - other._val, out)
 
     def reverse(self) -> "LaurentPoly":
         """Substitute x -> x^(-1): the term at e moves to -e."""
-        return LaurentPoly({-e: c for e, c in self._terms.items()})
+        if not self._coeffs:
+            return ZERO
+        return _new(-self.degree(), self._coeffs[::-1])
 
     def coeff_sum(self) -> int:
         """Sum of all coefficients, i.e. the value at x = 1 (q -> 1)."""
-        return sum(self._terms.values())
+        return sum(self._coeffs)
 
     # -- serialization ----------------------------------------------------
 
     def to_pairs(self):
         """[[exponent, coefficient-as-decimal-string], ...], decreasing exponent."""
-        return [[e, str(self._terms[e])] for e in sorted(self._terms, reverse=True)]
+        top = self._val + len(self._coeffs) - 1
+        return [[top - i, str(c)] for i, c in enumerate(reversed(self._coeffs)) if c]
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
@@ -202,13 +224,15 @@ class LaurentPoly:
             return json.dumps(self.to_pairs(), separators=(",", ":"))
         if style not in ("plain", "latex"):
             raise ValueError("unknown render style: %r" % (style,))
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         pieces = []
-        for e in sorted(self._terms, reverse=True):
-            c = self._terms[e]
+        top = self._val + len(self._coeffs) - 1
+        for i, c in enumerate(reversed(self._coeffs)):
+            if not c:
+                continue
             mag = abs(c)
-            power = _q_power(e, style)
+            power = _q_power(top - i, style)
             if power is None:
                 body = str(mag)
             elif mag == 1:
@@ -224,54 +248,92 @@ class LaurentPoly:
         return " ".join(pieces)
 
     def __repr__(self):
-        return "LaurentPoly(%r)" % (self._terms,)
+        return "LaurentPoly(%r)" % (self.terms,)
 
     def __str__(self):
         return self.render("plain")
 
 
-def _kronecker_mul(a: dict, b: dict) -> dict:
-    """Product of two nonzero term mappings by Kronecker substitution.
+def _new(val, coeffs):
+    """A LaurentPoly from a valuation and a list already in canonical form."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p._val = val
+    p._coeffs = coeffs
+    return p
 
-    Returns the canonical product mapping (no zero coefficients); see the
-    module docstring for why the slot width k makes it exact.
+
+def _from_coeffs(val, coeffs):
+    """sum of coeffs[i] * x^(val + i), with zeros trimmed from both ends.
+
+    Takes ownership of the list, which must not be changed afterwards.
     """
-    va, vb = min(a), min(b)
-    n = max(a) - va + max(b) - vb + 1
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    if coeffs and coeffs[0] and coeffs[-1]:
+        return _new(val, coeffs)
+    high = len(coeffs)
+    while high and not coeffs[high - 1]:
+        high -= 1
+    if not high:
+        return ZERO
+    low = 0
+    while not coeffs[low]:
+        low += 1
+    return _new(val + low, coeffs[low:high])
+
+
+def _schoolbook_mul(a: list, b: list, na: int, nb: int) -> list:
+    """Product of two nonzero coefficient lists (lowest exponent first,
+    with na and nb nonzero entries), one term product at a time over the
+    nonzero entries.  A one-term operand scales the other's list in one
+    pass."""
+    if na > nb:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return b if c == 1 else list(map(mul, b, repeat(c)))
+    out = [0] * (len(a) + len(b) - 1)
+    b_terms = list(zip(compress(count(), b), compress(b, b)))
+    for i in compress(count(), a):
+        ca = a[i]
+        for j, cb in b_terms:
+            out[i + j] += ca * cb
+    return out
+
+
+def _kronecker_mul(a: list, b: list, na: int, nb: int) -> list:
+    """Product of two nonzero coefficient lists (lowest exponent first,
+    with na and nb nonzero entries) by Kronecker substitution.
+
+    Returns the len(a) + len(b) - 1 product coefficients; see the module
+    docstring for why the slot width k makes them exact.
+    """
+    n = len(a) + len(b) - 1
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(na, nb)
     k = bound.bit_length() // 8 + 1
     fmt = _WORD_FORMAT.get(k)
     if fmt:
         k = array(fmt).itemsize
-    half = 1 << (8 * k - 1)
-    fill = array(fmt, [half]) if fmt else half.to_bytes(k, _ORDER)
-    product = _pack(a, va, fill, k, half) * _pack(b, vb, fill, k, half)
-    data = (product + int.from_bytes(fill * n, _ORDER)).to_bytes(n * k, _ORDER)
+    slot = (1 << (8 * k - 1)).to_bytes(k, _ORDER)
+    bias = int.from_bytes(slot * n, _ORDER)
+    product = _pack(a, fmt, k, slot) * _pack(b, fmt, k, slot)
+    data = ((product + bias) ^ bias).to_bytes(n * k, _ORDER)
     if fmt:
-        slots = array(fmt, data)
-    else:
-        slots = [int.from_bytes(data[i : i + k], _ORDER) for i in range(0, n * k, k)]
-    vc = va + vb
-    return {vc + i: c - half for i, c in enumerate(slots) if c != half}
+        return array(fmt, data).tolist()
+    return [int.from_bytes(data[i : i + k], _ORDER, signed=True) for i in range(0, n * k, k)]
 
 
-def _pack(terms: dict, low: int, fill, k: int, half: int) -> int:
-    """sum of c * 2^(8k(e - low)) over the terms, built from biased slots.
+def _pack(coeffs: list, fmt, k: int, slot: bytes) -> int:
+    """sum of coeffs[i] * 2^(8ki): the k-byte two's complement slots read
+    as one unsigned int, each slot's bias added by XOR and then subtracted.
 
-    fill is one slot holding the bias `half`: an array item when k is a
-    machine-word width, else k bytes.
+    fmt is the signed array type for a machine-word k, else None; slot is
+    one k-byte slot holding the bias 2^(8k-1).
     """
-    size = max(terms) - low + 1
-    if isinstance(fill, array):
-        buf = fill * size
-        for e, c in terms.items():
-            buf[e - low] = c + half
+    if fmt:
+        data = array(fmt, coeffs).tobytes()
     else:
-        buf = bytearray(fill * size)
-        for e, c in terms.items():
-            i = (e - low) * k
-            buf[i : i + k] = (c + half).to_bytes(k, _ORDER)
-    return int.from_bytes(buf, _ORDER) - int.from_bytes(fill * size, _ORDER)
+        data = b"".join([c.to_bytes(k, _ORDER, signed=True) for c in coeffs])
+    bias = int.from_bytes(slot * len(coeffs), _ORDER)
+    return (int.from_bytes(data, _ORDER) ^ bias) - bias
 
 
 def _q_power(e: int, style: str):

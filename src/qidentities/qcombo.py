@@ -16,7 +16,7 @@ from itertools import accumulate
 from operator import sub
 
 from .errors import DivisionByZero, NotDivisible, NotPolynomial
-from .laurent import ONE, ZERO, LaurentPoly, RationalFunction
+from .laurent import ONE, ZERO, LaurentPoly, RationalFunction, _from_coeffs
 
 
 class QFactored:
@@ -185,7 +185,7 @@ def _expand(a):
     for e, m in factors:
         for _ in range(-m):
             coeffs = _divide_one_minus_x(coeffs, e)
-    return LaurentPoly({a.x_power + i: c for i, c in enumerate(coeffs) if c})
+    return _from_coeffs(a.x_power, coeffs)
 
 
 def _divide_one_minus_x(t, e):
@@ -244,7 +244,13 @@ def q_binomial_factored(n: int, k: int) -> QFactored:
     )
 
 
-@lru_cache(maxsize=None)
+# Entries each q-binomial cache keeps before it drops the least recently
+# used: well above a grid's working set (verify thm2 --d1 1..14 --d2 1..10
+# holds 418 signed and 140 plain entries), yet bounded for long sweeps.
+Q_BINOMIAL_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=Q_BINOMIAL_CACHE_SIZE)
 def q_binomial(n: int, k: int) -> LaurentPoly:
     """The symmetric q-binomial coefficient as a Laurent polynomial.
 
@@ -255,7 +261,7 @@ def q_binomial(n: int, k: int) -> LaurentPoly:
     return ZERO if n < 0 else q_binomial_signed(n, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=Q_BINOMIAL_CACHE_SIZE)
 def q_binomial_signed(n: int, k: int) -> LaurentPoly:
     """The q-binomial as the generic ratio of q-integers, valid for any
     integer top.

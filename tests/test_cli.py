@@ -1,6 +1,9 @@
 """Command-line interface tests."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -574,6 +577,65 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(capsys, argv, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: " + flags in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["explain", "--identity", "thm2", "--d1", "2", "--d2", "1",
+      "--d0", "9", "--k0", "5", "--D", "3"],
+     "qident explain: error: --identity thm2 does not read --d0, --D, --k0\n"),
+    (["eval", "--kind", "qbinom", "--n", "4", "--k", "2",
+      "--alpha", "3", "--surface", "F0_04", "--d0", "7"],
+     "qident eval: error: --kind qbinom does not read --alpha, --d0, --surface\n"),
+    (["eval", "--kind", "lhs", "--identity", "thm1", "--d0", "3", "--d1", "1",
+      "--d2", "4"],
+     "qident eval: error: --kind lhs --identity thm1 does not read --d2\n"),
+    (["eval", "--kind", "qint", "--alpha", "1", "--identity", "thm1"],
+     "qident eval: error: --kind qint does not read --identity\n"),
+    (["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1", "--a", "3", "--N", "2"],
+     "qident verify: error: --identity thm2 does not read --a, --N\n"),
+], ids=["explain", "eval-kind", "eval-identity", "eval-identity-flag", "verify"])
+def test_flag_the_choice_does_not_read_is_usage_error(capsys, argv, message):
+    # a flag of the subcommand that the chosen --identity or --kind ignores
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qident %s " % argv[0])
+    assert captured.err.endswith(message)
+    assert len([l for l in captured.err.splitlines() if "error:" in l]) == 1
+
+
+def test_verify_config_range_the_identity_does_not_read_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"d1": "1..2", "d2": "1", "a": "0..3"}))
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--identity", "thm2", "--config", str(config)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("qident verify: error: --identity thm2 does not read --a\n")
+
+
+def test_unrecognized_argument_gets_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--kind", "qbinom", "--n", "4", "--k", "2", "--N", "9"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qident eval [-h] --kind")
+    assert captured.err.endswith("qident eval: error: unrecognized arguments: --N 9\n")
+
+
+def test_import_does_not_load_process_pool():
+    # multiprocessing is imported only on the path that starts workers
+    code = "import sys, qidentities.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 # -- usage errors after parsing ---------------------------------------------------

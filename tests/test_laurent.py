@@ -1,5 +1,7 @@
 """Arithmetic-core tests: exact Laurent polynomials and unreduced fractions."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +40,19 @@ polys = st.dictionaries(
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 
+def assert_canonical(p):
+    """The dense list starts and ends with a nonzero coefficient, one slot
+    per exponent of the span; zero is the empty list at valuation 0."""
+    c = p._coeffs
+    if not c:
+        assert p._val == 0 and p.terms == {} and p.is_zero()
+        return
+    assert c[0] and c[-1]
+    assert p.valuation() == min(p.terms) and p.degree() == max(p.terms)
+    assert len(c) == p.degree() - p.valuation() + 1
+    assert p.terms == {p.valuation() + i: x for i, x in enumerate(c) if x}
+
+
 # -- construction and basics -------------------------------------------------
 
 
@@ -57,6 +72,24 @@ def test_add_cancellation():
     p = lp({5: 3, -2: 1})
     assert p + ZERO == p
     assert lp({1: 1, -1: -1}) + lp({-1: 1, 1: -1}) == ZERO
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    # the two lowest terms cancel; so does an interior one
+    ({-3: 1, -2: 2, 0: 5, 4: 1}, {-3: -1, -2: -2, 0: -5}, {4: 1}),
+    # the two highest terms cancel
+    ({-1: 7, 2: 3, 6: 2, 7: 1}, {6: -2, 7: -1}, {-1: 7, 2: 3}),
+    # both ends cancel, from operands of different spans
+    ({-2: 1, 0: 4, 3: 1}, {-2: -1, 1: 1, 3: -1}, {0: 4, 1: 1}),
+    # everything cancels
+    ({-2: 1, 0: 4, 3: 1}, {-2: -1, 0: -4, 3: -1}, {}),
+    # disjoint spans leave a gap of zeros inside
+    ({-5: 2}, {5: 3}, {-5: 2, 5: 3}),
+], ids=["low-end", "high-end", "both-ends", "to-zero", "gap"])
+def test_add_trims_both_ends(a, b, expected):
+    for s in (lp(a) + lp(b), lp(b) + lp(a)):
+        assert s == lp(expected)
+        assert_canonical(s)
 
 
 def test_mul_fixed_cases():
@@ -94,6 +127,24 @@ def test_reverse_fixed_cases():
     assert lp({3: 1, 0: 2}).reverse() == lp({-3: 1, 0: 2})
     bracket = lp({1: 1, -1: -1})
     assert bracket.reverse() == -bracket
+    assert lp({-7: 2, -4: 1}).reverse() == lp({7: 2, 4: 1})
+    assert ZERO.reverse() == ZERO
+
+
+def test_exact_div_dense_cases():
+    # a quotient with interior zeros: (1 + x^3)(2 - x) / (2 - x)
+    b = lp({0: 2, 1: -1})
+    q = lp({0: 1, 3: 1})
+    assert (q * b).exact_div(b) == q
+    assert_canonical((q * b).exact_div(b))
+    # a dividend shorter than the divisor has no quotient
+    with pytest.raises(NotDivisible, match="no exact quotient"):
+        lp({0: 1}).exact_div(lp({0: 1, 2: 1}))
+    # divisible down to the last step, then a remainder below it
+    with pytest.raises(NotDivisible, match="no exact quotient"):
+        lp({0: 1, 1: 1, 2: 1}).exact_div(lp({0: 1, 1: 1}))
+    with pytest.raises(NotDivisible, match="leading coefficient not divisible"):
+        lp({0: 1, 2: 3}).exact_div(lp({0: 1, 1: 2}))
 
 
 def test_coeff_sum_fixed_cases():
@@ -137,6 +188,14 @@ def test_render_unknown_style():
         ONE.render("html")
 
 
+@given(polys)
+def test_to_pairs_decreasing_nonzero(p):
+    pairs = p.to_pairs()
+    assert [e for e, _ in pairs] == sorted(p.terms, reverse=True)
+    assert {e: int(c) for e, c in pairs} == p.terms
+    assert "0" not in [c for _, c in pairs]
+
+
 def test_pairs_roundtrip():
     p = lp({5: 12345678901234567890, -3: -7})
     assert p.to_pairs() == [[5, "12345678901234567890"], [-3, "-7"]]
@@ -144,6 +203,38 @@ def test_pairs_roundtrip():
 
 
 # -- ring laws (property-based) -----------------------------------------------
+
+
+@given(polys, polys)
+def test_results_are_canonical(a, b):
+    for p in (a, b, a + b, a - b, a * b, -a, a.reverse(), a + (-a), a * ZERO):
+        assert_canonical(p)
+    if not b.is_zero():
+        assert_canonical((a * b).exact_div(b))
+
+
+@given(polys, st.dictionaries(st.integers(-10, 10), st.just(0), max_size=4))
+def test_eq_and_hash_follow_terms(a, zeros):
+    # the same terms, built with explicit zero coefficients and in another order
+    same = LaurentPoly({**zeros, **dict(reversed(list(a.terms.items())))})
+    assert same == a and hash(same) == hash(a)
+    assert same._coeffs == a._coeffs
+    other = a + LaurentPoly.monomial(1, 11)
+    assert other != a and other.terms != a.terms
+
+
+def test_one_term_product_leaves_operands_unchanged():
+    # a product by a one-term operand may share the other's list; later
+    # arithmetic on the product must not change either operand
+    p = lp({-3: 4, -1: 0, 2: -5})
+    before = p.terms
+    for r in (ONE * p, p * ONE, lp({7: -1}) * p, lp({-2: 3}) * p):
+        s = r + r
+        n = -r
+        assert p.terms == before
+        assert s == convolve(r, lp({0: 2})) and n + r == ZERO
+    assert (ONE * p).terms == before
+    assert (lp({7: -1}) * p).terms == {e + 7: -c for e, c in before.items()}
 
 
 @given(polys, polys)
@@ -227,17 +318,22 @@ def check_product(a, b):
     expected = convolve(a, b)
     assert a * b == expected
     assert b * a == expected
-    kron = _kronecker_mul(a.terms, b.terms)
-    assert 0 not in kron.values()
-    assert LaurentPoly(kron) == expected
+    kron = _kronecker_mul(a._coeffs, b._coeffs, len(a.terms), len(b.terms))
+    # canonical: one slot per exponent of the span, nonzero at both ends
+    assert len(kron) == a.degree() - a.valuation() + b.degree() - b.valuation() + 1
+    assert kron[0] and kron[-1]
+    low = a.valuation() + b.valuation()
+    assert LaurentPoly({low + i: c for i, c in enumerate(kron)}) == expected
 
 
 def test_kronecker_selection(monkeypatch):
     calls = []
 
-    def spy(a, b):
-        calls.append(len(a) * len(b))
-        return _kronecker_mul(a, b)
+    def spy(a, b, na, nb):
+        # the nonzero counts passed in are those of the operand lists
+        assert (na, nb) == (len(a) - a.count(0), len(b) - b.count(0))
+        calls.append(na * nb)
+        return _kronecker_mul(a, b, na, nb)
 
     monkeypatch.setattr(laurent, "_kronecker_mul", spy)
 
@@ -253,6 +349,35 @@ def test_kronecker_selection(monkeypatch):
     sparse = alternating(0, 160, 10)
     assert sparse * sparse == convolve(sparse, sparse)
     assert calls == [KRONECKER_MIN_PRODUCTS]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_kronecker_slot_width_boundaries(monkeypatch, k):
+    # 32 x 32 equal coefficients c: the middle product coefficient is
+    # 32 c^2, exactly the bound.  The largest c with 32 c^2 < 2^(8k-1)
+    # packs into k-byte slots with the middle slot near its top; c + 1
+    # needs the next width (9 bytes: the path beyond machine words).
+    widths = []
+    pack = laurent._pack
+
+    def spy(coeffs, fmt, k, slot):
+        widths.append(k)
+        return pack(coeffs, fmt, k, slot)
+
+    monkeypatch.setattr(laurent, "_pack", spy)
+    top = 1 << (8 * k - 1)
+    c = isqrt((top - 1) // 32)
+    for coeff, width in ((c, k), (c + 1, {1: 2, 2: 4, 4: 8, 8: 9}[k])):
+        assert (32 * coeff * coeff < top) is (width == k)
+        a = lp({e: coeff for e in range(-40, -8)})
+        b = lp({e: coeff for e in range(5, 37)})
+        alternating = lp({e: coeff * (-1) ** e for e in range(5, 37)})
+        widths.clear()
+        for other in (b, -b, alternating):
+            check_product(a, other)
+        assert set(widths) == {width}
+        assert max((a * b).terms.values()) == 32 * coeff * coeff
+        assert min((a * -b).terms.values()) == -32 * coeff * coeff
 
 
 @settings(max_examples=50, deadline=None)

@@ -341,6 +341,21 @@ def test_pascal_type_recurrence():
 # -- generic-ratio (signed) extension -----------------------------------------
 
 
+def test_q_binomial_caches_are_bounded():
+    from qidentities import qcombo
+
+    bound = qcombo.Q_BINOMIAL_CACHE_SIZE
+    for cached in (q_binomial, q_binomial_signed):
+        assert cached.cache_info().maxsize == bound
+        cached.cache_clear()
+        # a sweep over more distinct arguments than the cache holds
+        for n in range(-bound // 2 - 10, bound // 2 + 10):
+            cached(n, n % 3)
+        info = cached.cache_info()
+        assert info.misses == bound + 20 and info.currsize <= bound
+    assert q_binomial(4, 2) == lp({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
+
+
 def test_signed_agrees_on_nonnegative_top():
     for n in range(0, 12):
         for k in range(0, n + 3):
