@@ -4,6 +4,18 @@ generating-series values.
 Everything is assembled in factored form (QFactored) and expanded once at
 the end, so bracket ratios like [2d0]_q / [d0]_q never pass through a
 Laurent-polynomial division chain.
+
+Where a value has two published spellings, the spellings are compared as
+QFactored values, before the one expansion.  That comparison is exact
+equality of the rational functions they denote, because the canonical
+form sign * x^p * prod over e of (1 - x^e)^(m_e) (e >= 1, no m_e zero) of
+a nonzero value is unique.  Write 1 - x^e = -prod over d | e of Phi_d(x),
+with Phi_d the d-th cyclotomic polynomial.  The value is then
++-x^p * prod over d of Phi_d^(c_d) with c_d = sum over multiples e of d of
+m_e.  Factorization of rational functions into irreducibles is unique, so
+the value fixes p, each c_d and the sign; and the map from the m_e to the
+c_d is unitriangular (c_d = m_d + terms with e > d), so the c_d fix every
+m_e, from the largest e down.
 """
 
 from __future__ import annotations
@@ -40,38 +52,45 @@ def prop3_rhs(D: int, d1: int, k0: int) -> LaurentPoly:
     return qf_expand_ratio(qf)
 
 
+def _theorem1_factored(d0: int, d1: int, last_k: int):
+    """([2d0]_q / [d0]_q) * qbinom(d0, d1) * qbinom(d0 + d1 - 1, last_k),
+    factored.  Requires d0 > d1 >= 1."""
+    if d1 < 1 or d0 <= d1:
+        raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
+    qf = qf_div(q_int(2 * d0), q_int(d0))
+    qf = qf_mul(qf, q_binomial_factored(d0, d1))
+    return qf_mul(qf, q_binomial_factored(d0 + d1 - 1, last_k))
+
+
 def theorem1_rhs(d0: int, d1: int) -> LaurentPoly:
     """([2d0]_q / [d0]_q) * qbinom(d0, d1) * qbinom(d0 + d1 - 1, d0).
 
     The bracket ratio equals x**d0 + x**(-d0).  Requires d0 > d1 >= 1.
     """
-    if d1 < 1 or d0 <= d1:
-        raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
-    qf = qf_div(q_int(2 * d0), q_int(d0))
-    qf = qf_mul(qf, q_binomial_factored(d0, d1))
-    qf = qf_mul(qf, q_binomial_factored(d0 + d1 - 1, d0))
-    return qf_expand_ratio(qf)
+    return qf_expand_ratio(_theorem1_factored(d0, d1, d0))
 
 
 def theorem2_rhs(d1: int, d2: int) -> LaurentPoly:
     """([2d1 + d2]_q / [d2]_q) * qbinom(d1 + d2 - 1, d1)**2.
 
     Also checks the generating-series spelling with qbinom(d1 + d2 - 1,
-    d2 - 1) squared; the two must agree by binomial symmetry.  Requires
-    d1 >= 1 and d2 >= 1 (the bracket [d2]_q vanishes at d2 = 0).
+    d2 - 1) squared; the two must agree by binomial symmetry.  The two
+    spellings are compared in factored form, which is exact (see the
+    module docstring), and the value is expanded once; a disagreement
+    raises ArithmeticError.  Requires d1 >= 1 and d2 >= 1 (the bracket
+    [d2]_q vanishes at d2 = 0).
     """
     if d1 < 1 or d2 < 1:
         raise InvalidHypothesis("theorem 2 requires d1 >= 1 and d2 >= 1")
     qf = qf_div(q_int(2 * d1 + d2), q_int(d2))
     bino = q_binomial_factored(d1 + d2 - 1, d1)
-    value = qf_expand_ratio(qf_mul(qf, qf_mul(bino, bino)))
+    value = qf_mul(qf, qf_mul(bino, bino))
     alt = q_binomial_factored(d1 + d2 - 1, d2 - 1)
-    alt_value = qf_expand_ratio(qf_mul(qf, qf_mul(alt, alt)))
-    if value != alt_value:
+    if qf_mul(qf, qf_mul(alt, alt)) != value:
         raise ArithmeticError(
             "binomial-spelling disagreement in theorem2_rhs(%d, %d)" % (d1, d2)
         )
-    return value
+    return qf_expand_ratio(value)
 
 
 def nlog_value(surface: str, p: int, r: int) -> LaurentPoly:
@@ -79,19 +98,17 @@ def nlog_value(surface: str, p: int, r: int) -> LaurentPoly:
 
     For "dP1_04" the arguments are (d0, d1) with d0 > d1 >= 1; for "F0_04"
     they are (d1, d2) with both >= 1.  The published binomial spelling is
-    asserted equal to the theorem form at runtime.
+    asserted equal to the theorem form at runtime, in factored form (exact;
+    see the module docstring) before the one expansion.
     """
     if surface not in SURFACE_TAGS:
         raise ValueError("unknown surface tag: %r" % (surface,))
     if surface == "dP1_04":
-        value = theorem1_rhs(p, r)
+        value = _theorem1_factored(p, r, p)
         # published spelling: qbinom(d0 + d1 - 1, d1 - 1) in the last slot
-        qf = qf_div(q_int(2 * p), q_int(p))
-        qf = qf_mul(qf, q_binomial_factored(p, r))
-        qf = qf_mul(qf, q_binomial_factored(p + r - 1, r - 1))
-        if qf_expand_ratio(qf) != value:
+        if _theorem1_factored(p, r, r - 1) != value:
             raise ArithmeticError("spelling disagreement in nlog_value(dP1_04)")
-        return value
+        return qf_expand_ratio(value)
     if p < 1 or r < 1:
         raise InvalidHypothesis("F0_04 requires d1 >= 1 and d2 >= 1")
     return theorem2_rhs(p, r)

@@ -22,8 +22,17 @@ Kronecker substitution", J. Symb. Comput. 2009) writes each coefficient
 list into one Python int, a k-byte slot per exponent, and a single
 big-integer multiply does all term products in C.
 
-Packing works on two's complement slots.  For k <= 8 the slots are a
-signed machine-word array: array(fmt, coeffs).tobytes(), read as one
+When both coefficient lists are sign-uniform (all entries >= 0, or all
+<= 0), as in every product of q-binomials (each q-binomial's coefficients
+share one sign), the slots are unsigned and carry no bias.  A nonpositive
+operand is negated first, and the output is negated when the two signs
+differ.  For k <= 8, array(unsigned fmt, coeffs).tobytes() read as one
+int is sum c_i 2^(8k i), and the product's bytes read back as the same
+unsigned array are the output coefficients; wider slots convert each
+coefficient with int.to_bytes and int.from_bytes.
+
+Mixed-sign operands use two's complement slots.  For k <= 8 the slots are
+a signed machine-word array: array(fmt, coeffs).tobytes(), read as one
 unsigned int U, holds each coefficient c as c mod 2^(8k).  Let B be the
 int with the bias 2^(8k-1) in every slot.  XOR with B flips each slot's top
 bit, which adds the bias modulo 2^(8k); since c + 2^(8k-1) already lies in
@@ -35,18 +44,25 @@ int.from_bytes (signed=True) per coefficient.
 
 Exactness does not depend on coefficient size.  Every output coefficient
 is a sum of at most min(nonzeros of a, nonzeros of b) products, so its
-absolute value is at most bound = max|a| * max|b| * that minimum.  k is
-chosen with bound < 2^(8k-1), i.e. k = bound.bit_length() // 8 + 1 (then
-rounded up to 1, 2, 4 or 8 bytes where possible, so packing and unpacking
-can use machine words).  Adding B to the product then leaves every slot at
-p_i + 2^(8k-1), which lies in [0, 2^(8k)): no slot carries into or borrows
-from the next, and the slots read back the exact coefficients.  The dense
-layout costs memory and time in the exponent span, so a product whose span
-has more than half as many exponents as it has nonzero term products stays
-on the schoolbook loop, as do products below the threshold, where the
-schoolbook loop is faster.  Below it fall most cross-multiplications of
-RationalFunction sums and comparisons in the hypergeometric series, and
-many of the q-binomial products in the refined sums.
+absolute value is at most bound = max|a| * max|b| * that minimum; both
+paths below take max|a| and max|b| from one min() and one max() per
+operand.  On the unsigned path every output coefficient is a sum of
+nonnegative products, so it lies in [0, bound].  k is the smallest width
+with bound < 2^(8k), i.e. k = ceil(bound.bit_length() / 8), so every slot
+of the product holds its coefficient with no carry into the next, and the
+product is below 2^(8kn) for its n slots.  On the signed path k is chosen
+with bound < 2^(8k-1), i.e. k = bound.bit_length() // 8 + 1.  Adding B to
+the product then leaves every slot at p_i + 2^(8k-1), which lies in
+[0, 2^(8k)): no slot carries into or borrows from the next, and the slots
+read back the exact coefficients.  On both paths k is then rounded up to 1, 2,
+4 or 8 bytes where possible, so packing and unpacking can use machine
+words.  The dense layout costs memory and time in the exponent span, so a
+product whose span has more than half as many exponents as it has nonzero
+term products stays on the schoolbook loop, as do products below the
+threshold, where the schoolbook loop is faster.  Below it fall most
+cross-multiplications of RationalFunction sums and comparisons in the
+hypergeometric series, and many of the q-binomial products in the refined
+sums.
 """
 
 from __future__ import annotations
@@ -63,9 +79,13 @@ from .errors import DivisionByZero, NotDivisible
 # __mul__ uses Kronecker substitution instead of the schoolbook loop.
 KRONECKER_MIN_PRODUCTS = 256
 
-# Smallest signed machine-word array type holding a k-byte slot, k <= 8.
+# Smallest signed and unsigned machine-word array types holding a k-byte
+# slot, k <= 8.
 _WORD_FORMAT = {
     k: next(f for f in "bhiq" if array(f).itemsize >= k) for k in range(1, 9)
+}
+_UNSIGNED_FORMAT = {
+    k: next(f for f in "BHIQ" if array(f).itemsize >= k) for k in range(1, 9)
 }
 
 
@@ -304,10 +324,31 @@ def _kronecker_mul(a: list, b: list, na: int, nb: int) -> list:
     with na and nb nonzero entries) by Kronecker substitution.
 
     Returns the len(a) + len(b) - 1 product coefficients; see the module
-    docstring for why the slot width k makes them exact.
+    docstring for why the slot width k makes them exact.  Sign-uniform
+    operands go through unsigned slots with no bias; mixed signs through
+    the biased two's complement slots of _pack.
     """
     n = len(a) + len(b) - 1
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(na, nb)
+    a_low, a_high, b_low, b_high = min(a), max(a), min(b), max(b)
+    if (a_low >= 0 or a_high <= 0) and (b_low >= 0 or b_high <= 0):
+        negate = False
+        if a_high <= 0:
+            a, a_high, negate = list(map(neg, a)), -a_low, True
+        if b_high <= 0:
+            b, b_high, negate = list(map(neg, b)), -b_low, not negate
+        bound = a_high * b_high * min(na, nb)
+        k = (bound.bit_length() + 7) // 8
+        fmt = _UNSIGNED_FORMAT.get(k)
+        if fmt:
+            k = array(fmt).itemsize
+        product = _pack_unsigned(a, fmt, k) * _pack_unsigned(b, fmt, k)
+        data = product.to_bytes(n * k, _ORDER)
+        if fmt:
+            out = array(fmt, data).tolist()
+        else:
+            out = [int.from_bytes(data[i : i + k], _ORDER) for i in range(0, n * k, k)]
+        return list(map(neg, out)) if negate else out
+    bound = max(a_high, -a_low) * max(b_high, -b_low) * min(na, nb)
     k = bound.bit_length() // 8 + 1
     fmt = _WORD_FORMAT.get(k)
     if fmt:
@@ -319,6 +360,17 @@ def _kronecker_mul(a: list, b: list, na: int, nb: int) -> list:
     if fmt:
         return array(fmt, data).tolist()
     return [int.from_bytes(data[i : i + k], _ORDER, signed=True) for i in range(0, n * k, k)]
+
+
+def _pack_unsigned(coeffs: list, fmt, k: int) -> int:
+    """sum of coeffs[i] * 2^(8ki) for nonnegative coeffs below 2^(8k):
+    the k-byte unsigned slots read as one int.  fmt is the unsigned array
+    type for a machine-word k, else None."""
+    if fmt:
+        data = array(fmt, coeffs).tobytes()
+    else:
+        data = b"".join([c.to_bytes(k, _ORDER) for c in coeffs])
+    return int.from_bytes(data, _ORDER)
 
 
 def _pack(coeffs: list, fmt, k: int, slot: bytes) -> int:

@@ -9,6 +9,7 @@ the total multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidHypothesis
 from .laurent import ONE, ZERO, LaurentPoly
@@ -84,16 +85,35 @@ def _index_sort_key(idx: PartitionedIndex):
     return tuple(-p for p in idx.parts) + (float("inf"),), idx.mults
 
 
+# Entries the index memo (one per weighted sum d) and the refined-sum memo
+# (one per doubled first parameter D) each keep before they drop the least
+# recently used.  A verify grid varies its last parameter fastest, so one
+# row of values is enough for full reuse: verify thm2 --d2 1..10 visits ten
+# D values per d1, and the next d1 revisits eight of them.
+INDEX_CACHE_SIZE = 16
+REFINED_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=INDEX_CACHE_SIZE)
+def _sorted_indices(d):
+    """All PartitionedIndex values with weighted sum d, sorted, as a tuple."""
+    return tuple(
+        sorted((PartitionedIndex(p, m) for p, m in _raw_indices(d, d)), key=_index_sort_key)
+    )
+
+
 def enumerate_indices(d: int, k0: int | None = None):
     """All PartitionedIndex values with weighted sum d, and total
-    multiplicity k0 when given, in the canonical deterministic order."""
+    multiplicity k0 when given, in the canonical deterministic order.
+
+    Each d's sorted indices are built once (a bounded LRU memo); every
+    call returns a new list, which the caller may change."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    found = [PartitionedIndex(p, m) for p, m in _raw_indices(d, d)]
-    if k0 is not None:
-        found = [idx for idx in found if idx.mult_sum() == k0]
-    found.sort(key=_index_sort_key)
-    return found
+    found = _sorted_indices(d)
+    if k0 is None:
+        return list(found)
+    return [idx for idx in found if idx.mult_sum() == k0]
 
 
 def f_term(D: int, idx: PartitionedIndex) -> LaurentPoly:
@@ -104,12 +124,12 @@ def f_term(D: int, idx: PartitionedIndex) -> LaurentPoly:
     sum matches its closed form for every positive D; on nonnegative tops
     this is the ordinary convention, which is all the theorem left-hand
     sides ever exercise."""
-    total = ONE
+    total = None  # the empty product, before the first factor
     weighted = 0  # sum of n_j k_j over previous factors
     count = 0  # sum of k_j over previous factors
     for n, k in zip(idx.parts, idx.mults):
-        top = D - 2 * weighted + 2 * n * count
-        total = total * q_binomial_signed(top, k)
+        factor = q_binomial_signed(D - 2 * weighted + 2 * n * count, k)
+        total = factor if total is None else total * factor
         if total.is_zero():
             return ZERO
         weighted += n * k
@@ -160,7 +180,9 @@ def f_recursive(spec: FSumSpec, cache: dict | None = None) -> LaurentPoly:
                 tail = rec(d1 - n * k0, k0 - k)
                 if tail.is_zero():
                     continue
-                total = total + tail * q_binomial_signed(spec.D - 2 * d1 + 2 * n * k0, k)
+                binom = q_binomial_signed(spec.D - 2 * d1 + 2 * n * k0, k)
+                # the empty-product tail f(D, 0, 0) = 1 needs no multiply
+                total = total + (binom if tail is ONE else tail * binom)
         cache[key] = total
         return total
 
@@ -170,6 +192,13 @@ def f_recursive(spec: FSumSpec, cache: dict | None = None) -> LaurentPoly:
     if marker != spec.D:
         raise ValueError("shared cache used across different D values")
     return rec(spec.d1, spec.k0)
+
+
+@lru_cache(maxsize=REFINED_CACHE_SIZE)
+def _refined_memo(D):
+    """The f_recursive cache for one D, shared by every theorem1_lhs and
+    theorem2_lhs call with that D (a bounded LRU memo over D)."""
+    return {"_scope": D}
 
 
 def theorem1_terms(d0: int, d1: int):
@@ -204,14 +233,17 @@ def theorem1_lhs(d0: int, d1: int) -> LaurentPoly:
 
     Computed two ways and asserted equal: (a) the direct transcription,
     theorem1_terms, and (b) the refined-sum refactoring over the trailing
-    binomial, each refined sum by the memoized recursion f_recursive with
-    one cache shared across the k0 loop (D = 2*d0 is fixed within the
-    call).  Requires d0 > d1 >= 1.
+    binomial, each refined sum by the memoized recursion f_recursive.  The
+    recursion's memo is per D = 2*d0 and shared across calls: every
+    theorem1_lhs and theorem2_lhs call with the same D reuses the refined
+    sums earlier calls computed (a bounded LRU over D).  Path (a)
+    memoizes no values; the two paths share only the q-binomial caches.
+    Requires d0 > d1 >= 1.
     """
     # (a) direct transcription; its hypothesis check runs before (b)
     direct = sum((term for _, term in theorem1_terms(d0, d1)), ZERO)
     # (b) via the refined sum
-    cache = {}
+    cache = _refined_memo(2 * d0)
     refined = ZERO
     for k0 in range(0, d1 + 1):
         part = f_recursive(FSumSpec(2 * d0, d0 - d1, d1 - k0), cache)
@@ -228,15 +260,18 @@ def theorem2_lhs(d1: int, d2: int) -> LaurentPoly:
 
     Computed two ways and asserted equal: (a) the direct transcription,
     theorem2_terms, and (b) the refined-sum refactoring, each refined sum
-    by the memoized recursion f_recursive with one cache shared across the
-    k0 loop (D = 2*d1 + d2 is fixed within the call).  Requires d1 >= 1
-    and d2 >= 1.
+    by the memoized recursion f_recursive.  The recursion's memo is per
+    D = 2*d1 + d2 and shared across calls: every theorem1_lhs and
+    theorem2_lhs call with the same D reuses the refined sums earlier
+    calls computed (a bounded LRU over D).  Path (a) memoizes no values;
+    the two paths share only the q-binomial caches.  Requires
+    d1 >= 1 and d2 >= 1.
     """
     # (a) direct transcription; its hypothesis check runs before (b)
     direct = sum((term for _, term in theorem2_terms(d1, d2)), ZERO)
     # (b) via the refined sum
     D = 2 * d1 + d2
-    cache = {}
+    cache = _refined_memo(D)
     refined = ZERO
     for k0 in range(1, d1 + 1):
         part = f_recursive(FSumSpec(D, d1, k0), cache)

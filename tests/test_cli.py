@@ -175,6 +175,36 @@ def test_verify_jobs_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("args", [
+    ["--identity", "thm1", "--d0", "2..9", "--d1", "1..8"],
+    ["--identity", "thm2", "--d1", "1..6", "--d2", "1..6"],
+])
+def test_verify_theorem_grids_same_stdout_with_a_real_pool(monkeypatch, capsys, args):
+    # each worker fills its own refined-sum and index memos, one 16-cell
+    # chunk after another; the records must not depend on which worker ran
+    # a cell or what it ran before
+    from concurrent.futures import ProcessPoolExecutor
+
+    import qidentities.cli as cli
+
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rc1, out1 = run(capsys, "verify", *args, "--jobs", "1")
+    assert sizes == []
+    rc2, out2 = run(capsys, "verify", *args, "--jobs", "2")
+    assert sizes == [2]
+    assert rc1 == rc2 == 0
+    assert out1 == out2
+    assert json.loads(out1.splitlines()[-1])["fail"] == 0
+
+
 def test_verify_reruns_byte_identical(capsys):
     args = ["verify", "--identity", "thm2", "--d1", "1..3", "--d2", "1..3"]
     _, out1 = run(capsys, *args)

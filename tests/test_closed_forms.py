@@ -139,3 +139,38 @@ def test_nlog_errors():
         nlog_value("F0_04", 0, 1)
     with pytest.raises(ValueError):
         nlog_value("P2", 2, 1)
+
+
+def test_broken_binomial_symmetry_fails_the_spelling_checks(monkeypatch, capsys):
+    # one asymmetric factored binomial: qbinom(3, 2) and qbinom(3, 0) carry
+    # an extra x^2, still a polynomial, so only the spelling check sees it
+    import json
+
+    from qidentities import closed_forms
+    from qidentities.cli import main
+    from qidentities.qcombo import QFactored, qf_mul
+
+    real = closed_forms.q_binomial_factored
+    untouched = theorem2_rhs(2, 1)  # qbinom(2, 2) and qbinom(2, 0)
+
+    def asymmetric(n, k):
+        value = real(n, k)
+        return qf_mul(value, QFactored.monomial(1, 2)) if (n, k) in ((3, 2), (3, 0)) else value
+
+    monkeypatch.setattr(closed_forms, "q_binomial_factored", asymmetric)
+    with pytest.raises(ArithmeticError, match=r"theorem2_rhs\(1, 3\)"):
+        theorem2_rhs(1, 3)
+    with pytest.raises(ArithmeticError, match=r"theorem2_rhs\(2, 2\)"):
+        theorem2_rhs(2, 2)
+    with pytest.raises(ArithmeticError, match="nlog_value"):
+        nlog_value("dP1_04", 3, 1)
+    assert theorem2_rhs(2, 1) == untouched
+    assert main(["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[-1]) == {"pass": 4, "fail": 2, "degenerate": 0}
+    failed = [json.loads(line) for line in lines[:-1] if not json.loads(line)["equal"]]
+    assert [r["params"] for r in failed] == [{"d1": 1, "d2": 3}, {"d1": 2, "d2": 2}]
+    for record in failed:
+        assert record["lhs"] is None and record["rhs"] is None
+        assert record["error"].startswith(
+            "ArithmeticError: binomial-spelling disagreement in theorem2_rhs")

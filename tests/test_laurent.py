@@ -380,6 +380,97 @@ def test_kronecker_slot_width_boundaries(monkeypatch, k):
         assert min((a * -b).terms.values()) == -32 * coeff * coeff
 
 
+
+def spy_packing(monkeypatch):
+    """Record ("signed" or "unsigned", slot width) per operand the Kronecker
+    kernel packs."""
+    packed = []
+    signed, unsigned = laurent._pack, laurent._pack_unsigned
+
+    def spy_signed(coeffs, fmt, k, slot):
+        packed.append(("signed", k))
+        return signed(coeffs, fmt, k, slot)
+
+    def spy_unsigned(coeffs, fmt, k):
+        packed.append(("unsigned", k))
+        return unsigned(coeffs, fmt, k)
+
+    monkeypatch.setattr(laurent, "_pack", spy_signed)
+    monkeypatch.setattr(laurent, "_pack_unsigned", spy_unsigned)
+    return packed
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_unsigned_slot_width_boundaries(monkeypatch, k):
+    # bound = max|a| * max|b| * min(nonzeros).  17 divides 2^(8k) - 1
+    # (2^8 = 1 mod 17), so 17 ones times 17 copies of (2^(8k) - 1) / 17
+    # give a middle coefficient of exactly 2^(8k) - 1, the top of a k-byte
+    # unsigned slot; 16 ones times 16 copies of 2^(8k - 4) give 2^(8k),
+    # which needs the next width (9 bytes: the path beyond machine words)
+    packed = spy_packing(monkeypatch)
+    top = 1 << (8 * k)
+    cases = (
+        (17, (top - 1) // 17, top - 1, k),
+        (16, top // 16, top, {1: 2, 2: 4, 4: 8, 8: 9}[k]),
+    )
+    for size, coeff, bound, width in cases:
+        ones = lp({e: 1 for e in range(-30, -30 + size)})
+        b = lp({e: coeff for e in range(7, 7 + size)})
+        for x, y in ((ones, b), (-ones, b), (ones, -b), (-ones, -b)):
+            packed.clear()
+            check_product(x, y)
+            assert set(packed) == {("unsigned", width)}
+        assert max((ones * b).terms.values()) == bound
+        assert min((ones * -b).terms.values()) == -bound
+        assert max((-ones * -b).terms.values()) == bound
+
+
+def test_unsigned_slots_wider_than_machine_words(monkeypatch):
+    packed = spy_packing(monkeypatch)
+    # 20 terms each, interior zeros in a, b nonpositive
+    a = lp({e: 2**100 + e for e in range(0, 40, 2)})
+    b = lp({e: -(3**50) - e for e in range(-5, 15)})
+    width = (((2**100 + 38) * (3**50 + 14) * 20).bit_length() + 7) // 8
+    assert width > 8
+    for x, y in ((a, b), (-a, b), (a, -b), (-a, -b)):
+        packed.clear()
+        check_product(x, y)
+        assert set(packed) == {("unsigned", width)}
+
+
+def test_sign_uniform_operands_skip_pack(monkeypatch):
+    packed = spy_packing(monkeypatch)
+    pos = lp({e: e + 1 for e in range(16)})
+    # interior zeros: 20 terms spread over 58 and 39 exponents
+    gappy = lp({e: 3 for e in range(0, 60, 3)})
+    gappy_neg = lp({e: -(e + 21) for e in range(-20, 20, 2)})
+    mixed = lp({e: (e + 1) * (-1) ** e for e in range(16)})
+    uniform = [pos, -pos, gappy, gappy_neg, -gappy_neg]
+    for x in uniform:
+        for y in uniform:
+            packed.clear()
+            check_product(x, y)
+            assert packed and {path for path, _ in packed} == {"unsigned"}
+    for x in uniform:
+        for y, z in ((mixed, x), (x, mixed), (mixed, mixed)):
+            packed.clear()
+            check_product(y, z)
+            assert packed and {path for path, _ in packed} == {"signed"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    operand_pair(st.one_of(st.integers(min_value=1, max_value=9),
+                           st.integers(min_value=1, max_value=2**80))),
+    st.booleans(),
+    st.booleans(),
+)
+def test_kronecker_sign_uniform_operands(pair, negate_a, negate_b):
+    # every coefficient of each operand has one sign; exponents spread over
+    # twice the term count leave interior zeros
+    a, b = pair
+    check_product(-a if negate_a else a, -b if negate_b else b)
+
 @settings(max_examples=50, deadline=None)
 @given(operand_pair(small_coeffs))
 def test_kronecker_matches_schoolbook_near_threshold(pair):

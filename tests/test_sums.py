@@ -246,3 +246,55 @@ def test_refined_path_is_the_memoized_recursion(monkeypatch, capsys):
     for record in records:
         assert record["equal"] is False and record["lhs"] is None
         assert record["error"].startswith("ArithmeticError: internal disagreement")
+
+
+# -- memos shared across calls ---------------------------------------------------
+
+
+def test_lhs_same_with_cold_and_warm_refined_memo():
+    # thm1 (4, *) and thm2 (3, 2), (2, 4) share D = 8; thm2 (3, 1) and
+    # (2, 3) share D = 7
+    from qidentities import sums
+
+    cells = [(theorem1_lhs, 4, 1), (theorem1_lhs, 4, 3), (theorem2_lhs, 3, 2),
+             (theorem2_lhs, 2, 4), (theorem2_lhs, 3, 1), (theorem2_lhs, 2, 3),
+             (theorem1_lhs, 4, 2)]
+    cold = []
+    for fn, p, r in cells:
+        sums._refined_memo.cache_clear()
+        cold.append(fn(p, r))
+    sums._refined_memo.cache_clear()
+    warm = [fn(p, r) for fn, p, r in cells]
+    assert warm == cold
+    assert sums._refined_memo.cache_info().hits == 5
+    rhs = {theorem1_lhs: theorem1_rhs, theorem2_lhs: theorem2_rhs}
+    assert warm == [rhs[fn](p, r) for fn, p, r in cells]
+
+
+def test_memos_stay_within_their_bounds():
+    from qidentities import sums
+
+    for d2 in range(1, sums.REFINED_CACHE_SIZE + 6):
+        assert theorem2_lhs(1, d2) == theorem2_rhs(1, d2)
+    info = sums._refined_memo.cache_info()
+    assert info.maxsize == sums.REFINED_CACHE_SIZE
+    assert info.currsize == sums.REFINED_CACHE_SIZE
+    assert info.misses == sums.REFINED_CACHE_SIZE + 5
+    for d in range(1, sums.INDEX_CACHE_SIZE + 5):
+        assert len(enumerate_indices(d)) == partition_count(d)
+    info = sums._sorted_indices.cache_info()
+    assert info.maxsize == sums.INDEX_CACHE_SIZE
+    assert info.currsize == sums.INDEX_CACHE_SIZE
+
+
+def test_enumerate_indices_returns_a_fresh_list():
+    first = enumerate_indices(6)
+    expected = list(first)
+    first.reverse()
+    first.append(PartitionedIndex((9,), (1,)))
+    assert enumerate_indices(6) == expected
+    some = enumerate_indices(6, 3)
+    kept = list(some)
+    some.clear()
+    assert enumerate_indices(6, 3) == kept
+    assert kept == [idx for idx in expected if idx.mult_sum() == 3]
