@@ -17,12 +17,21 @@ cells finish and then a summary line, so no list of records is kept and an
 interrupted run keeps the records it wrote.  Records written to a file via
 --output carry a measured elapsed_ms field; on stdout it is omitted so
 that identical reruns are byte-identical.
+
+The qident console script and python -m qidentities.cli call run(), not
+main(): once main() has returned, run() moves every live object into the
+collector's permanent generation (gc.freeze), so the collections the
+interpreter makes at exit do not traverse the caches and values the run
+built; the process is ending, and nothing there needs collecting.  main()
+itself never freezes, so calling it in process, as the tests do, leaves
+the collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import itertools
 import json
 import os
@@ -236,7 +245,9 @@ def _run_cell(cell):
         if rational:
             record.update(lhs=lhs.to_json_obj(), rhs=rhs.to_json_obj())
         else:
-            record.update(lhs=lhs.to_pairs(), rhs=rhs.to_pairs())
+            # equal polynomials have one canonical form, so encode it once
+            pairs = lhs.to_pairs()
+            record.update(lhs=pairs, rhs=pairs if equal else rhs.to_pairs())
         record["equal"] = equal
     if timing:
         record["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
@@ -443,5 +454,13 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None) -> int:
+    """main(argv), then gc.freeze(); returns main's exit code.  The entry
+    point of the console script and of python -m qidentities.cli."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

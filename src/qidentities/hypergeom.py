@@ -7,30 +7,27 @@ is likewise a monomial x**z_exp.  A pure power q^n has x-exponent 2n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import Degenerate, NonTerminating, PoleInDenominator
 from .laurent import ONE, RationalFunction, rf_eq
 from .qcombo import QFactored, q_pochhammer, qf_div, qf_expand, qf_mul, qf_to_rational
 
 
-@dataclass(frozen=True)
-class PhiSeries:
+class PhiSeries(namedtuple("PhiSeries", "upper lower z_exp")):
     """An (r+1)-phi-r series with monomial parameters.
 
     upper holds the r+1 numerator-parameter x-exponents, lower the r
     denominator-parameter x-exponents, z_exp the argument's x-exponent.
     """
 
-    upper: tuple
-    lower: tuple
-    z_exp: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(int(t) for t in self.upper))
-        object.__setattr__(self, "lower", tuple(int(t) for t in self.lower))
-        if len(self.upper) != len(self.lower) + 1:
+    def __new__(cls, upper, lower, z_exp):
+        upper, lower = tuple(map(int, upper)), tuple(map(int, lower))
+        if len(upper) != len(lower) + 1:
             raise ValueError("need exactly one more upper parameter than lower")
+        return super().__new__(cls, upper, lower, z_exp)
 
 
 def _termination_order(upper) -> int:
@@ -74,22 +71,19 @@ def phi_evaluate(series: PhiSeries) -> RationalFunction:
     return total
 
 
-@dataclass(frozen=True)
-class SaalschutzInstance:
+class SaalschutzInstance(namedtuple("SaalschutzInstance", "a_exp b_exp c_exp N")):
     """Parameters a = x**a_exp, b = x**b_exp, c = x**c_exp and the
     termination order N of one q-Pfaff-Saalschutz instance.
 
     The second lower parameter a*b*q^(1-N)/c is derived, never stored.
     """
 
-    a_exp: int
-    b_exp: int
-    c_exp: int
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 0:
+    def __new__(cls, a_exp, b_exp, c_exp, N):
+        if N < 0:
             raise ValueError("N must be a nonnegative integer")
+        return super().__new__(cls, a_exp, b_exp, c_exp, N)
 
     def derived_lower_exp(self) -> int:
         return self.a_exp + self.b_exp + 2 * (1 - self.N) - self.c_exp

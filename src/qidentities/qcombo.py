@@ -7,13 +7,17 @@ factor.  Values stay factored for as long as possible and are expanded
 once, in a single dense pass over a coefficient list: each numerator
 factor is one strided O(n) update and each denominator factor one strided
 O(n) division, with no general polynomial multiplication or division.
+Closed forms expand their whole factored value in that one pass.  The
+cached q-binomials instead take one row step each, from the cached
+neighbour [n, k - 1]: the same pass started from that neighbour's
+coefficients, with one strided multiply and one strided division.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import sub
+from operator import neg, sub
 
 from .errors import DivisionByZero, NotDivisible, NotPolynomial
 from .laurent import ONE, ZERO, LaurentPoly, RationalFunction, _from_coeffs
@@ -165,17 +169,19 @@ def qf_expand_ratio(a: QFactored) -> LaurentPoly:
     return _expand(a)
 
 
-def _expand(a):
-    """The one expansion pass: dense coefficients from x**x_power up.
+def _expand(a, start=ONE):
+    """The one expansion pass: dense coefficients of a * start, from
+    x**(x_power + valuation of start) up; start is a nonzero LaurentPoly.
 
-    Starting from [sign], each positive factor 1 - x^e is multiplied in by
-    a strided O(n) update, t - x^e t; then each negative factor is divided
-    out with _divide_one_minus_x, which raises NotDivisible if the quotient
-    is not exact.
+    Starting from start's coefficients times the sign, each positive
+    factor 1 - x^e is multiplied in by a strided O(n) update, t - x^e t;
+    then each negative factor is divided out with _divide_one_minus_x,
+    which raises NotDivisible if the quotient is not exact.  start's list
+    is read, never changed.
     """
     if a.zero:
         return ZERO
-    coeffs = [a.sign]
+    coeffs = start._coeffs if a.sign == 1 else list(map(neg, start._coeffs))
     factors = sorted(a.factors.items())
     for e, m in factors:
         for _ in range(m):
@@ -185,7 +191,7 @@ def _expand(a):
     for e, m in factors:
         for _ in range(-m):
             coeffs = _divide_one_minus_x(coeffs, e)
-    return _from_coeffs(a.x_power, coeffs)
+    return _from_coeffs(a.x_power + start._val, coeffs)
 
 
 def _divide_one_minus_x(t, e):
@@ -273,5 +279,27 @@ def q_binomial_signed(n: int, k: int) -> LaurentPoly:
     under x -> x^(-1), since each q-integer is antisymmetric.  This is the
     convention under which the refined-sum closed form holds for every
     positive D, not just D large relative to d1.
+
+    Each value is one row step from the cached [n, k - 1]:
+    [n, k] = [n, k - 1] [n - k + 1]_q / [k]_q (Gasper and Rahman, Basic
+    Hypergeometric Series, 2004, section 1.3), expanded as one strided
+    multiply and one strided division.  A row is walked on its shorter
+    side: min(k, n - k) steps for n >= 0, by the symmetry
+    [n, k] = [n, n - k], and min(k, -n - 1) for n < 0, by the reflection
+    [n, k] = (-1)^k [k - n - 1, k].  The row below k is looked up in
+    ascending order, so a cold row is built upward from [n, 0] = 1 in a
+    loop, and the stack depth does not grow with k.
     """
-    return qf_expand_ratio(q_binomial_factored(n, k))
+    if k < 0 or 0 <= n < k:
+        return ZERO
+    if k == 0:
+        return ONE
+    if n < 0 and k > -n - 1:
+        value = q_binomial_signed(k - n - 1, k)
+        return -value if k % 2 else value
+    if 2 * k > n >= 0:
+        return q_binomial_signed(n, n - k)
+    below = ONE
+    for j in range(1, k):
+        below = q_binomial_signed(n, j)
+    return _expand(qf_div(q_int(n - k + 1), q_int(k)), below)

@@ -8,7 +8,7 @@ the total multiplicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InvalidHypothesis
@@ -16,24 +16,20 @@ from .laurent import ONE, ZERO, LaurentPoly
 from .qcombo import q_binomial, q_binomial_signed
 
 
-@dataclass(frozen=True)
-class PartitionedIndex:
+class PartitionedIndex(namedtuple("PartitionedIndex", "parts mults")):
     """One summand's index: parts strictly decreasing, mults all >= 1."""
 
-    parts: tuple
-    mults: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        object.__setattr__(self, "mults", tuple(int(k) for k in self.mults))
-        if len(self.parts) != len(self.mults) or not self.parts:
+    def __new__(cls, parts, mults):
+        parts, mults = tuple(map(int, parts)), tuple(map(int, mults))
+        if len(parts) != len(mults) or not parts:
             raise ValueError("parts and mults must be nonempty and equal length")
-        if any(k < 1 for k in self.mults):
+        if any(k < 1 for k in mults):
             raise ValueError("multiplicities must be >= 1")
-        if self.parts[-1] < 1 or any(
-            a <= b for a, b in zip(self.parts, self.parts[1:])
-        ):
+        if parts[-1] < 1 or any(a <= b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be strictly decreasing and positive")
+        return super().__new__(cls, parts, mults)
 
     @property
     def m(self) -> int:
@@ -49,8 +45,7 @@ class PartitionedIndex:
         return {"parts": list(self.parts), "mults": list(self.mults)}
 
 
-@dataclass(frozen=True)
-class FSumSpec:
+class FSumSpec(namedtuple("FSumSpec", "D d1 k0")):
     """Arguments of the refined sum f.
 
     D is the doubled first parameter (D = 2*d0), so half-integer d0 is
@@ -58,13 +53,12 @@ class FSumSpec:
     multiplicity.
     """
 
-    D: int
-    d1: int
-    k0: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d1 < 0 or self.k0 < 0:
+    def __new__(cls, D, d1, k0):
+        if d1 < 0 or k0 < 0:
             raise ValueError("d1 and k0 must be nonnegative")
+        return super().__new__(cls, D, d1, k0)
 
 
 def _raw_indices(remaining, max_part):

@@ -167,6 +167,31 @@ def test_verify_selftest_corrupt_fails(capsys):
     assert records[0]["equal"] is False
 
 
+def test_equal_polynomial_sides_are_encoded_once(monkeypatch, capsys):
+    import qidentities.cli as cli
+    from qidentities import ONE, LaurentPoly, theorem2_rhs
+
+    encoded = []
+    to_pairs = LaurentPoly.to_pairs
+    monkeypatch.setattr(
+        LaurentPoly, "to_pairs", lambda self: encoded.append(self) or to_pairs(self)
+    )
+    record = cli._run_cell(("thm2", {"d1": 2, "d2": 3}, False, False))
+    assert record["equal"] is True and len(encoded) == 1
+    assert record["lhs"] == record["rhs"]
+    # the negative control's first cell is unequal: each side is its own
+    rc, out = run(
+        capsys, "verify", "--identity", "thm2", "--d1", "2", "--d2", "3..4",
+        "--selftest-corrupt",
+    )
+    assert rc == 1
+    (first, second), _ = parse_records(out)
+    rhs = theorem2_rhs(2, 3)
+    assert first["rhs"] == to_pairs(rhs) == record["rhs"]
+    assert first["lhs"] == to_pairs(rhs + ONE)
+    assert second["lhs"] == second["rhs"] == to_pairs(theorem2_rhs(2, 4))
+
+
 def test_verify_jobs_deterministic(capsys):
     args = ["verify", "--identity", "prop3", "--D", "2..8", "--d1", "1..4", "--k0", "1..4"]
     rc1, out1 = run(capsys, *args)
@@ -657,15 +682,64 @@ def test_unrecognized_argument_gets_subcommand_usage(capsys):
     assert captured.err.endswith("qident eval: error: unrecognized arguments: --N 9\n")
 
 
-def test_import_does_not_load_process_pool():
-    # multiprocessing is imported only on the path that starts workers
-    code = "import sys, qidentities.cli; print('concurrent.futures.process' in sys.modules)"
+def _printed_after_import(expr):
+    """What a fresh interpreter prints for expr once it imported qidentities.cli."""
+    code = "import sys, qidentities.cli; print(%s)" % expr
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    return done.stdout
+
+
+def test_import_does_not_load_process_pool():
+    # multiprocessing is imported only on the path that starts workers
+    assert _printed_after_import("'concurrent.futures.process' in sys.modules") == "False\n"
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    # every launch pays for what the import loads; the package's value
+    # types are namedtuple subclasses, which need neither module
+    printed = _printed_after_import("sorted({'dataclasses', 'inspect'} & set(sys.modules))")
+    assert printed == "[]\n"
+
+
+# -- exit path -----------------------------------------------------------------
+
+
+def test_run_freezes_once_after_main(monkeypatch, capsys):
+    import qidentities.cli as cli
+
+    events = []
+    real_main = cli.main
+
+    def spy_main(argv=None):
+        events.append("main")
+        return real_main(argv)
+
+    monkeypatch.setattr(cli, "main", spy_main)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    # the negative control fails its first cell, so the exit code is 1
+    argv = ["verify", "--identity", "thm2", "--d1", "1", "--d2", "1..2", "--selftest-corrupt"]
+    assert cli.run(argv) == 1
+    assert events == ["main", "freeze"]
+    assert cli.run(["eval", "--kind", "qint", "--alpha", "1"]) == 0
+    assert events == ["main", "freeze"] * 2
+    out = capsys.readouterr().out
+    assert out.endswith('{"pass":1,"fail":1,"degenerate":0}\nq^(1/2) - q^(-1/2)\n')
+
+
+def test_main_never_freezes(monkeypatch, capsys):
+    import qidentities.cli as cli
+
+    def freeze():
+        raise AssertionError("main() froze the collector")
+
+    monkeypatch.setattr(cli.gc, "freeze", freeze)
+    assert main(["eval", "--kind", "qint", "--alpha", "1"]) == 0
+    assert main(["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1"]) == 0
+    assert main(["explain", "--identity", "thm2", "--d1", "2", "--d2", "1"]) == 0
 
 
 # -- usage errors after parsing ---------------------------------------------------

@@ -1,9 +1,10 @@
 """Tests for q-integers, q-Pochhammer symbols, and q-binomial coefficients."""
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qidentities import (
     DivisionByZero,
@@ -345,14 +346,22 @@ def test_q_binomial_caches_are_bounded():
     from qidentities import qcombo
 
     bound = qcombo.Q_BINOMIAL_CACHE_SIZE
+    # a sweep over more distinct arguments than the cache holds
+    sweep = range(-bound // 2 - 10, bound // 2 + 10)
+    # Each call misses once, on its own new key.  q_binomial_signed also
+    # caches the row entries its steps look up.  Every k = 2 call walks its
+    # row up from a new [n, 1], except at n = -1 and n = 2 (twos - 2 keys):
+    # [-1, 2] reflects to [2, 2], which is [2, 0] (2 keys), so [2, 2] is a
+    # hit later (-1).  [1, 1] is [1, 0] (1 key).  In all: twos more misses.
+    twos = sum(1 for n in sweep if n % 3 == 2)
+    misses = {q_binomial: len(sweep), q_binomial_signed: len(sweep) + twos}
     for cached in (q_binomial, q_binomial_signed):
         assert cached.cache_info().maxsize == bound
         cached.cache_clear()
-        # a sweep over more distinct arguments than the cache holds
-        for n in range(-bound // 2 - 10, bound // 2 + 10):
+        for n in sweep:
             cached(n, n % 3)
         info = cached.cache_info()
-        assert info.misses == bound + 20 and info.currsize <= bound
+        assert info.misses == misses[cached] and info.currsize <= bound
     assert q_binomial(4, 2) == lp({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
 
 
@@ -386,3 +395,35 @@ def test_signed_factored_matches():
                 assert q_binomial_signed(n, k) == ZERO
             else:
                 assert qf_expand_ratio(got) == q_binomial_signed(n, k)
+
+
+@example(calls=[(3, 5), (0, 1), (-1, 2), (-2, 1), (-40, 20), (60, 20), (60, 40), (59, 19)])
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 60), st.integers(-2, 20)), min_size=1, max_size=6))
+def test_row_steps_match_factored_oracle(calls):
+    # from cold caches; a later call may find part of its row cached
+    q_binomial_signed.cache_clear()
+    for n, k in calls:
+        assert q_binomial_signed(n, k) == qf_expand_ratio(q_binomial_factored(n, k))
+
+
+def test_long_rows_take_the_short_side():
+    # [-5, 1500] = [1504, 1500] = [1504, 4] and [1501, 1500] = [1501, 1]:
+    # four and one row steps, not 1500
+    assert q_binomial_signed(-5, 1500) == qf_expand_ratio(q_binomial_factored(1504, 4))
+    assert q_binomial_signed(-5, 1501) == -qf_expand_ratio(q_binomial_factored(1505, 4))
+    assert q_binomial_signed(1501, 1500) == lp({e: 1 for e in range(-1500, 1501, 2)})
+
+
+def test_cold_row_is_built_without_recursion():
+    # 45 row steps under a recursion limit only a few frames above this one
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        value = q_binomial_signed(90, 45)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == qf_expand_ratio(q_binomial_factored(90, 45))
