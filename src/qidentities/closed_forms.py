@@ -3,7 +3,8 @@ generating-series values.
 
 Everything is assembled in factored form (QFactored) and expanded once at
 the end, so bracket ratios like [2d0]_q / [d0]_q never pass through a
-Laurent-polynomial division chain.
+Laurent-polynomial division chain.  Each bracket ratio [a]_q / [b]_q is
+one _product call, x**(b - a) (1 - x**(2a)) / (1 - x**(2b)).
 
 Where a value has two published spellings, the spellings are compared as
 QFactored values, before the one expansion.  That comparison is exact
@@ -22,13 +23,7 @@ from __future__ import annotations
 
 from .errors import InvalidHypothesis
 from .laurent import LaurentPoly
-from .qcombo import (
-    q_binomial_factored,
-    q_int,
-    qf_div,
-    qf_expand_ratio,
-    qf_mul,
-)
+from .qcombo import _product, q_binomial_factored, qf_expand_ratio, qf_mul
 
 SURFACE_TAGS = ("dP1_04", "F0_04")
 
@@ -46,7 +41,7 @@ def prop3_rhs(D: int, d1: int, k0: int) -> LaurentPoly:
         raise InvalidHypothesis("D must be >= 1")
     if not 1 <= k0 <= d1:
         raise InvalidHypothesis("requires 1 <= k0 <= d1")
-    qf = qf_div(q_int(D), q_int(k0))
+    qf = _product((2 * D,), k0 - D, den=(2 * k0,))
     qf = qf_mul(qf, q_binomial_factored(D - d1 + k0 - 1, k0 - 1))
     qf = qf_mul(qf, q_binomial_factored(d1 - 1, k0 - 1))
     return qf_expand_ratio(qf)
@@ -57,7 +52,7 @@ def _theorem1_factored(d0: int, d1: int, last_k: int):
     factored.  Requires d0 > d1 >= 1."""
     if d1 < 1 or d0 <= d1:
         raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
-    qf = qf_div(q_int(2 * d0), q_int(d0))
+    qf = _product((4 * d0,), -d0, den=(2 * d0,))
     qf = qf_mul(qf, q_binomial_factored(d0, d1))
     return qf_mul(qf, q_binomial_factored(d0 + d1 - 1, last_k))
 
@@ -82,7 +77,7 @@ def theorem2_rhs(d1: int, d2: int) -> LaurentPoly:
     """
     if d1 < 1 or d2 < 1:
         raise InvalidHypothesis("theorem 2 requires d1 >= 1 and d2 >= 1")
-    qf = qf_div(q_int(2 * d1 + d2), q_int(d2))
+    qf = _product((4 * d1 + 2 * d2,), -2 * d1, den=(2 * d2,))
     bino = q_binomial_factored(d1 + d2 - 1, d1)
     value = qf_mul(qf, qf_mul(bino, bino))
     alt = q_binomial_factored(d1 + d2 - 1, d2 - 1)

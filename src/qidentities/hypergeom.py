@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from .errors import Degenerate, NonTerminating, PoleInDenominator
 from .laurent import ONE, RationalFunction, rf_eq
-from .qcombo import QFactored, q_pochhammer, qf_div, qf_expand, qf_mul, qf_to_rational
+from .qcombo import QFactored, _product, q_pochhammer, qf_expand, qf_mul, qf_to_rational
 
 
 class PhiSeries(namedtuple("PhiSeries", "upper lower z_exp")):
@@ -44,10 +44,10 @@ def _termination_order(upper) -> int:
 def phi_evaluate(series: PhiSeries) -> RationalFunction:
     """Exact value of a terminating series as an unreduced fraction.
 
-    Successive terms are built from the factored term ratio (four linear
-    factors over three per step here), so each step is O(1) factored work
-    plus one fraction accumulation.  Raises NonTerminating or
-    PoleInDenominator per the preconditions.
+    Successive terms are built from the factored term ratio, one _product
+    call per step (four linear factors over three here), so each step is
+    O(1) factored work plus one fraction accumulation.  Raises
+    NonTerminating or PoleInDenominator per the preconditions.
     """
     n_max = _termination_order(series.upper)
     for t in series.lower:
@@ -56,16 +56,15 @@ def phi_evaluate(series: PhiSeries) -> RationalFunction:
                 "lower parameter x^%d vanishes within summation range" % t
             )
     total = RationalFunction(ONE)
-    term = QFactored.one()
-    z_mono = QFactored.monomial(1, series.z_exp)
+    term = QFactored()
+    # below n_max no factor vanishes: n_max is the least termination order,
+    # and the lower parameters were checked above; (q; q)_ell has t = 2
     for ell in range(n_max):
-        ratio = z_mono
-        for t in series.upper:
-            ratio = qf_mul(ratio, QFactored.one_minus_x(t + 2 * ell))
-        if ratio.zero:
-            break
-        for t in series.lower + (2,):  # the (q; q)_ell factor has t = 2
-            ratio = qf_div(ratio, QFactored.one_minus_x(t + 2 * ell))
+        ratio = _product(
+            [t + 2 * ell for t in series.upper],
+            series.z_exp,
+            den=[t + 2 * ell for t in series.lower + (2,)],
+        )
         term = qf_mul(term, ratio)
         total = total + qf_to_rational(term)
     return total

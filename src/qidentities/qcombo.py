@@ -2,14 +2,15 @@
 
 Everything is built on QFactored, a signed monomial times a product of
 cyclotomic-style factors (1 - x^e).  One constructor, _product, builds
-every q-symbol and is the only code that turns an exponent into a stored
-factor.  Values stay factored for as long as possible and are expanded
-once, in a single dense pass over a coefficient list: each numerator
-factor is one strided O(n) update and each denominator factor one strided
-O(n) division, with no general polynomial multiplication or division.
-Closed forms expand their whole factored value in that one pass.  The
-cached q-binomials instead take one row step each, from the cached
-neighbour [n, k - 1]: the same pass started from that neighbour's
+every q-symbol and every ratio of them from numerator and denominator
+exponents, and is the only code that turns an exponent into a stored
+factor on either side.  Values stay factored for as long as possible and
+are expanded once, in a single dense pass over a coefficient list: each
+numerator factor is one strided O(n) update and each denominator factor
+one strided O(n) division, with no general polynomial multiplication or
+division.  Closed forms expand their whole factored value in that one
+pass.  The cached q-binomials instead take one row step each, from the
+cached neighbour [n, k - 1]: the same pass started from that neighbour's
 coefficients, with one strided multiply and one strided division.
 """
 
@@ -58,19 +59,6 @@ class QFactored:
     def zero_value(cls) -> "QFactored":
         return cls(zero=True)
 
-    @classmethod
-    def one(cls) -> "QFactored":
-        return cls()
-
-    @classmethod
-    def monomial(cls, sign: int, x_power: int) -> "QFactored":
-        return cls(sign=sign, x_power=x_power)
-
-    @classmethod
-    def one_minus_x(cls, e: int) -> "QFactored":
-        """The factor 1 - x**e, normalized so the stored exponent is >= 1."""
-        return _product((e,))
-
     def __eq__(self, other):
         if not isinstance(other, QFactored):
             return NotImplemented
@@ -97,10 +85,18 @@ class QFactored:
         )
 
 
-def _product(exps, x_power=0, sign=1) -> QFactored:
-    """sign * x**x_power * prod over e in exps of (1 - x**e), normalized:
-    1 - x^0 = 0 makes the value zero, and 1 - x^e = -x^e (1 - x^(-e))."""
+def _product(exps, x_power=0, sign=1, den=()) -> QFactored:
+    """sign * x**x_power * prod over e in exps of (1 - x**e), divided by
+    prod over e in den of (1 - x**e), normalized: 1 - x^e = -x^e (1 - x^(-e)),
+    and 1 - x^0 = 0 makes the value zero in exps and raises DivisionByZero
+    in den.  A factor on both sides cancels."""
     factors = {}
+    for e in den:
+        if e == 0:
+            raise DivisionByZero("denominator factor 1 - x^0 = 0")
+        if e < 0:
+            sign, x_power, e = -sign, x_power - e, -e
+        factors[e] = factors.get(e, 0) - 1
     for e in exps:
         if e == 0:
             return QFactored.zero_value()
@@ -217,7 +213,9 @@ def q_int(alpha: int) -> QFactored:
     """The symmetric q-integer x**alpha - x**(-alpha), in the factored
     form -x**(-alpha) (1 - x**(2 alpha)).
 
-    Vanishes at alpha = 0 and is antisymmetric in alpha.
+    Vanishes at alpha = 0 and is antisymmetric in alpha.  A ratio
+    [a]_q / [b]_q is x**(b - a) (1 - x**(2a)) / (1 - x**(2b)), one
+    _product call.
     """
     return _product((2 * alpha,), -alpha, -1)
 
@@ -244,9 +242,10 @@ def q_binomial_factored(n: int, k: int) -> QFactored:
     """
     if k < 0 or 0 <= n < k:
         return QFactored.zero_value()
-    return qf_div(
-        _product([2 * (n - i) for i in range(k)], k * (k - n)),
-        _product([2 * (k - i) for i in range(k)]),
+    return _product(
+        [2 * (n - i) for i in range(k)],
+        k * (k - n),
+        den=[2 * (k - i) for i in range(k)],
     )
 
 
@@ -302,4 +301,5 @@ def q_binomial_signed(n: int, k: int) -> LaurentPoly:
     below = ONE
     for j in range(1, k):
         below = q_binomial_signed(n, j)
-    return _expand(qf_div(q_int(n - k + 1), q_int(k)), below)
+    step = _product((2 * (n - k + 1),), 2 * k - n - 1, den=(2 * k,))
+    return _expand(step, below)

@@ -618,6 +618,36 @@ def test_library_value_error_is_one_line(capsys, argv, message):
     assert captured.err == message
 
 
+HUGE = "99999999999999999999"  # past any list index, so x^HUGE cannot expand
+SAALSCHUTZ_HUGE = ["verify", "--identity", "saalschutz", "--a", HUGE, "--b", "1..2",
+                   "--c", "1", "--N", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--kind", "qint", "--alpha", HUGE],
+    ["eval", "--kind", "qbinom", "--n", HUGE, "--k", "1"],
+    SAALSCHUTZ_HUGE + ["--jobs", "1"],
+    SAALSCHUTZ_HUGE + ["--jobs", "2"],
+], ids=["eval-qint", "eval-qbinom", "verify-serial", "verify-pool"])
+def test_exponent_too_large_to_expand_is_one_line(monkeypatch, capsys, argv):
+    # a bad input, not a refuted identity: exit 2 and no failed record
+    import qidentities.cli as cli
+
+    pools = []
+
+    class RecordingPool(SerialPool):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("OverflowError: ") and captured.err.count("\n") == 1
+    assert pools == ([2] if argv[-1] == "2" else [])
+
+
 @pytest.mark.parametrize("argv, flags", [
     # explain takes only the parameters of the identities it explains
     (["explain", "--identity", "thm2", "--d1", "2", "--d2", "1",

@@ -155,7 +155,7 @@ def test_broken_binomial_symmetry_fails_the_spelling_checks(monkeypatch, capsys)
 
     def asymmetric(n, k):
         value = real(n, k)
-        return qf_mul(value, QFactored.monomial(1, 2)) if (n, k) in ((3, 2), (3, 0)) else value
+        return qf_mul(value, QFactored(1, 2)) if (n, k) in ((3, 2), (3, 0)) else value
 
     monkeypatch.setattr(closed_forms, "q_binomial_factored", asymmetric)
     with pytest.raises(ArithmeticError, match=r"theorem2_rhs\(1, 3\)"):

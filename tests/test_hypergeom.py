@@ -12,10 +12,14 @@ from qidentities import (
     ONE,
     PhiSeries,
     PoleInDenominator,
+    QFactored,
     RationalFunction,
     SaalschutzInstance,
     is_saalschutzian,
     phi_evaluate,
+    qf_div,
+    qf_mul,
+    qf_to_rational,
     rf_eq,
     saalschutz_rhs,
     verify_saalschutz,
@@ -230,3 +234,53 @@ def test_proof_instances_match_their_series():
     i = thm2_proof_instance(4, 3).lhs_series()
     assert sorted(s.upper) == sorted(i.upper)
     assert sorted(s.lower) == sorted(i.lower)
+
+
+# -- the series step against the per-factor chain it replaced -------------------------
+
+
+def old_one_minus_x(e):
+    """1 - x^e as its own factored value, by the three-branch normalization."""
+    if e == 0:
+        return QFactored.zero_value()
+    if e > 0:
+        return QFactored(factors={e: 1})
+    return QFactored(sign=-1, x_power=e, factors={-e: 1})
+
+
+def old_phi_evaluate(series):
+    """phi_evaluate with each step's ratio chained one 1 - x^e factor at a
+    time through qf_mul and qf_div (the pole check is the caller's)."""
+    n_max = min(-t // 2 for t in series.upper if t <= 0 and t % 2 == 0)
+    total = RF_ONE
+    term = QFactored()
+    for ell in range(n_max):
+        ratio = QFactored(1, series.z_exp)
+        for t in series.upper:
+            ratio = qf_mul(ratio, old_one_minus_x(t + 2 * ell))
+        if ratio.zero:
+            break
+        for t in series.lower + (2,):
+            ratio = qf_div(ratio, old_one_minus_x(t + 2 * ell))
+        term = qf_mul(term, ratio)
+        total = total + qf_to_rational(term)
+    return total
+
+
+def test_phi_step_matches_per_factor_chain_exactly():
+    # odd and even exponents, N up to 5, and an even nonpositive upper
+    # parameter that ends the series before q^(-2N) would
+    checked = early = 0
+    for a, b, c, d, n_order, z_exp in itertools.product(
+        (-4, -3, 0, 1, 6), (-2, 5), (-5, 1, 4), (-1, 3, 8), range(6), (2, -1)
+    ):
+        series = PhiSeries((a, b, -2 * n_order), (c, d), z_exp)
+        try:
+            got = phi_evaluate(series)
+        except PoleInDenominator:
+            continue
+        checked += 1
+        orders = [-t // 2 for t in (a, b) if t <= 0 and t % 2 == 0]
+        early += min(orders, default=n_order) < n_order
+        assert got.to_json_obj() == old_phi_evaluate(series).to_json_obj(), series
+    assert checked > 1000 and early > 500

@@ -59,7 +59,7 @@ def test_q_int_antisymmetric(alpha):
 def test_pochhammer_values():
     v = q_pochhammer(2, 3)
     assert (v.sign, v.x_power, v.factors) == (1, 0, {2: 1, 4: 1, 6: 1})
-    assert q_pochhammer(-17, 0) == QFactored.one()
+    assert q_pochhammer(-17, 0) == QFactored()
     assert q_pochhammer(-4, 3).zero
 
 
@@ -72,7 +72,7 @@ def test_pochhammer_negative_count():
     st.integers(min_value=-8, max_value=8), st.integers(min_value=0, max_value=6)
 )
 def test_pochhammer_step(t, m):
-    stepped = qf_mul(q_pochhammer(t, m), QFactored.one_minus_x(t + 2 * m))
+    stepped = qf_mul(q_pochhammer(t, m), _product((t + 2 * m,)))
     assert stepped == q_pochhammer(t, m + 1)
 
 
@@ -100,7 +100,7 @@ def ref_q_int(alpha):
 
 def ref_q_pochhammer(t, m):
     """(x^t; q)_m by the old loop, one factor at a time."""
-    out = QFactored.one()
+    out = QFactored()
     for j in range(m):
         out = qf_mul(out, ref_one_minus_x(t + 2 * j))
         if out.zero:
@@ -112,7 +112,7 @@ def ref_q_binomial_factored(n, k):
     """The q-binomial ratio by the old loop over pairs of q-integers."""
     if k < 0 or 0 <= n < k:
         return QFactored.zero_value()
-    out = QFactored.one()
+    out = QFactored()
     for i in range(k):
         out = qf_mul(out, ref_q_int(n - i))
         out = qf_div(out, ref_q_int(k - i))
@@ -130,7 +130,7 @@ def ref_pochhammer_vanishes(t, count):
     st.sampled_from([1, -1]),
 )
 def test_product_matches_one_factor_values(exps, x_power, sign):
-    expected = QFactored.monomial(sign, x_power)
+    expected = QFactored(sign, x_power)
     for e in exps:
         expected = qf_mul(expected, ref_one_minus_x(e))
     got = _product(exps, x_power, sign)
@@ -143,9 +143,36 @@ def test_product_matches_one_factor_values(exps, x_power, sign):
     assert rf_eq(qf_to_rational(got), RationalFunction(value))
 
 
+@given(
+    st.lists(st.integers(min_value=-12, max_value=12), max_size=6),
+    st.lists(st.integers(min_value=-12, max_value=12), max_size=6),
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([1, -1]),
+)
+@example([0], [0], 0, 1)
+@example([0, 3], [5], 2, -1)
+@example([4, -6, 3], [-6, 3, 4], -1, -1)
+def test_product_with_denominator(exps, den, x_power, sign):
+    if 0 in den:
+        with pytest.raises(DivisionByZero):
+            _product(exps, x_power, sign, den=den)
+        return
+    got = _product(exps, x_power, sign, den=den)
+    assert got == qf_div(_product(exps, x_power, sign), _product(den))
+    assert all(e >= 1 and m != 0 for e, m in got.factors.items())
+    # and by value: cross-multiplied against the explicit LaurentPoly products
+    num = lp({x_power: sign})
+    for e in exps:
+        num = num * (ONE - lp({e: 1}))
+    den_value = ONE
+    for e in den:
+        den_value = den_value * (ONE - lp({e: 1}))
+    assert rf_eq(qf_to_rational(got), RationalFunction(num, den_value))
+
+
 def test_builders_match_old_loops():
     for e in range(-12, 13):
-        assert QFactored.one_minus_x(e) == ref_one_minus_x(e)
+        assert _product((e,)) == ref_one_minus_x(e)
     for alpha in range(-20, 21):
         assert q_int(alpha) == ref_q_int(alpha)
     for t in range(-8, 9):
@@ -174,7 +201,7 @@ def test_qf_mul_div_group_laws():
 
 def test_qf_div_by_zero():
     with pytest.raises(DivisionByZero):
-        qf_div(QFactored.one(), QFactored.zero_value())
+        qf_div(QFactored(), QFactored.zero_value())
 
 
 def test_qf_expand_example():
