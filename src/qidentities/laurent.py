@@ -429,9 +429,6 @@ class RationalFunction:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        raise TypeError("RationalFunction is not hashable (unreduced form)")
-
     def __add__(self, other):
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den

@@ -16,6 +16,7 @@ coefficients, with one strided multiply and one strided division.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from itertools import accumulate
 from operator import neg, sub
@@ -224,11 +225,17 @@ def q_pochhammer(t: int, m: int) -> QFactored:
     """(x**t; q)_m = prod over j in [0, m) of (1 - x**(t + 2j)).
 
     The base parameter is restricted to the monomial x**t; m must be >= 0.
-    The result is zero iff some t + 2j vanishes in range.
+    The result is zero iff some t + 2j vanishes in range; otherwise an m
+    no expansion could index (above sys.maxsize) raises OverflowError.
     """
     if m < 0:
         raise ValueError("Pochhammer count must be >= 0")
-    return _product(range(t, t + 2 * m, 2))
+    exps = range(t, t + 2 * m, 2)
+    if 0 in exps:
+        return QFactored.zero_value()
+    if m > sys.maxsize:
+        raise OverflowError("Pochhammer count %d is too large to expand" % m)
+    return _product(exps)
 
 
 def q_binomial_factored(n: int, k: int) -> QFactored:
@@ -236,12 +243,15 @@ def q_binomial_factored(n: int, k: int) -> QFactored:
     the generic-ratio convention: n may be negative.
 
     The 2k q-integers' signs cancel and their monomials leave
-    x**(k (k - n)).  Returns zero for k < 0 and for 0 <= n < k.  The ratio
-    typically carries negative multiplicities even though its value is
-    polynomial; expand it with qf_expand_ratio.
+    x**(k (k - n)).  Returns zero for k < 0 and for 0 <= n < k, and raises
+    OverflowError for a k above sys.maxsize.  The ratio typically carries
+    negative multiplicities even though its value is polynomial; expand it
+    with qf_expand_ratio.
     """
     if k < 0 or 0 <= n < k:
         return QFactored.zero_value()
+    if k > sys.maxsize:
+        raise OverflowError("q-binomial bottom index %d is too large to expand" % k)
     return _product(
         [2 * (n - i) for i in range(k)],
         k * (k - n),

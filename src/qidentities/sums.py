@@ -4,6 +4,14 @@ Indices are integer partitions written in distinct-part/multiplicity form:
 strictly decreasing parts n_1 > ... > n_m > 0 with positive multiplicities
 k_1, ..., k_m.  The refined sum f pins both the weighted sum of parts and
 the total multiplicity.
+
+Both theorems' left-hand sides are one partition sum over the indices of
+weighted sum d: f_term(D, idx) times trailing[k], a q-binomial of
+k = sum k_i; an index whose k is not a key is left out.  _two_path_sum
+computes it by the direct transcription and by the refined-sum
+refactoring, and asserts the two equal; they share only the q-binomial
+caches.  f_recursive memoizes every refined sum per D, in a bounded LRU
+over D, so every call with that D reuses them.
 """
 
 from __future__ import annotations
@@ -147,17 +155,16 @@ def f_enumerated(spec: FSumSpec) -> LaurentPoly:
     return total
 
 
-def f_recursive(spec: FSumSpec, cache: dict | None = None) -> LaurentPoly:
+def f_recursive(spec: FSumSpec) -> LaurentPoly:
     """The refined sum by the peel-off-the-smallest-part recursion:
 
         f(D, d1, k0) = sum_{k=1..k0} sum_{n=1..d1//k0}
                        f(D, d1 - n*k0, k0 - k) * qbinom(D - 2*d1 + 2*n*k0, k)
 
     with f(D, 0, 0) = 1 and f zero when exactly one of d1, k0 is 0.
-    The cache is scoped to this call unless the caller supplies one.
+    Every value is memoized in _refined_memo(D).
     """
-    if cache is None:
-        cache = {}
+    cache = _refined_memo(spec.D)
 
     def rec(d1, k0):
         if d1 == 0 and k0 == 0:
@@ -180,19 +187,54 @@ def f_recursive(spec: FSumSpec, cache: dict | None = None) -> LaurentPoly:
         cache[key] = total
         return total
 
-    # Cached subvalues depend on D, so a shared cache is only valid across
-    # evaluations with the same D.
-    marker = cache.setdefault("_scope", spec.D)
-    if marker != spec.D:
-        raise ValueError("shared cache used across different D values")
     return rec(spec.d1, spec.k0)
 
 
 @lru_cache(maxsize=REFINED_CACHE_SIZE)
 def _refined_memo(D):
-    """The f_recursive cache for one D, shared by every theorem1_lhs and
-    theorem2_lhs call with that D (a bounded LRU memo over D)."""
-    return {"_scope": D}
+    """f_recursive's {(d1, k0): f(D, d1, k0)} for one D."""
+    return {}
+
+
+def _summands(D, d, trailing):
+    """Path (a), the direct transcription: (idx, f_term(D, idx) *
+    trailing[k]) in canonical index order.  Memoizes nothing."""
+    for idx in enumerate_indices(d):
+        binom = trailing.get(idx.mult_sum())
+        if binom is not None:
+            yield idx, f_term(D, idx) * binom
+
+
+def _two_path_sum(D, d, trailing, where):
+    """The partition sum by path (a), _summands, and by path (b),
+    sum_k f_recursive(D, d, k) * trailing[k]; raises ArithmeticError
+    naming where if the two differ."""
+    direct = sum((term for _, term in _summands(D, d, trailing)), ZERO)
+    refined = sum(
+        (f_recursive(FSumSpec(D, d, k)) * binom for k, binom in trailing.items()),
+        ZERO,
+    )
+    if direct != refined:
+        raise ArithmeticError("internal disagreement in " + where)
+    return direct
+
+
+def _theorem1(d0, d1):
+    """Theorem 1's (D, d, trailing): D = 2*d0, d = d0 - d1 and
+    trailing[d1 - k0] = qbinom(2*d1, k0) for k0 = 0..d1, so an index
+    with sum k_i > d1 is left out.  Requires d0 > d1 >= 1."""
+    if d1 < 1 or d0 <= d1:
+        raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
+    return 2 * d0, d0 - d1, {d1 - k0: q_binomial(2 * d1, k0) for k0 in range(d1 + 1)}
+
+
+def _theorem2(d1, d2):
+    """Theorem 2's (D, d, trailing): D = 2*d1 + d2, d = d1 and
+    trailing[k] = qbinom(d2, k) for k = 1..d1, zero for k > d2 but still
+    listed.  Requires d1 >= 1 and d2 >= 1."""
+    if d1 < 1 or d2 < 1:
+        raise InvalidHypothesis("theorem 2 requires d1 >= 1 and d2 >= 1")
+    return 2 * d1 + d2, d1, {k: q_binomial(d2, k) for k in range(1, d1 + 1)}
 
 
 def theorem1_terms(d0: int, d1: int):
@@ -201,13 +243,8 @@ def theorem1_terms(d0: int, d1: int):
     carrying k0 = d1 - sum k_i >= 0 and the partition with
     sum n_i k_i = d0 - d1.  Requires d0 > d1 >= 1 (checked on the first
     next())."""
-    if d1 < 1 or d0 <= d1:
-        raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
-    for idx in enumerate_indices(d0 - d1):
-        k0 = d1 - idx.mult_sum()
-        if k0 >= 0:
-            label = {"k0": k0, **idx.to_json_obj()}
-            yield label, f_term(2 * d0, idx) * q_binomial(2 * d1, k0)
+    for idx, term in _summands(*_theorem1(d0, d1)):
+        yield {"k0": d1 - idx.mult_sum(), **idx.to_json_obj()}, term
 
 
 def theorem2_terms(d1: int, d2: int):
@@ -215,63 +252,17 @@ def theorem2_terms(d1: int, d2: int):
     transcription with the trailing qbinom(d2, sum k_i) factor: (label,
     term) in canonical index order.  Requires d1 >= 1 and d2 >= 1 (checked
     on the first next())."""
-    if d1 < 1 or d2 < 1:
-        raise InvalidHypothesis("theorem 2 requires d1 >= 1 and d2 >= 1")
-    D = 2 * d1 + d2
-    for idx in enumerate_indices(d1):
-        yield idx.to_json_obj(), f_term(D, idx) * q_binomial(d2, idx.mult_sum())
+    for idx, term in _summands(*_theorem2(d1, d2)):
+        yield idx.to_json_obj(), term
 
 
 def theorem1_lhs(d0: int, d1: int) -> LaurentPoly:
-    """The full partition sum on the left of the first theorem.
-
-    Computed two ways and asserted equal: (a) the direct transcription,
-    theorem1_terms, and (b) the refined-sum refactoring over the trailing
-    binomial, each refined sum by the memoized recursion f_recursive.  The
-    recursion's memo is per D = 2*d0 and shared across calls: every
-    theorem1_lhs and theorem2_lhs call with the same D reuses the refined
-    sums earlier calls computed (a bounded LRU over D).  Path (a)
-    memoizes no values; the two paths share only the q-binomial caches.
-    Requires d0 > d1 >= 1.
-    """
-    # (a) direct transcription; its hypothesis check runs before (b)
-    direct = sum((term for _, term in theorem1_terms(d0, d1)), ZERO)
-    # (b) via the refined sum
-    cache = _refined_memo(2 * d0)
-    refined = ZERO
-    for k0 in range(0, d1 + 1):
-        part = f_recursive(FSumSpec(2 * d0, d0 - d1, d1 - k0), cache)
-        refined = refined + part * q_binomial(2 * d1, k0)
-    if direct != refined:
-        raise ArithmeticError(
-            "internal disagreement in theorem1_lhs(%d, %d)" % (d0, d1)
-        )
-    return direct
+    """The first theorem's left-hand side by _two_path_sum.  Requires
+    d0 > d1 >= 1."""
+    return _two_path_sum(*_theorem1(d0, d1), "theorem1_lhs(%d, %d)" % (d0, d1))
 
 
 def theorem2_lhs(d1: int, d2: int) -> LaurentPoly:
-    """The full partition sum on the left of the second theorem.
-
-    Computed two ways and asserted equal: (a) the direct transcription,
-    theorem2_terms, and (b) the refined-sum refactoring, each refined sum
-    by the memoized recursion f_recursive.  The recursion's memo is per
-    D = 2*d1 + d2 and shared across calls: every theorem1_lhs and
-    theorem2_lhs call with the same D reuses the refined sums earlier
-    calls computed (a bounded LRU over D).  Path (a) memoizes no values;
-    the two paths share only the q-binomial caches.  Requires
-    d1 >= 1 and d2 >= 1.
-    """
-    # (a) direct transcription; its hypothesis check runs before (b)
-    direct = sum((term for _, term in theorem2_terms(d1, d2)), ZERO)
-    # (b) via the refined sum
-    D = 2 * d1 + d2
-    cache = _refined_memo(D)
-    refined = ZERO
-    for k0 in range(1, d1 + 1):
-        part = f_recursive(FSumSpec(D, d1, k0), cache)
-        refined = refined + part * q_binomial(d2, k0)
-    if direct != refined:
-        raise ArithmeticError(
-            "internal disagreement in theorem2_lhs(%d, %d)" % (d1, d2)
-        )
-    return direct
+    """The second theorem's left-hand side by _two_path_sum.  Requires
+    d1 >= 1 and d2 >= 1."""
+    return _two_path_sum(*_theorem2(d1, d2), "theorem2_lhs(%d, %d)" % (d1, d2))

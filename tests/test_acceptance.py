@@ -86,11 +86,10 @@ def test_criterion_2_theorem2_grid():
 def test_criterion_3_refined_sum_grid():
     for D in range(1, 25):
         for d1 in range(1, 9):
-            cache = {}
             for k0 in range(1, d1 + 1):
                 spec = FSumSpec(D, d1, k0)
                 enumerated = f_enumerated(spec)
-                assert enumerated == f_recursive(spec, cache), (D, d1, k0)
+                assert enumerated == f_recursive(spec), (D, d1, k0)
                 assert enumerated == prop3_rhs(D, d1, k0), (D, d1, k0)
 
 

@@ -648,6 +648,48 @@ def test_exponent_too_large_to_expand_is_one_line(monkeypatch, capsys, argv):
     assert pools == ([2] if argv[-1] == "2" else [])
 
 
+def _run_capped(argv):
+    """The CLI in a fresh interpreter whose address space is capped at 1 GB,
+    so a count that gets built instead of rejected fails fast with a
+    MemoryError rather than exhausting the machine."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "qidentities.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=60, preexec_fn=cap,
+    )
+
+
+SAALSCHUTZ_HUGE_N = ["verify", "--identity", "saalschutz", "--a", "1", "--b", "1",
+                     "--N", HUGE]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--kind", "rhs", "--identity", "thm2", "--d1", "1", "--d2", HUGE],
+    ["eval", "--kind", "nlog", "--surface", "F0_04", "--p", "1", "--r", HUGE],
+    ["eval", "--kind", "rhs", "--identity", "prop3", "--D", "1", "--d1", HUGE,
+     "--k0", HUGE],
+    SAALSCHUTZ_HUGE_N + ["--c", "1"],
+], ids=["thm2-rhs", "nlog", "prop3-rhs", "saalschutz"])
+def test_count_too_large_to_expand_is_one_line(argv):
+    # a q-binomial bottom index or a Pochhammer count past any list index
+    # is rejected before a factor list is built
+    done = _run_capped(argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("OverflowError: ") and done.stderr.count("\n") == 1
+
+
+def test_huge_pochhammer_count_vanishing_in_range_stays_degenerate():
+    # (q^-1; q)_N vanishes at its second factor, however large N is
+    done = _run_capped(SAALSCHUTZ_HUGE_N + ["--c", "-2"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == '{"pass":0,"fail":0,"degenerate":1}\n'
+
+
 @pytest.mark.parametrize("argv, flags", [
     # explain takes only the parameters of the identities it explains
     (["explain", "--identity", "thm2", "--d1", "2", "--d2", "1",

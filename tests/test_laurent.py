@@ -567,6 +567,13 @@ def test_rf_add_mul_consistent(an, ad, bn, bd):
     assert p.num == an * bn and p.den == ad * bd
 
 
+def test_rf_is_unhashable():
+    # equality is by cross-multiplication of an unreduced form, so equal
+    # fractions need not share a hash
+    with pytest.raises(TypeError):
+        hash(RationalFunction(ONE))
+
+
 def test_rf_json_form():
     r = RationalFunction(lp({1: 1}), lp({0: 2}))
     assert r.to_json_obj() == {"num": [[1, "1"]], "den": [[0, "2"]]}

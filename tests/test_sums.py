@@ -153,12 +153,15 @@ def test_f_recursive_matches_enumeration():
                 assert f_recursive(spec) == f_enumerated(spec)
 
 
-def test_f_recursive_shared_cache_scoping():
-    cache = {}
-    f_recursive(FSumSpec(9, 4, 2), cache)
-    f_recursive(FSumSpec(9, 5, 3), cache)  # same D: fine
-    with pytest.raises(ValueError):
-        f_recursive(FSumSpec(10, 4, 2), cache)
+def test_f_recursive_memo_per_D():
+    from qidentities import sums
+
+    for spec in (FSumSpec(9, 4, 2), FSumSpec(9, 5, 3), FSumSpec(10, 4, 2)):
+        assert f_recursive(spec) == f_enumerated(spec)
+        assert sums._refined_memo(spec.D)[spec.d1, spec.k0] == f_enumerated(spec)
+    # D = 9 and D = 10: two memo entries, each its own dict
+    assert sums._refined_memo.cache_info().currsize == 2
+    assert sums._refined_memo(9) is not sums._refined_memo(10)
 
 
 # -- theorem left-hand sides -----------------------------------------------------------
@@ -209,30 +212,74 @@ def test_lhs_values_palindromic():
             assert v.reverse() == v
 
 
+def test_theorem_terms_match_a_literal_transcription():
+    # each theorem's summands written out from enumerate_indices, f_term
+    # and q_binomial alone: thm1 leaves out an index with sum k_i > d1,
+    # thm2 lists one with sum k_i > d2 as a zero summand
+    from qidentities.sums import theorem1_terms, theorem2_terms
+
+    left_out = 0
+    for d0 in range(2, 10):
+        for d1 in range(1, d0):
+            expected = []
+            for idx in enumerate_indices(d0 - d1):
+                k0 = d1 - sum(idx.mults)
+                if k0 < 0:
+                    left_out += 1
+                    continue
+                label = {"k0": k0, "parts": list(idx.parts), "mults": list(idx.mults)}
+                expected.append((label, f_term(2 * d0, idx) * q_binomial(2 * d1, k0)))
+            assert list(theorem1_terms(d0, d1)) == expected, (d0, d1)
+    assert left_out > 0
+    zero_summands = 0
+    for d1 in range(1, 8):
+        for d2 in range(1, 7):
+            expected = []
+            for idx in enumerate_indices(d1):
+                label = {"parts": list(idx.parts), "mults": list(idx.mults)}
+                term = f_term(2 * d1 + d2, idx) * q_binomial(d2, sum(idx.mults))
+                if sum(idx.mults) > d2:
+                    assert term.is_zero()
+                    zero_summands += 1
+                expected.append((label, term))
+            assert list(theorem2_terms(d1, d2)) == expected, (d1, d2)
+    assert zero_summands > 0
+
+
 def test_refined_path_is_the_memoized_recursion(monkeypatch, capsys):
-    # path (b) of theorem*_lhs goes through f_recursive with one cache per
-    # call, and a wrong refined value is caught by the two-path check
+    # path (b) of theorem*_lhs goes through f_recursive, whose calls with
+    # one D share one _refined_memo(D) dict, and a wrong refined value is
+    # caught by the two-path check
     from qidentities import sums
     from qidentities.cli import main
 
     real = sums.f_recursive
-    caches = []
+    real_memo = sums._refined_memo
+    specs = []
+    memos = []
 
-    def recording(spec, cache=None):
-        caches.append(cache)
-        return real(spec, cache)
+    def recording(spec):
+        specs.append(spec)
+        return real(spec)
+
+    def recording_memo(D):
+        memos.append(real_memo(D))
+        return memos[-1]
 
     monkeypatch.setattr(sums, "f_recursive", recording)
+    monkeypatch.setattr(sums, "_refined_memo", recording_memo)
     assert theorem1_lhs(5, 2) == theorem1_rhs(5, 2)
     assert theorem2_lhs(3, 2) == theorem2_rhs(3, 2)
-    # thm1 (5, 2): k0 = 0..2; thm2 (3, 2): k0 = 1..3; one cache each
-    assert len(caches) == 6
-    assert all(c is caches[0] for c in caches[:3])
-    assert all(c is caches[3] for c in caches[3:])
-    assert caches[0] is not caches[3]
+    # thm1 (5, 2): D = 10, k0 = 0..2; thm2 (3, 2): D = 8, k0 = 1..3; one
+    # memo lookup per f_recursive call, one dict per D
+    assert [spec.D for spec in specs] == [10] * 3 + [8] * 3
+    assert len(memos) == 6
+    assert all(m is memos[0] for m in memos[:3])
+    assert all(m is memos[3] for m in memos[3:])
+    assert memos[0] is not memos[3]
 
-    def perturbed(spec, cache=None):
-        return real(spec, cache) + ONE
+    def perturbed(spec):
+        return real(spec) + ONE
 
     monkeypatch.setattr(sums, "f_recursive", perturbed)
     with pytest.raises(ArithmeticError, match="theorem1_lhs"):
@@ -266,7 +313,12 @@ def test_lhs_same_with_cold_and_warm_refined_memo():
     sums._refined_memo.cache_clear()
     warm = [fn(p, r) for fn, p, r in cells]
     assert warm == cold
-    assert sums._refined_memo.cache_info().hits == 5
+    # one memo lookup per f_recursive call: thm1 (4, d1) makes d1 + 1 calls
+    # (k0 = 0..d1) and thm2 (d1, d2) makes d1 (k0 = 1..d1), so the warm pass
+    # makes 2 + 4 + 3 + 2 + 3 + 2 + 3 = 19 lookups; the first at D = 8
+    # and the first at D = 7 miss, and the other 17 hit
+    info = sums._refined_memo.cache_info()
+    assert (info.hits, info.misses) == (17, 2)
     rhs = {theorem1_lhs: theorem1_rhs, theorem2_lhs: theorem2_rhs}
     assert warm == [rhs[fn](p, r) for fn, p, r in cells]
 
