@@ -10,7 +10,8 @@ Exit codes: 0 = all verifications passed, 1 = at least one mismatch,
 --output file that cannot be opened, a flag the subcommand does not take,
 or a parameter flag that the chosen --kind or --identity does not read,
 prints the subcommand's own usage line; a domain error, a library
-ValueError or an OverflowError (a huge exponent) prints one line on stderr.
+ValueError, an OverflowError (a huge exponent) or a MemoryError (an
+exponent or count too large to expand in memory) prints one line on stderr.
 
 Verification records are line-delimited JSON, written in cell order as the
 cells finish and then a summary line, so no list of records is kept and an
@@ -219,8 +220,9 @@ def _run_cell(cell):
     ArithmeticError (two internal code paths disagreeing), or a value the
     expansion kernel finds not polynomial (NotDivisible, NotPolynomial),
     gives a failed record carrying the message under "error", with null
-    lhs and rhs; an OverflowError (an exponent too large to expand)
-    propagates.  The measured elapsed_ms is added only with the timing flag.
+    lhs and rhs; an OverflowError or a MemoryError (an exponent too large
+    to expand) propagates.  The measured elapsed_ms is added only with the
+    timing flag.
     """
     identity, params, corrupt, timing = cell
     ident = IDENTITIES[identity]
@@ -233,7 +235,7 @@ def _run_cell(cell):
         # a lower-parameter Pochhammer symbol vanishes in range: the series
         # is undefined there, so the cell is degenerate rather than failed
         return None
-    except OverflowError:
+    except (OverflowError, MemoryError):
         # a bad input, not a refutation: main reports it on stderr
         raise
     except (ArithmeticError, NotDivisible, NotPolynomial) as exc:
@@ -454,6 +456,11 @@ def main(argv=None) -> int:
         return args.run(args, args.subparser)
     except (QIdentitiesError, ValueError, OverflowError) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
+    except MemoryError:
+        # raised with no message of its own
+        print("MemoryError: out of memory; an exponent or count is too large",
+              file=sys.stderr)
         return 2
 
 

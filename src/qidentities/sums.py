@@ -10,8 +10,8 @@ weighted sum d: f_term(D, idx) times trailing[k], a q-binomial of
 k = sum k_i; an index whose k is not a key is left out.  _two_path_sum
 computes it by the direct transcription and by the refined-sum
 refactoring, and asserts the two equal; they share only the q-binomial
-caches.  f_recursive memoizes every refined sum per D, in a bounded LRU
-over D, so every call with that D reuses them.
+caches.  f_recursive memoizes every refined sum it reaches, in one bounded
+LRU over (D, d1, k0), so every later call reuses them.
 """
 
 from __future__ import annotations
@@ -87,13 +87,19 @@ def _index_sort_key(idx: PartitionedIndex):
     return tuple(-p for p in idx.parts) + (float("inf"),), idx.mults
 
 
-# Entries the index memo (one per weighted sum d) and the refined-sum memo
-# (one per doubled first parameter D) each keep before they drop the least
-# recently used.  A verify grid varies its last parameter fastest, so one
-# row of values is enough for full reuse: verify thm2 --d2 1..10 visits ten
-# D values per d1, and the next d1 revisits eight of them.
+# Entries the index memo (one per weighted sum d) keeps before it drops the
+# least recently used.  A verify grid varies its last parameter fastest, so
+# one row of values is enough for full reuse.
 INDEX_CACHE_SIZE = 16
-REFINED_CACHE_SIZE = 16
+
+# Refined sums f(D, d1, k0) the refined-sum memo keeps before it drops the
+# least recently used, base cases included.  A whole grid reaches 1,350 of
+# them on verify thm2 --d1 1..10 --d2 1..10, 2,882 on --d1 1..14 and 10,352
+# on --d1 1..24, and 595 on verify thm1 --d0 2..14 --d1 1..13, so 4096
+# computes each value of the first three grids once.  On the 1..24 grid the
+# CLI's peak RSS was 38, 53 and 76 MB at 2048, 4096 and 8192 entries, with
+# run times within the host's noise (2-vCPU VM, Python 3.11).
+REFINED_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=INDEX_CACHE_SIZE)
@@ -145,14 +151,9 @@ def f_enumerated(spec: FSumSpec) -> LaurentPoly:
     Conventions: 1 when d1 = k0 = 0 (empty product), 0 when exactly one of
     them is 0, and 0 when k0 > d1.
     """
-    if spec.d1 == 0 and spec.k0 == 0:
-        return ONE
-    if spec.d1 == 0 or spec.k0 == 0 or spec.k0 > spec.d1:
-        return ZERO
-    total = ZERO
-    for idx in enumerate_indices(spec.d1, spec.k0):
-        total = total + f_term(spec.D, idx)
-    return total
+    if spec.d1 == 0:
+        return ONE if spec.k0 == 0 else ZERO
+    return sum((term for _, term in _summands(spec.D, spec.d1, {spec.k0: ONE})), ZERO)
 
 
 def f_recursive(spec: FSumSpec) -> LaurentPoly:
@@ -162,38 +163,29 @@ def f_recursive(spec: FSumSpec) -> LaurentPoly:
                        f(D, d1 - n*k0, k0 - k) * qbinom(D - 2*d1 + 2*n*k0, k)
 
     with f(D, 0, 0) = 1 and f zero when exactly one of d1, k0 is 0.
-    Every value is memoized in _refined_memo(D).
+    Every value on the way is memoized by _refined, a bounded LRU over
+    (D, d1, k0), so every later call reuses it.
     """
-    cache = _refined_memo(spec.D)
-
-    def rec(d1, k0):
-        if d1 == 0 and k0 == 0:
-            return ONE
-        if d1 == 0 or k0 == 0:
-            return ZERO
-        key = (d1, k0)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        total = ZERO
-        for k in range(1, k0 + 1):
-            for n in range(1, d1 // k0 + 1):
-                tail = rec(d1 - n * k0, k0 - k)
-                if tail.is_zero():
-                    continue
-                binom = q_binomial_signed(spec.D - 2 * d1 + 2 * n * k0, k)
-                # the empty-product tail f(D, 0, 0) = 1 needs no multiply
-                total = total + (binom if tail is ONE else tail * binom)
-        cache[key] = total
-        return total
-
-    return rec(spec.d1, spec.k0)
+    return _refined(spec.D, spec.d1, spec.k0)
 
 
 @lru_cache(maxsize=REFINED_CACHE_SIZE)
-def _refined_memo(D):
-    """f_recursive's {(d1, k0): f(D, d1, k0)} for one D."""
-    return {}
+def _refined(D, d1, k0):
+    """f(D, d1, k0) by f_recursive's recursion, through this cache."""
+    if d1 == 0 and k0 == 0:
+        return ONE
+    if d1 == 0 or k0 == 0:
+        return ZERO
+    total = ZERO
+    for k in range(1, k0 + 1):
+        for n in range(1, d1 // k0 + 1):
+            tail = _refined(D, d1 - n * k0, k0 - k)
+            if tail.is_zero():
+                continue
+            binom = q_binomial_signed(D - 2 * d1 + 2 * n * k0, k)
+            # the empty-product tail f(D, 0, 0) = 1 needs no multiply
+            total = total + (binom if tail is ONE else tail * binom)
+    return total
 
 
 def _summands(D, d, trailing):
@@ -202,7 +194,9 @@ def _summands(D, d, trailing):
     for idx in enumerate_indices(d):
         binom = trailing.get(idx.mult_sum())
         if binom is not None:
-            yield idx, f_term(D, idx) * binom
+            term = f_term(D, idx)
+            # a trailing 1 (f_enumerated's, qbinom(n, 0) or qbinom(n, n)) needs no multiply
+            yield idx, term if binom is ONE else term * binom
 
 
 def _two_path_sum(D, d, trailing, where):

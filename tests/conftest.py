@@ -13,7 +13,7 @@ def cold_caches():
     for cached in (
         qcombo.q_binomial,
         qcombo.q_binomial_signed,
-        sums._refined_memo,
+        sums._refined,
         sums._sorted_indices,
     ):
         cached.cache_clear()

@@ -668,19 +668,30 @@ SAALSCHUTZ_HUGE_N = ["verify", "--identity", "saalschutz", "--a", "1", "--b", "1
                      "--N", HUGE]
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "--kind", "rhs", "--identity", "thm2", "--d1", "1", "--d2", HUGE],
-    ["eval", "--kind", "nlog", "--surface", "F0_04", "--p", "1", "--r", HUGE],
-    ["eval", "--kind", "rhs", "--identity", "prop3", "--D", "1", "--d1", HUGE,
-     "--k0", HUGE],
-    SAALSCHUTZ_HUGE_N + ["--c", "1"],
-], ids=["thm2-rhs", "nlog", "prop3-rhs", "saalschutz"])
-def test_count_too_large_to_expand_is_one_line(argv):
+THM2_D2_OUT_OF_MEMORY = ["--identity", "thm2", "--d1", "1", "--d2", "100000000000"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["eval", "--kind", "rhs", "--identity", "thm2", "--d1", "1", "--d2", HUGE],
+     "OverflowError"),
+    (["eval", "--kind", "nlog", "--surface", "F0_04", "--p", "1", "--r", HUGE],
+     "OverflowError"),
+    (["eval", "--kind", "rhs", "--identity", "prop3", "--D", "1", "--d1", HUGE,
+      "--k0", HUGE], "OverflowError"),
+    (SAALSCHUTZ_HUGE_N + ["--c", "1"], "OverflowError"),
+    (["eval", "--kind", "qint", "--alpha", "10000000000"], "MemoryError"),
+    (["eval", "--kind", "rhs"] + THM2_D2_OUT_OF_MEMORY, "MemoryError"),
+    (["verify"] + THM2_D2_OUT_OF_MEMORY + ["--jobs", "1"], "MemoryError"),
+    (["verify"] + THM2_D2_OUT_OF_MEMORY + ["--jobs", "2"], "MemoryError"),
+], ids=["thm2-rhs", "nlog", "prop3-rhs", "saalschutz", "qint-memory",
+        "thm2-rhs-memory", "verify-memory-serial", "verify-memory-jobs-2"])
+def test_count_too_large_to_expand_is_one_line(argv, error):
     # a q-binomial bottom index or a Pochhammer count past any list index
-    # is rejected before a factor list is built
+    # is rejected before a factor list is built; one that fits a list index
+    # but not memory runs out of it, and is reported the same way
     done = _run_capped(argv)
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith("OverflowError: ") and done.stderr.count("\n") == 1
+    assert done.stderr.startswith(error + ": ") and done.stderr.count("\n") == 1
 
 
 def test_huge_pochhammer_count_vanishing_in_range_stays_degenerate():

@@ -156,12 +156,16 @@ def test_f_recursive_matches_enumeration():
 def test_f_recursive_memo_per_D():
     from qidentities import sums
 
-    for spec in (FSumSpec(9, 4, 2), FSumSpec(9, 5, 3), FSumSpec(10, 4, 2)):
+    # f(D, 4, 2) calls _refined at (d1, k0) = (4, 2), (2, 1), (1, 0), (0, 0),
+    # (0, 1), (2, 0) and (0, 0) again: 6 misses and 1 hit.  f(D, 5, 3) calls
+    # it at (5, 3), (2, 2), (0, 1), (0, 0), (2, 1), (2, 0): with D = 9 warm,
+    # only (5, 3) and (2, 2) miss.  D = 10 reuses nothing from D = 9.
+    specs = (FSumSpec(9, 4, 2), FSumSpec(9, 5, 3), FSumSpec(10, 4, 2))
+    for spec, counts in zip(specs, [(1, 6), (5, 8), (6, 14)]):
         assert f_recursive(spec) == f_enumerated(spec)
-        assert sums._refined_memo(spec.D)[spec.d1, spec.k0] == f_enumerated(spec)
-    # D = 9 and D = 10: two memo entries, each its own dict
-    assert sums._refined_memo.cache_info().currsize == 2
-    assert sums._refined_memo(9) is not sums._refined_memo(10)
+        info = sums._refined.cache_info()
+        assert (info.hits, info.misses) == counts
+    assert info.currsize == 14
 
 
 # -- theorem left-hand sides -----------------------------------------------------------
@@ -247,36 +251,29 @@ def test_theorem_terms_match_a_literal_transcription():
 
 
 def test_refined_path_is_the_memoized_recursion(monkeypatch, capsys):
-    # path (b) of theorem*_lhs goes through f_recursive, whose calls with
-    # one D share one _refined_memo(D) dict, and a wrong refined value is
+    # path (b) of theorem*_lhs goes through f_recursive, whose values stay
+    # in the _refined memo under (D, d1, k0), and a wrong refined value is
     # caught by the two-path check
     from qidentities import sums
     from qidentities.cli import main
 
     real = sums.f_recursive
-    real_memo = sums._refined_memo
     specs = []
-    memos = []
 
     def recording(spec):
         specs.append(spec)
         return real(spec)
 
-    def recording_memo(D):
-        memos.append(real_memo(D))
-        return memos[-1]
-
     monkeypatch.setattr(sums, "f_recursive", recording)
-    monkeypatch.setattr(sums, "_refined_memo", recording_memo)
     assert theorem1_lhs(5, 2) == theorem1_rhs(5, 2)
     assert theorem2_lhs(3, 2) == theorem2_rhs(3, 2)
-    # thm1 (5, 2): D = 10, k0 = 0..2; thm2 (3, 2): D = 8, k0 = 1..3; one
-    # memo lookup per f_recursive call, one dict per D
+    # thm1 (5, 2): D = 10, k0 = 0..2; thm2 (3, 2): D = 8, k0 = 1..3; each
+    # value path (b) used is still memoized, so looking it up again hits
     assert [spec.D for spec in specs] == [10] * 3 + [8] * 3
-    assert len(memos) == 6
-    assert all(m is memos[0] for m in memos[:3])
-    assert all(m is memos[3] for m in memos[3:])
-    assert memos[0] is not memos[3]
+    before = sums._refined.cache_info()
+    assert all(sums._refined(*spec) is real(spec) for spec in specs)
+    after = sums._refined.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (12, 0)
 
     def perturbed(spec):
         return real(spec) + ONE
@@ -308,17 +305,20 @@ def test_lhs_same_with_cold_and_warm_refined_memo():
              (theorem1_lhs, 4, 2)]
     cold = []
     for fn, p, r in cells:
-        sums._refined_memo.cache_clear()
+        sums._refined.cache_clear()
         cold.append(fn(p, r))
-    sums._refined_memo.cache_clear()
+    sums._refined.cache_clear()
     warm = [fn(p, r) for fn, p, r in cells]
     assert warm == cold
-    # one memo lookup per f_recursive call: thm1 (4, d1) makes d1 + 1 calls
-    # (k0 = 0..d1) and thm2 (d1, d2) makes d1 (k0 = 1..d1), so the warm pass
-    # makes 2 + 4 + 3 + 2 + 3 + 2 + 3 = 19 lookups; the first at D = 8
-    # and the first at D = 7 miss, and the other 17 hit
-    info = sums._refined_memo.cache_info()
-    assert (info.hits, info.misses) == (17, 2)
+    # thm1 (4, d1) makes d1 + 1 f_recursive calls (k0 = 0..d1) and thm2
+    # (d1, d2) makes d1 (k0 = 1..d1): 19 _refined calls.  Each (d1, k0) it
+    # computes with both nonzero calls _refined k0 * (d1 // k0) more times:
+    # (3, 1), (1, 1), (3, 2), (3, 3), (2, 1), (2, 2) at both D, 13 calls
+    # each, while (1, 3) and (1, 2) at D = 8 make none.  Of those 45 calls,
+    # one per distinct key misses: 14 keys at D = 8 and 11 at D = 7, base
+    # cases included; the other 20 hit.
+    info = sums._refined.cache_info()
+    assert (info.hits, info.misses) == (20, 25)
     rhs = {theorem1_lhs: theorem1_rhs, theorem2_lhs: theorem2_rhs}
     assert warm == [rhs[fn](p, r) for fn, p, r in cells]
 
@@ -326,12 +326,14 @@ def test_lhs_same_with_cold_and_warm_refined_memo():
 def test_memos_stay_within_their_bounds():
     from qidentities import sums
 
-    for d2 in range(1, sums.REFINED_CACHE_SIZE + 6):
-        assert theorem2_lhs(1, d2) == theorem2_rhs(1, d2)
-    info = sums._refined_memo.cache_info()
-    assert info.maxsize == sums.REFINED_CACHE_SIZE
-    assert info.currsize == sums.REFINED_CACHE_SIZE
-    assert info.misses == sums.REFINED_CACHE_SIZE + 5
+    # each f(D, 1, 1) = [D, 1] reaches two new keys, (D, 1, 1) and (D, 0, 0)
+    bound = sums.REFINED_CACHE_SIZE
+    sweep = range(-bound // 2 - 5, bound // 2 + 5)
+    for D in sweep:
+        f_recursive(FSumSpec(D, 1, 1))
+    info = sums._refined.cache_info()
+    assert info.maxsize == bound
+    assert info.misses == 2 * len(sweep) and info.currsize == bound
     for d in range(1, sums.INDEX_CACHE_SIZE + 5):
         assert len(enumerate_indices(d)) == partition_count(d)
     info = sums._sorted_indices.cache_info()
