@@ -24,7 +24,7 @@ from .hypergeom import (
     saalschutz_rhs,
     verify_saalschutz,
 )
-from .laurent import ONE, ZERO, LaurentPoly, RationalFunction, rf_eq
+from .laurent import ONE, ZERO, LaurentPoly, RationalFunction
 from .qcombo import (
     QFactored,
     q_binomial,
@@ -86,7 +86,6 @@ __all__ = [
     "qf_expand_ratio",
     "qf_mul",
     "qf_to_rational",
-    "rf_eq",
     "saalschutz_rhs",
     "theorem1_lhs",
     "theorem1_rhs",

@@ -46,7 +46,6 @@ from .errors import (
     InvalidHypothesis,
     NotDivisible,
     NotPolynomial,
-    PoleInDenominator,
     QIdentitiesError,
 )
 from .hypergeom import SaalschutzInstance, phi_evaluate, saalschutz_rhs
@@ -128,17 +127,6 @@ _KINDS = {
     "f": (("D", "d1", "k0"), lambda D, d1, k0: f_enumerated(FSumSpec(D, d1, k0))),
     "nlog": (("surface", "p", "r"), lambda surface, p, r: nlog_value(surface, p, r)),
 }
-
-
-def __getattr__(name):
-    # ProcessPoolExecutor is imported on first use: importing it loads
-    # multiprocessing, which eval, explain and serial runs never need.
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def _parse_range(text):
@@ -231,7 +219,7 @@ def _run_cell(cell):
     try:
         lhs = ident.lhs(*params.values())
         rhs = ident.rhs(*params.values())
-    except (Degenerate, PoleInDenominator):
+    except Degenerate:
         # a lower-parameter Pochhammer symbol vanishes in range: the series
         # is undefined there, so the cell is degenerate rather than failed
         return None
@@ -304,11 +292,11 @@ def _cmd_verify(args, parser) -> int:
             except OSError as exc:
                 parser.error("cannot open output file: %s" % exc)
         if workers > 1:
-            # the module attribute (a test may patch it), else imported now
-            executor = globals().get("ProcessPoolExecutor") or __getattr__(
-                "ProcessPoolExecutor"
-            )
-            pool = stack.enter_context(executor(max_workers=workers))
+            # imported here: it loads multiprocessing, which eval, explain
+            # and serial runs never need
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             records = pool.map(_run_cell, work, chunksize=16)
         else:
             records = map(_run_cell, work)

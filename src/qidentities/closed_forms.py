@@ -92,9 +92,9 @@ def nlog_value(surface: str, p: int, r: int) -> LaurentPoly:
     """The generating-series value for one of the two supported surfaces.
 
     For "dP1_04" the arguments are (d0, d1) with d0 > d1 >= 1; for "F0_04"
-    they are (d1, d2) with both >= 1.  The published binomial spelling is
-    asserted equal to the theorem form at runtime, in factored form (exact;
-    see the module docstring) before the one expansion.
+    they are (d1, d2) with both >= 1, as each theorem checks.  The published
+    binomial spelling is asserted equal to the theorem form at runtime, in
+    factored form (exact; see the module docstring) before the one expansion.
     """
     if surface not in SURFACE_TAGS:
         raise ValueError("unknown surface tag: %r" % (surface,))
@@ -104,6 +104,4 @@ def nlog_value(surface: str, p: int, r: int) -> LaurentPoly:
         if _theorem1_factored(p, r, r - 1) != value:
             raise ArithmeticError("spelling disagreement in nlog_value(dP1_04)")
         return qf_expand_ratio(value)
-    if p < 1 or r < 1:
-        raise InvalidHypothesis("F0_04 requires d1 >= 1 and d2 >= 1")
     return theorem2_rhs(p, r)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; a degenerate instance raises Degenerate."""
 
 
 class QIdentitiesError(Exception):
@@ -25,9 +25,9 @@ class NonTerminating(QIdentitiesError):
     """A basic hypergeometric series without a terminating upper parameter."""
 
 
-class PoleInDenominator(QIdentitiesError):
-    """A lower-parameter Pochhammer symbol vanishes within summation range."""
-
-
 class Degenerate(QIdentitiesError):
     """Signal that an identity instance is degenerate and must be skipped."""
+
+
+class PoleInDenominator(Degenerate):
+    """A lower-parameter Pochhammer symbol vanishes within summation range."""

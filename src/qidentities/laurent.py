@@ -442,8 +442,3 @@ class RationalFunction:
 
     def __repr__(self):
         return "RationalFunction(%r, %r)" % (self.num, self.den)
-
-
-def rf_eq(a: RationalFunction, b: RationalFunction) -> bool:
-    """Cross-multiplied equality of two fractions."""
-    return a == b

@@ -71,11 +71,6 @@ class QFactored:
             and self.factors == other.factors
         )
 
-    def __hash__(self):
-        if self.zero:
-            return hash(("QFactored", "zero"))
-        return hash((self.sign, self.x_power, tuple(sorted(self.factors.items()))))
-
     def __repr__(self):
         if self.zero:
             return "QFactored(zero=True)"
@@ -242,19 +237,26 @@ def q_binomial_factored(n: int, k: int) -> QFactored:
     """The q-binomial coefficient as a QFactored ratio of q-integers, in
     the generic-ratio convention: n may be negative.
 
-    The 2k q-integers' signs cancel and their monomials leave
-    x**(k (k - n)).  Returns zero for k < 0 and for 0 <= n < k, and raises
-    OverflowError for a k above sys.maxsize.  The ratio typically carries
-    negative multiplicities even though its value is polynomial; expand it
-    with qf_expand_ratio.
+    A negative top is reflected, [n, k] = (-1)^k [k - n - 1, k], and the
+    row is taken on its short side, min(k, n - k) q-integers over as many;
+    their signs cancel and their monomials leave x**(k (k - n)).  Returns
+    zero for k < 0 and for 0 <= n < k, and raises OverflowError for a
+    short side above sys.maxsize.  The ratio typically carries negative
+    multiplicities even though its value is polynomial; expand it with
+    qf_expand_ratio.
     """
     if k < 0 or 0 <= n < k:
         return QFactored.zero_value()
+    sign = 1
+    if n < 0:
+        n, sign = k - n - 1, -1 if k % 2 else 1
+    k = min(k, n - k)
     if k > sys.maxsize:
         raise OverflowError("q-binomial bottom index %d is too large to expand" % k)
     return _product(
         [2 * (n - i) for i in range(k)],
         k * (k - n),
+        sign,
         den=[2 * (k - i) for i in range(k)],
     )
 

@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -208,18 +209,14 @@ def test_verify_theorem_grids_same_stdout_with_a_real_pool(monkeypatch, capsys, 
     # each worker fills its own refined-sum and index memos, one 16-cell
     # chunk after another; the records must not depend on which worker ran
     # a cell or what it ran before
-    from concurrent.futures import ProcessPoolExecutor
-
-    import qidentities.cli as cli
-
     sizes = []
 
-    class RecordingPool(ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     rc1, out1 = run(capsys, "verify", *args, "--jobs", "1")
     assert sizes == []
@@ -376,8 +373,6 @@ def test_verify_config_bad_range_type_is_usage_error(tmp_path, capsys):
 
 
 def test_verify_config_jobs_is_applied(tmp_path, monkeypatch, capsys):
-    import qidentities.cli as cli
-
     used = []
 
     class SerialPool:
@@ -393,7 +388,7 @@ def test_verify_config_jobs_is_applied(tmp_path, monkeypatch, capsys):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     args = ["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2"]
     rc, expected = run(capsys, *args)
     assert rc == 0 and used == []
@@ -535,7 +530,7 @@ def test_verify_interrupted_run_keeps_finished_records(
         return original(d1, d2)
 
     monkeypatch.setattr(cli, "theorem2_lhs", fail_third)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     target = tmp_path / "report.jsonl"
     with pytest.raises(RuntimeError):
@@ -639,7 +634,7 @@ def test_exponent_too_large_to_expand_is_one_line(monkeypatch, capsys, argv):
         def __init__(self, max_workers):
             pools.append(max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -677,7 +672,7 @@ THM2_D2_OUT_OF_MEMORY = ["--identity", "thm2", "--d1", "1", "--d2", "10000000000
     (["eval", "--kind", "nlog", "--surface", "F0_04", "--p", "1", "--r", HUGE],
      "OverflowError"),
     (["eval", "--kind", "rhs", "--identity", "prop3", "--D", "1", "--d1", HUGE,
-      "--k0", HUGE], "OverflowError"),
+      "--k0", "2"], "OverflowError"),
     (SAALSCHUTZ_HUGE_N + ["--c", "1"], "OverflowError"),
     (["eval", "--kind", "qint", "--alpha", "10000000000"], "MemoryError"),
     (["eval", "--kind", "rhs"] + THM2_D2_OUT_OF_MEMORY, "MemoryError"),
@@ -692,6 +687,14 @@ def test_count_too_large_to_expand_is_one_line(argv, error):
     done = _run_capped(argv)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith(error + ": ") and done.stderr.count("\n") == 1
+
+
+def test_huge_q_binomial_on_a_short_row_side_is_exact():
+    # qbinom(0, H - 1) = 0 and qbinom(H - 1, H - 1) = 1 on its short side,
+    # so the refined sum's closed form is the exact zero however large H is
+    done = _run_capped(["eval", "--kind", "rhs", "--identity", "prop3", "--D", "1",
+                        "--d1", HUGE, "--k0", HUGE])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
 
 
 def test_huge_pochhammer_count_vanishing_in_range_stays_degenerate():
@@ -886,7 +889,7 @@ def test_verify_jobs_capped(monkeypatch, capsys, jobs, cpus, expected):
     args = ["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2"]
     rc, serial = run(capsys, *args)
     assert rc == 0
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     rc, out = run(capsys, *args, "--jobs", str(jobs))
     assert rc == 0

@@ -12,7 +12,6 @@ from qidentities import (
     ONE,
     RationalFunction,
     ZERO,
-    rf_eq,
 )
 from qidentities import laurent
 from qidentities.laurent import KRONECKER_MIN_PRODUCTS, _kronecker_mul
@@ -545,10 +544,10 @@ def test_rf_eq_fixed_cases():
     x2m1 = lp({2: 1, 0: -1})
     xm1 = lp({1: 1, 0: -1})
     xp1 = lp({1: 1, 0: 1})
-    assert rf_eq(RationalFunction(x2m1, xm1), RationalFunction(xp1))
+    assert RationalFunction(x2m1, xm1) == RationalFunction(xp1)
     p = lp({4: 3, -1: 2})
-    assert rf_eq(RationalFunction(p), RationalFunction(p))
-    assert not rf_eq(RationalFunction(ONE, xm1), RationalFunction(ONE, xp1))
+    assert RationalFunction(p) == RationalFunction(p)
+    assert RationalFunction(ONE, xm1) != RationalFunction(ONE, xp1)
 
 
 def test_rf_zero_denominator_rejected():

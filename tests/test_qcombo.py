@@ -25,7 +25,6 @@ from qidentities import (
     qf_expand_ratio,
     qf_mul,
     qf_to_rational,
-    rf_eq,
 )
 from qidentities.qcombo import _product
 
@@ -140,7 +139,7 @@ def test_product_matches_one_factor_values(exps, x_power, sign):
     value = lp({x_power: sign})
     for e in exps:
         value = value * (ONE - lp({e: 1}))
-    assert rf_eq(qf_to_rational(got), RationalFunction(value))
+    assert qf_to_rational(got) == RationalFunction(value)
 
 
 @given(
@@ -167,7 +166,7 @@ def test_product_with_denominator(exps, den, x_power, sign):
     den_value = ONE
     for e in den:
         den_value = den_value * (ONE - lp({e: 1}))
-    assert rf_eq(qf_to_rational(got), RationalFunction(num, den_value))
+    assert qf_to_rational(got) == RationalFunction(num, den_value)
 
 
 def test_builders_match_old_loops():
@@ -217,7 +216,7 @@ def test_qf_expand_rejects_negative_multiplicity():
 
 def test_qf_to_rational():
     r = qf_to_rational(q_int(1))
-    assert rf_eq(r, RationalFunction(lp({1: 1, -1: -1})))
+    assert r == RationalFunction(lp({1: 1, -1: -1}))
     r = qf_to_rational(QFactored(factors={2: -1}))
     assert r.num == ONE and r.den == lp({0: 1, 2: -1})
     r = qf_to_rational(QFactored.zero_value())
@@ -266,6 +265,12 @@ def test_qf_expand_matches_product(factors, sign, x_power):
     num, den = product_oracle(a)
     assert den == ONE
     assert qf_expand(a) == num
+
+
+def test_qfactored_is_unhashable():
+    # its factors dict is mutable, and nothing hashes a factored value
+    with pytest.raises(TypeError):
+        hash(q_int(1))
 
 
 def test_qf_expand_big_coefficients():
@@ -440,6 +445,16 @@ def test_long_rows_take_the_short_side():
     assert q_binomial_signed(-5, 1500) == qf_expand_ratio(q_binomial_factored(1504, 4))
     assert q_binomial_signed(-5, 1501) == -qf_expand_ratio(q_binomial_factored(1505, 4))
     assert q_binomial_signed(1501, 1500) == lp({e: 1 for e in range(-1500, 1501, 2)})
+
+
+def test_factored_q_binomial_takes_the_short_side():
+    # past sys.maxsize on the long side, one or two q-integers on the short
+    huge = 10**20
+    assert q_binomial_factored(huge, huge - 1) == q_binomial_factored(huge, 1)
+    # [-3, huge] = (-1)^huge [huge + 2, huge] = [huge + 2, 2]
+    got = q_binomial_factored(-3, huge)
+    assert got == q_binomial_factored(huge + 2, 2)
+    assert sorted(got.factors.values()) == [-1, -1, 1, 1]
 
 
 def test_cold_row_is_built_without_recursion():
