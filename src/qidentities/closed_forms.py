@@ -6,8 +6,11 @@ the end, so bracket ratios like [2d0]_q / [d0]_q never pass through a
 Laurent-polynomial division chain.  Each bracket ratio [a]_q / [b]_q is
 one _product call, x**(b - a) (1 - x**(2a)) / (1 - x**(2b)).
 
-Where a value has two published spellings, the spellings are compared as
-QFactored values, before the one expansion.  That comparison is exact
+Where a value has two published spellings, they differ in one q-binomial,
+qbinom(n, k) = qbinom(n, n - k), built on the short side of its row for
+the value and again on the long side for the check.  The two are compared
+as QFactored values after the one expansion, which fails first on a value
+too large to expand.  That comparison is exact
 equality of the rational functions they denote, because the canonical
 form sign * x^p * prod over e of (1 - x^e)^(m_e) (e >= 1, no m_e zero) of
 a nonzero value is unique.  Write 1 - x^e = -prod over d | e of Phi_d(x),
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 from .errors import InvalidHypothesis
 from .laurent import LaurentPoly
-from .qcombo import _product, q_binomial_factored, qf_expand_ratio, qf_mul
+from .qcombo import _product, _q_binomial_row, q_binomial_factored
+from .qcombo import qf_expand_ratio, qf_mul
 
 SURFACE_TAGS = ("dP1_04", "F0_04")
 
@@ -47,14 +51,11 @@ def prop3_rhs(D: int, d1: int, k0: int) -> LaurentPoly:
     return qf_expand_ratio(qf)
 
 
-def _theorem1_factored(d0: int, d1: int, last_k: int):
-    """([2d0]_q / [d0]_q) * qbinom(d0, d1) * qbinom(d0 + d1 - 1, last_k),
-    factored.  Requires d0 > d1 >= 1."""
-    if d1 < 1 or d0 <= d1:
-        raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
-    qf = _product((4 * d0,), -d0, den=(2 * d0,))
-    qf = qf_mul(qf, q_binomial_factored(d0, d1))
-    return qf_mul(qf, q_binomial_factored(d0 + d1 - 1, last_k))
+def _check_spellings(n: int, k: int, where: str) -> None:
+    """Raise ArithmeticError unless qbinom(n, k), 0 <= k <= n, is the same
+    built on the short side of its row and on the long side."""
+    if q_binomial_factored(n, k) != _q_binomial_row(n, max(k, n - k)):
+        raise ArithmeticError("binomial-spelling disagreement in %s" % where)
 
 
 def theorem1_rhs(d0: int, d1: int) -> LaurentPoly:
@@ -62,30 +63,30 @@ def theorem1_rhs(d0: int, d1: int) -> LaurentPoly:
 
     The bracket ratio equals x**d0 + x**(-d0).  Requires d0 > d1 >= 1.
     """
-    return qf_expand_ratio(_theorem1_factored(d0, d1, d0))
+    if d1 < 1 or d0 <= d1:
+        raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
+    qf = _product((4 * d0,), -d0, den=(2 * d0,))
+    qf = qf_mul(qf, q_binomial_factored(d0, d1))
+    return qf_expand_ratio(qf_mul(qf, q_binomial_factored(d0 + d1 - 1, d0)))
 
 
 def theorem2_rhs(d1: int, d2: int) -> LaurentPoly:
     """([2d1 + d2]_q / [d2]_q) * qbinom(d1 + d2 - 1, d1)**2.
 
     Also checks the generating-series spelling with qbinom(d1 + d2 - 1,
-    d2 - 1) squared; the two must agree by binomial symmetry.  The two
-    spellings are compared in factored form, which is exact (see the
-    module docstring), and the value is expanded once; a disagreement
-    raises ArithmeticError.  Requires d1 >= 1 and d2 >= 1 (the bracket
-    [d2]_q vanishes at d2 = 0).
+    d2 - 1) squared, the other side of the same row: both sides are built
+    and compared in factored form, which is exact (see the module
+    docstring), after the one expansion; a disagreement raises
+    ArithmeticError.  Requires d1 >= 1 and d2 >= 1 (the bracket [d2]_q
+    vanishes at d2 = 0).
     """
     if d1 < 1 or d2 < 1:
         raise InvalidHypothesis("theorem 2 requires d1 >= 1 and d2 >= 1")
     qf = _product((4 * d1 + 2 * d2,), -2 * d1, den=(2 * d2,))
     bino = q_binomial_factored(d1 + d2 - 1, d1)
-    value = qf_mul(qf, qf_mul(bino, bino))
-    alt = q_binomial_factored(d1 + d2 - 1, d2 - 1)
-    if qf_mul(qf, qf_mul(alt, alt)) != value:
-        raise ArithmeticError(
-            "binomial-spelling disagreement in theorem2_rhs(%d, %d)" % (d1, d2)
-        )
-    return qf_expand_ratio(value)
+    value = qf_expand_ratio(qf_mul(qf, qf_mul(bino, bino)))
+    _check_spellings(d1 + d2 - 1, d1, "theorem2_rhs(%d, %d)" % (d1, d2))
+    return value
 
 
 def nlog_value(surface: str, p: int, r: int) -> LaurentPoly:
@@ -93,15 +94,13 @@ def nlog_value(surface: str, p: int, r: int) -> LaurentPoly:
 
     For "dP1_04" the arguments are (d0, d1) with d0 > d1 >= 1; for "F0_04"
     they are (d1, d2) with both >= 1, as each theorem checks.  The published
-    binomial spelling is asserted equal to the theorem form at runtime, in
-    factored form (exact; see the module docstring) before the one expansion.
+    binomial spelling is checked against the theorem form at runtime, in
+    factored form (exact; see the module docstring) after the one expansion.
     """
     if surface not in SURFACE_TAGS:
         raise ValueError("unknown surface tag: %r" % (surface,))
     if surface == "dP1_04":
-        value = _theorem1_factored(p, r, p)
-        # published spelling: qbinom(d0 + d1 - 1, d1 - 1) in the last slot
-        if _theorem1_factored(p, r, r - 1) != value:
-            raise ArithmeticError("spelling disagreement in nlog_value(dP1_04)")
-        return qf_expand_ratio(value)
+        value = theorem1_rhs(p, r)
+        _check_spellings(p + r - 1, p, "nlog_value(dP1_04)")
+        return value
     return theorem2_rhs(p, r)

@@ -238,19 +238,22 @@ def q_binomial_factored(n: int, k: int) -> QFactored:
     the generic-ratio convention: n may be negative.
 
     A negative top is reflected, [n, k] = (-1)^k [k - n - 1, k], and the
-    row is taken on its short side, min(k, n - k) q-integers over as many;
-    their signs cancel and their monomials leave x**(k (k - n)).  Returns
-    zero for k < 0 and for 0 <= n < k, and raises OverflowError for a
-    short side above sys.maxsize.  The ratio typically carries negative
+    row is built on its short side, min(k, n - k).  Returns zero for k < 0
+    and for 0 <= n < k.  The ratio typically carries negative
     multiplicities even though its value is polynomial; expand it with
     qf_expand_ratio.
     """
     if k < 0 or 0 <= n < k:
         return QFactored.zero_value()
-    sign = 1
     if n < 0:
-        n, sign = k - n - 1, -1 if k % 2 else 1
-    k = min(k, n - k)
+        return _q_binomial_row(k - n - 1, min(k, -n - 1), -1 if k % 2 else 1)
+    return _q_binomial_row(n, min(k, n - k))
+
+
+def _q_binomial_row(n: int, k: int, sign: int = 1) -> QFactored:
+    """sign * [n, k], 0 <= k <= n, as k q-integers over k: their signs
+    cancel and their monomials leave x**(k (k - n)).  Raises OverflowError
+    for a k above sys.maxsize."""
     if k > sys.maxsize:
         raise OverflowError("q-binomial bottom index %d is too large to expand" % k)
     return _product(

@@ -142,27 +142,38 @@ def test_nlog_errors():
 
 
 def test_broken_binomial_symmetry_fails_the_spelling_checks(monkeypatch, capsys):
-    # one asymmetric factored binomial: qbinom(3, 2) and qbinom(3, 0) carry
-    # an extra x^2, still a polynomial, so only the spelling check sees it
+    # the short side, which the values use: qbinom(3, k) for k = 1, 2, 3
+    _assert_spelling_checks_fail(
+        monkeypatch, capsys, "q_binomial_factored", ((3, 1), (3, 2), (3, 3)))
+
+
+def test_broken_long_row_side_fails_the_spelling_checks(monkeypatch, capsys):
+    # the long side, which only the checks build: [3, 2] and [3, 3]
+    _assert_spelling_checks_fail(monkeypatch, capsys, "_q_binomial_row", ((3, 2), (3, 3)))
+
+
+def _assert_spelling_checks_fail(monkeypatch, capsys, builder, broken):
+    # one side of a row carries an extra x^2, still a polynomial, so only
+    # the spelling check sees it
     import json
 
     from qidentities import closed_forms
     from qidentities.cli import main
     from qidentities.qcombo import QFactored, qf_mul
 
-    real = closed_forms.q_binomial_factored
-    untouched = theorem2_rhs(2, 1)  # qbinom(2, 2) and qbinom(2, 0)
+    real = getattr(closed_forms, builder)
+    untouched = theorem2_rhs(2, 1)  # the row of qbinom(2, 2) and qbinom(2, 0)
 
     def asymmetric(n, k):
         value = real(n, k)
-        return qf_mul(value, QFactored(1, 2)) if (n, k) in ((3, 2), (3, 0)) else value
+        return qf_mul(value, QFactored(1, 2)) if (n, k) in broken else value
 
-    monkeypatch.setattr(closed_forms, "q_binomial_factored", asymmetric)
+    monkeypatch.setattr(closed_forms, builder, asymmetric)
     with pytest.raises(ArithmeticError, match=r"theorem2_rhs\(1, 3\)"):
         theorem2_rhs(1, 3)
     with pytest.raises(ArithmeticError, match=r"theorem2_rhs\(2, 2\)"):
         theorem2_rhs(2, 2)
-    with pytest.raises(ArithmeticError, match="nlog_value"):
+    with pytest.raises(ArithmeticError, match=r"nlog_value\(dP1_04\)"):
         nlog_value("dP1_04", 3, 1)
     assert theorem2_rhs(2, 1) == untouched
     assert main(["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..3"]) == 1
