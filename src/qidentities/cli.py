@@ -349,12 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     term_params = [*dict.fromkeys(p for n in with_terms for p in IDENTITIES[n].params)]
 
     p_eval = sub.add_parser("eval", help="evaluate one quantity exactly")
-    p_eval.add_argument(
-        "--kind", required=True, choices=["qbinom", "qint", "f", "lhs", "rhs", "nlog"]
-    )
+    p_eval.add_argument("--kind", required=True, choices=[*_KINDS, "lhs", "rhs"])
     p_eval.add_argument("--identity", choices=with_terms, default=None)
     p_eval.add_argument("--format", choices=sorted(_STYLE), default="text")
-    eval_params = ["n", "k", "alpha", "p", "r", *term_params]
+    kind_params = (p for names, _ in _KINDS.values() for p in names if p != "surface")
+    eval_params = [*dict.fromkeys([*kind_params, *term_params])]
     _add_param_flags(p_eval, eval_params)
     p_eval.add_argument("--surface", choices=SURFACE_TAGS, default=None)
 

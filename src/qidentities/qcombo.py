@@ -1,7 +1,8 @@
 """q-integers, q-Pochhammer symbols, and q-binomial coefficients.
 
 Everything is built on QFactored, a signed monomial times a product of
-cyclotomic-style factors (1 - x^e).  One constructor, _product, builds
+cyclotomic-style factors (1 - x^e), held as the tuple (sign, x_power,
+factors); zero is sign 0.  One constructor, _product, builds
 every q-symbol and every ratio of them from numerator and denominator
 exponents, and is the only code that turns an exponent into a stored
 factor on either side.  Values stay factored for as long as possible and
@@ -17,6 +18,7 @@ coefficients, with one strided multiply and one strided division.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from operator import neg, sub
@@ -25,28 +27,24 @@ from .errors import DivisionByZero, NotDivisible, NotPolynomial
 from .laurent import ONE, ZERO, LaurentPoly, RationalFunction, _from_coeffs
 
 
-class QFactored:
-    """sign * x**x_power * prod over e of (1 - x**e)**mult, or zero.
+class QFactored(namedtuple("QFactored", "sign x_power factors")):
+    """sign * x**x_power * prod over e of (1 - x**e)**mult, as the tuple
+    (sign, x_power, factors) with factors a dict {e: mult}.
 
-    Invariants: factor keys e are >= 1 (_product normalizes an exponent
-    e <= 0); no stored multiplicity is zero.  Multiplicities may be
-    negative, in which case the value is a genuine rational function
+    Zero is sign 0, always stored as (0, 0, {}); any other sign is +1 or
+    -1.  Invariants: factor keys e are >= 1 (_product normalizes an
+    exponent e <= 0); no stored multiplicity is zero.  Multiplicities may
+    be negative, in which case the value is a genuine rational function
     rather than a Laurent polynomial.
     """
 
-    __slots__ = ("zero", "sign", "x_power", "factors")
+    __slots__ = ()
 
-    def __init__(self, sign=1, x_power=0, factors=None, zero=False):
-        self.zero = bool(zero)
-        if self.zero:
-            self.sign = 1
-            self.x_power = 0
-            self.factors = {}
-            return
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        self.sign = sign
-        self.x_power = int(x_power)
+    def __new__(cls, sign=1, x_power=0, factors=None):
+        if sign not in (1, -1, 0):
+            raise ValueError("sign must be +1, -1 or 0")
+        if not sign:
+            return tuple.__new__(cls, (0, 0, {}))
         cleaned = {}
         if factors:
             for e, m in factors.items():
@@ -54,31 +52,11 @@ class QFactored:
                     raise ValueError("factor exponents must be >= 1")
                 if m:
                     cleaned[int(e)] = int(m)
-        self.factors = cleaned
+        return tuple.__new__(cls, (sign, int(x_power), cleaned))
 
-    @classmethod
-    def zero_value(cls) -> "QFactored":
-        return cls(zero=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, QFactored):
-            return NotImplemented
-        if self.zero or other.zero:
-            return self.zero == other.zero
-        return (
-            self.sign == other.sign
-            and self.x_power == other.x_power
-            and self.factors == other.factors
-        )
-
-    def __repr__(self):
-        if self.zero:
-            return "QFactored(zero=True)"
-        return "QFactored(sign=%d, x_power=%d, factors=%r)" % (
-            self.sign,
-            self.x_power,
-            self.factors,
-        )
+    @property
+    def zero(self) -> bool:
+        return not self.sign
 
 
 def _product(exps, x_power=0, sign=1, den=()) -> QFactored:
@@ -95,39 +73,27 @@ def _product(exps, x_power=0, sign=1, den=()) -> QFactored:
         factors[e] = factors.get(e, 0) - 1
     for e in exps:
         if e == 0:
-            return QFactored.zero_value()
+            return QFactored(0)
         if e < 0:
             sign, x_power, e = -sign, x_power + e, -e
         factors[e] = factors.get(e, 0) + 1
     return QFactored(sign, x_power, factors)
 
 
-def _merge(a, b, s):
-    """a * b**s for s = +1 or -1, both nonzero: multiplicities add."""
+def qf_mul(a: QFactored, b: QFactored) -> QFactored:
+    """Exact product: multiplicities add and signs multiply, so a zero
+    operand gives zero."""
     factors = dict(a.factors)
     for e, m in b.factors.items():
-        v = factors.get(e, 0) + s * m
-        if v:
-            factors[e] = v
-        else:
-            del factors[e]
-    return QFactored(a.sign * b.sign, a.x_power + s * b.x_power, factors)
-
-
-def qf_mul(a: QFactored, b: QFactored) -> QFactored:
-    """Exact product; zero absorbs."""
-    if a.zero or b.zero:
-        return QFactored.zero_value()
-    return _merge(a, b, 1)
+        factors[e] = factors.get(e, 0) + m
+    return QFactored(a.sign * b.sign, a.x_power + b.x_power, factors)
 
 
 def qf_div(a: QFactored, b: QFactored) -> QFactored:
     """Exact quotient in factored form; raises DivisionByZero if b is zero."""
     if b.zero:
         raise DivisionByZero("division of QFactored by zero")
-    if a.zero:
-        return QFactored.zero_value()
-    return _merge(a, b, -1)
+    return qf_mul(a, QFactored(b.sign, -b.x_power, {e: -m for e, m in b.factors.items()}))
 
 
 def qf_expand(a: QFactored) -> LaurentPoly:
@@ -144,8 +110,6 @@ def qf_expand(a: QFactored) -> LaurentPoly:
 def qf_to_rational(a: QFactored) -> RationalFunction:
     """Split into numerator (positive multiplicities, sign, monomial) over
     denominator (negative multiplicities)."""
-    if a.zero:
-        return RationalFunction(ZERO, ONE)
     num = QFactored(a.sign, a.x_power, {e: m for e, m in a.factors.items() if m > 0})
     den = QFactored(1, 0, {e: -m for e, m in a.factors.items() if m < 0})
     return RationalFunction(qf_expand(num), qf_expand(den))
@@ -168,14 +132,17 @@ def _expand(a, start=ONE):
     Starting from start's coefficients times the sign, each positive
     factor 1 - x^e is multiplied in by a strided O(n) update, t - x^e t;
     then each negative factor is divided out with _divide_one_minus_x,
-    which raises NotDivisible if the quotient is not exact.  start's list
-    is read, never changed.
+    which raises NotDivisible if the quotient is not exact.  A positive
+    factor's exponent no list could index (above sys.maxsize) raises
+    OverflowError.  start's list is read, never changed.
     """
     if a.zero:
         return ZERO
     coeffs = start._coeffs if a.sign == 1 else list(map(neg, start._coeffs))
     factors = sorted(a.factors.items())
     for e, m in factors:
+        if m > 0 and e > sys.maxsize:
+            raise OverflowError("factor x-exponent %d is too large to expand" % e)
         for _ in range(m):
             out = coeffs + [0] * e
             out[e:] = map(sub, out[e:], coeffs)
@@ -227,7 +194,7 @@ def q_pochhammer(t: int, m: int) -> QFactored:
         raise ValueError("Pochhammer count must be >= 0")
     exps = range(t, t + 2 * m, 2)
     if 0 in exps:
-        return QFactored.zero_value()
+        return QFactored(0)
     if m > sys.maxsize:
         raise OverflowError("Pochhammer count %d is too large to expand" % m)
     return _product(exps)
@@ -244,7 +211,7 @@ def q_binomial_factored(n: int, k: int) -> QFactored:
     qf_expand_ratio.
     """
     if k < 0 or 0 <= n < k:
-        return QFactored.zero_value()
+        return QFactored(0)
     if n < 0:
         return _q_binomial_row(k - n - 1, min(k, -n - 1), -1 if k % 2 else 1)
     return _q_binomial_row(n, min(k, n - k))

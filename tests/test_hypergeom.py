@@ -270,7 +270,7 @@ def test_proof_instances_match_their_series():
 def old_one_minus_x(e):
     """1 - x^e as its own factored value, by the three-branch normalization."""
     if e == 0:
-        return QFactored.zero_value()
+        return QFactored(0)
     if e > 0:
         return QFactored(factors={e: 1})
     return QFactored(sign=-1, x_power=e, factors={-e: 1})

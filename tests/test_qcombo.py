@@ -81,7 +81,7 @@ def test_pochhammer_step(t, m):
 def ref_one_minus_x(e):
     """1 - x^e by the old three-branch normalization."""
     if e == 0:
-        return QFactored.zero_value()
+        return QFactored(0)
     if e > 0:
         return QFactored(factors={e: 1})
     return QFactored(sign=-1, x_power=e, factors={-e: 1})
@@ -90,7 +90,7 @@ def ref_one_minus_x(e):
 def ref_q_int(alpha):
     """The q-integer by the old recursion for negative alpha."""
     if alpha == 0:
-        return QFactored.zero_value()
+        return QFactored(0)
     if alpha < 0:
         pos = ref_q_int(-alpha)
         return QFactored(-pos.sign, pos.x_power, pos.factors)
@@ -110,7 +110,7 @@ def ref_q_pochhammer(t, m):
 def ref_q_binomial_factored(n, k):
     """The q-binomial ratio by the old loop over pairs of q-integers."""
     if k < 0 or 0 <= n < k:
-        return QFactored.zero_value()
+        return QFactored(0)
     out = QFactored()
     for i in range(k):
         out = qf_mul(out, ref_q_int(n - i))
@@ -194,13 +194,44 @@ def test_pochhammer_zero_matches_old_rule():
 def test_qf_mul_div_group_laws():
     a = q_pochhammer(3, 4)
     assert qf_div(qf_mul(a, a), a) == a
-    assert qf_mul(QFactored.zero_value(), a).zero
+    assert qf_mul(QFactored(0), a).zero
     assert qf_div(q_pochhammer(2, 3), q_pochhammer(2, 2)).factors == {6: 1}
 
 
 def test_qf_div_by_zero():
     with pytest.raises(DivisionByZero):
-        qf_div(QFactored(), QFactored.zero_value())
+        qf_div(QFactored(), QFactored(0))
+    with pytest.raises(DivisionByZero):
+        qf_div(q_pochhammer(3, 4), QFactored(0))
+
+
+def test_qfactored_sign_must_be_one_minus_one_or_zero():
+    with pytest.raises(ValueError):
+        QFactored(2)
+
+
+def test_zero_is_sign_zero_with_no_monomial_or_factors():
+    # the value is a tuple of its fields, so it also equals the plain tuple
+    assert QFactored(0, 5, {2: 1}) == QFactored(0) == (0, 0, {})
+    a = q_pochhammer(3, 4)
+    assert qf_mul(QFactored(0), a) == QFactored(0)
+    assert qf_mul(a, QFactored(0)) == QFactored(0)
+    assert qf_div(QFactored(0), a) == QFactored(0)
+
+
+product_args = st.tuples(
+    st.lists(st.integers(min_value=-12, max_value=12).filter(bool), max_size=6),
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([1, -1]),
+    st.lists(st.integers(min_value=-12, max_value=12).filter(bool), max_size=6),
+)
+
+
+@given(product_args, product_args)
+def test_qf_div_undoes_qf_mul(a_args, b_args):
+    a, b = _product(*a_args), _product(*b_args)
+    assert not a.zero and not b.zero
+    assert qf_div(qf_mul(a, b), b) == a
 
 
 def test_qf_expand_example():
@@ -219,7 +250,7 @@ def test_qf_to_rational():
     assert r == RationalFunction(lp({1: 1, -1: -1}))
     r = qf_to_rational(QFactored(factors={2: -1}))
     assert r.num == ONE and r.den == lp({0: 1, 2: -1})
-    r = qf_to_rational(QFactored.zero_value())
+    r = qf_to_rational(QFactored(0))
     assert r.num == ZERO and r.den == ONE
 
 
@@ -304,7 +335,7 @@ def test_qf_expand_ratio_strided_division_cases():
     assert qf_expand_ratio(a) == lp({0: 1, 2: 2, 4: 1})
     with pytest.raises(NotDivisible):
         qf_expand_ratio(QFactored(factors={4: 1, 2: -2}))
-    assert qf_expand_ratio(QFactored.zero_value()) == ZERO
+    assert qf_expand_ratio(QFactored(0)) == ZERO
 
 
 @given(
