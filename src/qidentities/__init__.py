@@ -13,7 +13,6 @@ from .errors import (
     NonTerminating,
     NotDivisible,
     NotPolynomial,
-    PoleInDenominator,
     QIdentitiesError,
 )
 from .hypergeom import (
@@ -61,7 +60,6 @@ __all__ = [
     "ONE",
     "PartitionedIndex",
     "PhiSeries",
-    "PoleInDenominator",
     "QFactored",
     "QIdentitiesError",
     "RationalFunction",

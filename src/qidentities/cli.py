@@ -6,12 +6,13 @@ the summands that explain lists.  eval, verify and explain all dispatch
 through that registry, so adding an identity is one entry.
 
 Exit codes: 0 = all verifications passed, 1 = at least one mismatch,
-2 = usage or domain error.  A usage error found after parsing, such as an
---output file that cannot be opened, a flag the subcommand does not take,
-or a parameter flag that the chosen --kind or --identity does not read,
-prints the subcommand's own usage line; a domain error, a library
-ValueError, an OverflowError (a huge exponent) or a MemoryError (an
-exponent or count too large to expand in memory) prints one line on stderr.
+2 = usage or domain error, and from run() 141 = the reader closed stdout.
+A usage error found after parsing, such as an --output file that cannot
+be opened, a flag the subcommand does not take, or a parameter flag that
+the chosen --kind or --identity does not read, prints the subcommand's own
+usage line; a domain error, a library ValueError, an OverflowError (a huge
+exponent) or a MemoryError (an exponent or count too large to expand in
+memory) prints one line on stderr.
 
 Verification records are line-delimited JSON, written in cell order as the
 cells finish and then a summary line, so no list of records is kept and an
@@ -80,8 +81,10 @@ class Identity(NamedTuple):
 
 
 def _prop3_terms(D, d1, k0):
-    for idx in enumerate_indices(d1, k0):
-        yield idx.to_json_obj(), f_term(D, idx)
+    # the refined sum's own domain check, the one eval --kind f makes
+    spec = FSumSpec(D, d1, k0)
+    for idx in enumerate_indices(spec.d1, spec.k0):
+        yield idx.to_json_obj(), f_term(spec.D, idx)
 
 
 # The entries look the library functions up in this module's globals at
@@ -134,13 +137,12 @@ def _parse_range(text):
     file may also give a JSON integer)."""
     if type(text) is int:
         return range(text, text + 1)
-    if not isinstance(text, str):
-        raise ValueError("expected A..B or an integer, got %r" % (text,))
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+    try:
+        lo, sep, hi = text.partition("..")
+        lo, hi = int(lo), int(hi if sep else lo)
+    except (AttributeError, ValueError):
+        # not a string, or an end that is not an integer
+        raise ValueError("expected A..B or an integer, got %r" % (text,)) from None
     if hi < lo:
         raise ValueError("empty range %r" % text)
     return range(lo, hi + 1)
@@ -260,7 +262,7 @@ def _grid_cells(args, parser):
         try:
             ranges.append(_parse_range(getattr(args, name)))
         except ValueError as exc:
-            parser.error(str(exc))
+            parser.error("--%s: %s" % (name, exc))
     cells = []
     skipped = 0
     for values in itertools.product(*ranges):
@@ -297,6 +299,9 @@ def _cmd_verify(args, parser) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            # runs first on the way out: an error, such as a closed stdout,
+            # drops the queued chunks instead of waiting for them all
+            stack.callback(pool.shutdown, cancel_futures=True)
             records = pool.map(_run_cell, work, chunksize=16)
         else:
             records = map(_run_cell, work)
@@ -452,9 +457,20 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """main(argv), then gc.freeze(); returns main's exit code.  The entry
-    point of the console script and of python -m qidentities.cli."""
-    code = main(argv)
+    """main(argv) and a flush of stdout, then gc.freeze(); returns main's
+    exit code.  The entry point of the console script and of python -m
+    qidentities.cli.
+
+    If the reader closes stdout (e.g. qident verify ... | head -1), the run
+    stops quietly with 141, what a shell reports for a filter killed by
+    SIGPIPE: fd 1 then points at os.devnull, so the flush at exit cannot
+    fail again and print a traceback."""
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
     gc.freeze()
     return code
 

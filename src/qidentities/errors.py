@@ -1,4 +1,4 @@
-"""Exception types shared across the package; a degenerate instance raises Degenerate."""
+"""Exception types shared across the package; Degenerate is the one degeneracy signal."""
 
 
 class QIdentitiesError(Exception):
@@ -26,8 +26,4 @@ class NonTerminating(QIdentitiesError):
 
 
 class Degenerate(QIdentitiesError):
-    """Signal that an identity instance is degenerate and must be skipped."""
-
-
-class PoleInDenominator(Degenerate):
-    """A lower-parameter Pochhammer symbol vanishes within summation range."""
+    """A lower-parameter Pochhammer symbol vanishes in range: skip the instance."""

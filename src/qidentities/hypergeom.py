@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import NonTerminating, PoleInDenominator
+from .errors import Degenerate, NonTerminating
 from .laurent import ONE, RationalFunction
 from .qcombo import QFactored, _product, q_pochhammer, qf_expand, qf_mul, qf_to_rational
 
@@ -47,12 +47,13 @@ def phi_evaluate(series: PhiSeries) -> RationalFunction:
     Successive terms are built from the factored term ratio, one _product
     call per step (four linear factors over three here), so each step is
     O(1) factored work plus one fraction accumulation.  Raises
-    NonTerminating or PoleInDenominator per the preconditions.
+    NonTerminating if no upper parameter terminates the series, and
+    Degenerate if a lower-parameter Pochhammer symbol vanishes in range.
     """
     n_max = _termination_order(series.upper)
     for t in series.lower:
         if q_pochhammer(t, n_max).zero:
-            raise PoleInDenominator(
+            raise Degenerate(
                 "lower parameter x^%d vanishes within summation range" % t
             )
     total = RationalFunction(ONE)
@@ -94,9 +95,6 @@ class SaalschutzInstance(namedtuple("SaalschutzInstance", "a_exp b_exp c_exp N")
             z_exp=2,
         )
 
-    def to_json_obj(self):
-        return {"a": self.a_exp, "b": self.b_exp, "c": self.c_exp, "N": self.N}
-
 
 def saalschutz_rhs(inst: SaalschutzInstance) -> RationalFunction:
     """(c/a; q)_N (c/b; q)_N / ((c; q)_N (c/(ab); q)_N), exactly."""
@@ -109,7 +107,7 @@ def saalschutz_rhs(inst: SaalschutzInstance) -> RationalFunction:
         q_pochhammer(inst.c_exp - inst.a_exp - inst.b_exp, inst.N),
     )
     if den.zero:
-        raise PoleInDenominator("a denominator Pochhammer symbol vanishes")
+        raise Degenerate("a denominator Pochhammer symbol vanishes")
     return RationalFunction(qf_expand(num), qf_expand(den))
 
 
@@ -119,8 +117,8 @@ def verify_saalschutz(inst: SaalschutzInstance) -> bool:
 
     The closed form goes first: its denominator vanishes exactly when a
     lower-parameter Pochhammer symbol does, so a degenerate instance raises
-    its PoleInDenominator, a Degenerate, before any term is summed; such
-    instances are skipped, not failed.
+    Degenerate before any term is summed; such instances are skipped, not
+    failed.
     """
     rhs = saalschutz_rhs(inst)
     return phi_evaluate(inst.lhs_series()) == rhs

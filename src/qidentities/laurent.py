@@ -230,10 +230,6 @@ class LaurentPoly:
         top = self._val + len(self._coeffs) - 1
         return [[top - i, str(c)] for i, c in enumerate(reversed(self._coeffs)) if c]
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in pairs})
-
     def render(self, style: str = "plain") -> str:
         """Deterministic rendering; exponents shown as powers of q with halves.
 
@@ -433,9 +429,6 @@ class RationalFunction:
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
-
-    def __mul__(self, other):
-        return RationalFunction(self.num * other.num, self.den * other.den)
 
     def to_json_obj(self):
         return {"num": self.num.to_pairs(), "den": self.den.to_pairs()}

@@ -39,13 +39,6 @@ class PartitionedIndex(namedtuple("PartitionedIndex", "parts mults")):
             raise ValueError("parts must be strictly decreasing and positive")
         return super().__new__(cls, parts, mults)
 
-    @property
-    def m(self) -> int:
-        return len(self.parts)
-
-    def weighted_sum(self) -> int:
-        return sum(n * k for n, k in zip(self.parts, self.mults))
-
     def mult_sum(self) -> int:
         return sum(self.mults)
 

@@ -389,6 +389,9 @@ def test_verify_config_jobs_is_applied(tmp_path, monkeypatch, capsys):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     args = ["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2"]
     rc, expected = run(capsys, *args)
@@ -515,6 +518,9 @@ class SerialPool:
     def map(self, fn, items, chunksize=1):
         return map(fn, items)
 
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
+
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_verify_interrupted_run_keeps_finished_records(
@@ -606,7 +612,9 @@ def test_explain_total_matches_library_value(capsys):
      "ValueError: d must be >= 1\n"),
     (["eval", "--kind", "f", "--D", "4", "--d1", "-1", "--k0", "1"],
      "ValueError: d1 and k0 must be nonnegative\n"),
-], ids=["explain-prop3", "eval-f"])
+    (["explain", "--identity", "prop3", "--D", "8", "--d1", "2", "--k0", "-1"],
+     "ValueError: d1 and k0 must be nonnegative\n"),
+], ids=["explain-prop3", "eval-f", "explain-prop3-negative-k0"])
 def test_library_value_error_is_one_line(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -837,6 +845,50 @@ def test_main_never_freezes(monkeypatch, capsys):
     assert main(["explain", "--identity", "thm2", "--d1", "2", "--d2", "1"]) == 0
 
 
+SAALSCHUTZ_GRID = ["verify", "--identity", "saalschutz", "--a=-6..6", "--b=-6..6",
+                   "--c=-6..6", "--N", "1..5"]
+
+
+@pytest.mark.parametrize("argv", [
+    SAALSCHUTZ_GRID + ["--jobs", "1"],
+    SAALSCHUTZ_GRID + ["--jobs", "2"],
+    ["explain", "--identity", "thm2", "--d1", "12", "--d2", "10"],
+], ids=["verify-serial", "verify-pool", "explain"])
+def test_closed_stdout_ends_the_run_quietly(argv):
+    # each command writes far more than a pipe holds, so the reader's close
+    # reaches the CLI while it is still writing
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qidentities.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_closed_stdout_cancels_the_queued_cells(monkeypatch):
+    import qidentities.cli as cli
+
+    calls = []
+
+    class RecordingPool(SerialPool):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            calls.append(cancel_futures)
+
+    class ClosedStdout:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.sys, "stdout", ClosedStdout())
+    with pytest.raises(BrokenPipeError):
+        main(["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1", "--jobs", "2"])
+    assert calls == [True]
+
+
 # -- usage errors after parsing ---------------------------------------------------
 
 
@@ -856,8 +908,18 @@ def test_main_never_freezes(monkeypatch, capsys):
     (["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1",
       "--output", "/nonexistent/x.jsonl"],
      "usage: qident verify", "cannot open output file"),
+    (["verify", "--identity", "thm2", "--d1", "1..", "--d2", "1"],
+     "usage: qident verify", "--d1: expected A..B or an integer, got '1..'"),
+    (["verify", "--identity", "thm2", "--d1", "1...3", "--d2", "1"],
+     "usage: qident verify", "--d1: expected A..B or an integer, got '1...3'"),
+    (["verify", "--identity", "thm2", "--d2", "1", "--config", "bad-d1.json"],
+     "usage: qident verify", "--d1: expected A..B or an integer, got 'x..2'"),
 ])
-def test_post_parse_usage_error_names_subcommand(capsys, argv, usage, message):
+def test_post_parse_usage_error_names_subcommand(
+        tmp_path, monkeypatch, capsys, argv, usage, message):
+    # the --config case reads bad-d1.json from the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad-d1.json").write_text(json.dumps({"d1": "x..2"}))
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
@@ -894,6 +956,9 @@ def test_verify_jobs_capped(monkeypatch, capsys, jobs, cpus, expected):
 
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
 
     args = ["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2"]
     rc, serial = run(capsys, *args)

@@ -39,8 +39,6 @@ def partition_count(n: int) -> int:
 
 def test_index_validation():
     idx = PartitionedIndex((3, 1), (2, 1))
-    assert idx.m == 2
-    assert idx.weighted_sum() == 7
     assert idx.mult_sum() == 3
     assert idx.to_json_obj() == {"parts": [3, 1], "mults": [2, 1]}
     with pytest.raises(ValueError):
