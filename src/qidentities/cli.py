@@ -6,7 +6,8 @@ the summands that explain lists.  eval, verify and explain all dispatch
 through that registry, so adding an identity is one entry.
 
 Exit codes: 0 = all verifications passed, 1 = at least one mismatch,
-2 = usage or domain error, and from run() 141 = the reader closed stdout.
+2 = usage or domain error, or from run() a failed write (such as a full
+disk), and from run() 141 = the reader closed stdout.
 A usage error found after parsing, such as an --output file that cannot
 be opened, a flag the subcommand does not take, or a parameter flag that
 the chosen --kind or --identity does not read, prints the subcommand's own
@@ -463,14 +464,21 @@ def run(argv=None) -> int:
 
     If the reader closes stdout (e.g. qident verify ... | head -1), the run
     stops quietly with 141, what a shell reports for a filter killed by
-    SIGPIPE: fd 1 then points at os.devnull, so the flush at exit cannot
-    fail again and print a traceback."""
+    SIGPIPE.  Any other failed write, to stdout or to an --output file
+    (e.g. a full disk), prints one OSError line on stderr and returns 2, so
+    it cannot read as exit 1, a refuted identity.  Either way fd 1 then
+    points at os.devnull, so the flush at exit cannot fail again and print
+    a traceback."""
     try:
         code = main(argv)
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
+        if isinstance(exc, BrokenPipeError):
+            code = 141
+        else:
+            print("OSError: %s" % exc, file=sys.stderr)
+            code = 2
     gc.freeze()
     return code
 

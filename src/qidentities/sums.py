@@ -2,8 +2,10 @@
 
 Indices are integer partitions written in distinct-part/multiplicity form:
 strictly decreasing parts n_1 > ... > n_m > 0 with positive multiplicities
-k_1, ..., k_m.  The refined sum f pins both the weighted sum of parts and
-the total multiplicity.
+k_1, ..., k_m.  The empty partition ((), ()) is the one index of weight 0.
+The refined sum f pins both the weighted sum of parts and the total
+multiplicity, so its conventions at zero (f(D, 0, 0) = 1, and 0 when
+exactly one of d1, k0 is 0) are what the partition sum itself gives.
 
 Both theorems' left-hand sides are one partition sum over the indices of
 weighted sum d: f_term(D, idx) times trailing[k], a q-binomial of
@@ -25,17 +27,19 @@ from .qcombo import q_binomial, q_binomial_signed
 
 
 class PartitionedIndex(namedtuple("PartitionedIndex", "parts mults")):
-    """One summand's index: parts strictly decreasing, mults all >= 1."""
+    """One summand's index: parts strictly decreasing and positive, mults
+    all >= 1, both of equal length; the empty index has weight 0."""
 
     __slots__ = ()
 
     def __new__(cls, parts, mults):
         parts, mults = tuple(map(int, parts)), tuple(map(int, mults))
-        if len(parts) != len(mults) or not parts:
-            raise ValueError("parts and mults must be nonempty and equal length")
+        if len(parts) != len(mults):
+            raise ValueError("parts and mults must have equal length")
         if any(k < 1 for k in mults):
             raise ValueError("multiplicities must be >= 1")
-        if parts[-1] < 1 or any(a <= b for a, b in zip(parts, parts[1:])):
+        # strictly decreasing down to a trailing 0 means decreasing and positive
+        if any(a <= b for a, b in zip(parts, parts[1:] + (0,))):
             raise ValueError("parts must be strictly decreasing and positive")
         return super().__new__(cls, parts, mults)
 
@@ -105,12 +109,13 @@ def _sorted_indices(d):
 
 def enumerate_indices(d: int, k0: int | None = None):
     """All PartitionedIndex values with weighted sum d, and total
-    multiplicity k0 when given, in the canonical deterministic order.
+    multiplicity k0 when given, in the canonical deterministic order;
+    d = 0 gives the empty index alone.
 
     Each d's sorted indices are built once (a bounded LRU memo); every
     call returns a new list, which the caller may change."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    if d < 0:
+        raise ValueError("d must be >= 0")
     found = _sorted_indices(d)
     if k0 is None:
         return list(found)
@@ -119,18 +124,19 @@ def enumerate_indices(d: int, k0: int | None = None):
 
 def f_term(D: int, idx: PartitionedIndex) -> LaurentPoly:
     """One summand of the refined sum: the product over i of
-    qbinom(D - 2*sum_{j<i} (n_j - n_i) k_j, k_i).
+    qbinom(D - 2*sum_{j<i} (n_j - n_i) k_j, k_i), which is ONE for the
+    empty index.
 
     The binomials use the generic-ratio (signed) extension so the refined
     sum matches its closed form for every positive D; on nonnegative tops
     this is the ordinary convention, which is all the theorem left-hand
     sides ever exercise."""
-    total = None  # the empty product, before the first factor
+    total = ONE  # the empty product, before the first factor
     weighted = 0  # sum of n_j k_j over previous factors
     count = 0  # sum of k_j over previous factors
     for n, k in zip(idx.parts, idx.mults):
         factor = q_binomial_signed(D - 2 * weighted + 2 * n * count, k)
-        total = factor if total is None else total * factor
+        total = factor if total is ONE else total * factor
         if total.is_zero():
             return ZERO
         weighted += n * k
@@ -141,11 +147,9 @@ def f_term(D: int, idx: PartitionedIndex) -> LaurentPoly:
 def f_enumerated(spec: FSumSpec) -> LaurentPoly:
     """The refined sum f(D/2, d1, k0) by direct enumeration of indices.
 
-    Conventions: 1 when d1 = k0 = 0 (empty product), 0 when exactly one of
-    them is 0, and 0 when k0 > d1.
+    At d1 = 0 the one index is the empty one, of total multiplicity 0, so
+    the sum is 1 when k0 = 0 and 0 otherwise; it is 0 when k0 > d1.
     """
-    if spec.d1 == 0:
-        return ONE if spec.k0 == 0 else ZERO
     return sum((term for _, term in _summands(spec.D, spec.d1, {spec.k0: ONE})), ZERO)
 
 
@@ -155,7 +159,8 @@ def f_recursive(spec: FSumSpec) -> LaurentPoly:
         f(D, d1, k0) = sum_{k=1..k0} sum_{n=1..d1//k0}
                        f(D, d1 - n*k0, k0 - k) * qbinom(D - 2*d1 + 2*n*k0, k)
 
-    with f(D, 0, 0) = 1 and f zero when exactly one of d1, k0 is 0.
+    with f(D, 0, 0) = 1, the empty partition; when exactly one of d1, k0
+    is 0 the sums are empty and f is 0.
     Every value on the way is memoized by _refined, a bounded LRU over
     (D, d1, k0), so every later call reuses it.
     """
@@ -165,10 +170,8 @@ def f_recursive(spec: FSumSpec) -> LaurentPoly:
 @lru_cache(maxsize=REFINED_CACHE_SIZE)
 def _refined(D, d1, k0):
     """f(D, d1, k0) by f_recursive's recursion, through this cache."""
-    if d1 == 0 and k0 == 0:
+    if d1 == 0 == k0:
         return ONE
-    if d1 == 0 or k0 == 0:
-        return ZERO
     total = ZERO
     for k in range(1, k0 + 1):
         for n in range(1, d1 // k0 + 1):

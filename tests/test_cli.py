@@ -588,15 +588,27 @@ def test_explain_thm1_lists_k0(capsys):
 
 
 def test_explain_totals_match_eval(capsys):
-    for ident, params in (
-        ("thm1", ["--d0", "4", "--d1", "2"]),
-        ("thm2", ["--d1", "2", "--d2", "3"]),
-        ("prop3", ["--D", "9", "--d1", "4", "--k0", "2"]),
-    ):
-        _, explain_out = run(capsys, "explain", "--identity", ident, *params)
+    # prop3's explain takes any d1, k0 >= 0, d1 = 0 and k0 > d1 included, so
+    # its terms sum to eval --kind f; eval --kind lhs keeps to the hypothesis
+    grid = [("thm1", ["--kind", "lhs", "--identity", "thm1"], ("--d0", d0, "--d1", d1))
+            for d0 in range(2, 6) for d1 in range(1, d0)]
+    grid += [("thm2", ["--kind", "lhs", "--identity", "thm2"], ("--d1", d1, "--d2", d2))
+             for d1 in range(1, 5) for d2 in range(1, 5)]
+    grid += [("prop3", ["--kind", "f"], ("--D", D, "--d1", d1, "--k0", k0))
+             for D in range(1, 5) for d1 in range(5) for k0 in range(6)]
+    for ident, kind, params in grid:
+        params = [str(p) for p in params]
+        rc, explain_out = run(capsys, "explain", "--identity", ident, *params)
+        assert rc == 0, params
         total = explain_out.strip().splitlines()[-1].split("\t", 1)[1]
-        _, eval_out = run(capsys, "eval", "--kind", "lhs", "--identity", ident, *params)
-        assert total == eval_out.strip()
+        rc, eval_out = run(capsys, "eval", *kind, *params)
+        assert (rc, total) == (0, eval_out.strip()), (ident, params)
+
+
+def test_explain_prop3_lists_the_empty_index_at_weight_zero(capsys):
+    rc, out = run(capsys, "explain", "--identity", "prop3", "--D", "4", "--d1", "0", "--k0", "0")
+    assert rc == 0
+    assert out == '{"parts":[],"mults":[]}\t1\ntotal\t1\n'
 
 
 def test_explain_total_matches_library_value(capsys):
@@ -608,13 +620,11 @@ def test_explain_total_matches_library_value(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["explain", "--identity", "prop3", "--D", "4", "--d1", "0", "--k0", "1"],
-     "ValueError: d must be >= 1\n"),
     (["eval", "--kind", "f", "--D", "4", "--d1", "-1", "--k0", "1"],
      "ValueError: d1 and k0 must be nonnegative\n"),
     (["explain", "--identity", "prop3", "--D", "8", "--d1", "2", "--k0", "-1"],
      "ValueError: d1 and k0 must be nonnegative\n"),
-], ids=["explain-prop3", "eval-f", "explain-prop3-negative-k0"])
+], ids=["eval-f", "explain-prop3-negative-k0"])
 def test_library_value_error_is_one_line(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -866,6 +876,28 @@ def test_closed_stdout_ends_the_run_quietly(argv):
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (141, b"")
+
+
+THM2_GRID = ["verify", "--identity", "thm2", "--d1", "1..3", "--d2", "1..3"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, stdout", [
+    (["eval", "--kind", "qint", "--alpha", "1"], "/dev/full"),
+    (["explain", "--identity", "thm2", "--d1", "3", "--d2", "2"], "/dev/full"),
+    (THM2_GRID, "/dev/full"),
+    (THM2_GRID + ["--output", "/dev/full"], os.devnull),
+], ids=["eval", "explain", "verify", "verify-output"])
+def test_failed_write_is_one_line(argv, stdout):
+    # a full disk is not a refuted identity: exit 2, not 1, and no traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    with open(stdout, "w") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qidentities.cli", *argv], env=env,
+            stdout=out, stderr=subprocess.PIPE, timeout=60,
+        )
+    assert proc.returncode == 2
+    assert re.fullmatch(rb"OSError: .*\n", proc.stderr), proc.stderr
 
 
 def test_closed_stdout_cancels_the_queued_cells(monkeypatch):

@@ -41,8 +41,9 @@ def test_index_validation():
     idx = PartitionedIndex((3, 1), (2, 1))
     assert idx.mult_sum() == 3
     assert idx.to_json_obj() == {"parts": [3, 1], "mults": [2, 1]}
+    assert PartitionedIndex((), ()).mult_sum() == 0
     with pytest.raises(ValueError):
-        PartitionedIndex((), ())
+        PartitionedIndex((), (1,))
     with pytest.raises(ValueError):
         PartitionedIndex((1, 2), (1, 1))
     with pytest.raises(ValueError):
@@ -99,9 +100,10 @@ def test_enumerate_counts_split_by_multiplicity():
         assert total == partition_count(d)
 
 
-def test_enumerate_rejects_nonpositive():
+def test_enumerate_rejects_negative_and_gives_the_empty_index_at_zero():
     with pytest.raises(ValueError):
-        enumerate_indices(0)
+        enumerate_indices(-1)
+    assert enumerate_indices(0) == [PartitionedIndex((), ())]
 
 
 # -- the refined sum -----------------------------------------------------------------
@@ -121,12 +123,14 @@ def test_f_term_two_factors():
 
 
 def test_f_conventions():
+    assert f_term(6, PartitionedIndex((), ())) == ONE
     assert f_enumerated(FSumSpec(6, 0, 0)) == ONE
     assert f_enumerated(FSumSpec(6, 3, 0)) == ZERO
     assert f_enumerated(FSumSpec(6, 0, 2)) == ZERO
     assert f_enumerated(FSumSpec(6, 3, 5)) == ZERO
     assert f_recursive(FSumSpec(6, 0, 0)) == ONE
     assert f_recursive(FSumSpec(6, 3, 0)) == ZERO
+    assert f_recursive(FSumSpec(6, 0, 2)) == ZERO
 
 
 def test_f_multiplicity_one_collapses():
