@@ -12,7 +12,6 @@ from .errors import (
     InvalidHypothesis,
     NonTerminating,
     NotDivisible,
-    NotPolynomial,
     QIdentitiesError,
 )
 from .hypergeom import (
@@ -44,6 +43,7 @@ from .sums import (
     f_enumerated,
     f_recursive,
     f_term,
+    prop3_lhs,
     theorem1_lhs,
     theorem2_lhs,
 )
@@ -56,7 +56,6 @@ __all__ = [
     "LaurentPoly",
     "NonTerminating",
     "NotDivisible",
-    "NotPolynomial",
     "ONE",
     "PartitionedIndex",
     "PhiSeries",
@@ -73,6 +72,7 @@ __all__ = [
     "is_saalschutzian",
     "nlog_value",
     "phi_evaluate",
+    "prop3_lhs",
     "prop3_rhs",
     "q_binomial",
     "q_binomial_factored",

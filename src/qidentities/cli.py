@@ -5,9 +5,11 @@ names (flag, grid-axis and JSON-key order), its hypothesis, both sides, and
 the summands that explain lists.  eval, verify and explain all dispatch
 through that registry, so adding an identity is one entry.
 
-Exit codes: 0 = all verifications passed, 1 = at least one mismatch,
-2 = usage or domain error, or from run() a failed write (such as a full
-disk), and from run() 141 = the reader closed stdout.
+Exit codes: 0 = no cell failed, 1 = at least one cell failed (a mismatch
+or an internal disagreement; with --selftest-corrupt, the perturbed first
+non-degenerate cell, so only a grid with none exits 0), 2 = usage or
+domain error, or from run() a failed write (such as a full disk), and from
+run() 141 = the reader closed stdout.
 A usage error found after parsing, such as an --output file that cannot
 be opened, a flag the subcommand does not take, or a parameter flag that
 the chosen --kind or --identity does not read, prints the subcommand's own
@@ -43,13 +45,7 @@ import time
 from typing import Callable, NamedTuple
 
 from .closed_forms import SURFACE_TAGS, nlog_value, prop3_rhs, theorem1_rhs, theorem2_rhs
-from .errors import (
-    Degenerate,
-    InvalidHypothesis,
-    NotDivisible,
-    NotPolynomial,
-    QIdentitiesError,
-)
+from .errors import Degenerate, InvalidHypothesis, NotDivisible, QIdentitiesError
 from .hypergeom import SaalschutzInstance, phi_evaluate, saalschutz_rhs
 from .laurent import ONE, LaurentPoly, RationalFunction
 from .qcombo import q_binomial, q_int, qf_expand
@@ -58,6 +54,7 @@ from .sums import (
     enumerate_indices,
     f_enumerated,
     f_term,
+    prop3_lhs,
     theorem1_lhs,
     theorem1_terms,
     theorem2_lhs,
@@ -109,7 +106,7 @@ IDENTITIES = {
     "prop3": Identity(
         ("D", "d1", "k0"),
         holds=lambda D, d1, k0: D >= 1 and 1 <= k0 <= d1,
-        lhs=lambda D, d1, k0: f_enumerated(FSumSpec(D, d1, k0)),
+        lhs=lambda D, d1, k0: prop3_lhs(D, d1, k0),
         rhs=lambda D, d1, k0: prop3_rhs(D, d1, k0),
         terms=_prop3_terms,
     ),
@@ -203,19 +200,20 @@ def _cmd_eval(args, parser) -> int:
 # -- verify ----------------------------------------------------------------
 
 
-def _run_cell(cell):
+def _run_cell(cell, corrupt=False):
     """Compute one grid cell.  Top-level so it pickles for worker pools.
 
-    cell = (identity, params-dict, corrupt-flag, timing-flag).  Returns the
-    cell's record in its final form, or None for a degenerate cell.  An
-    ArithmeticError (two internal code paths disagreeing), or a value the
-    expansion kernel finds not polynomial (NotDivisible, NotPolynomial),
-    gives a failed record carrying the message under "error", with null
-    lhs and rhs; an OverflowError or a MemoryError (an exponent too large
-    to expand) propagates.  The measured elapsed_ms is added only with the
-    timing flag.
+    cell = (identity, params-dict, timing-flag).  Returns the cell's
+    record in its final form, or None for a degenerate cell.  With corrupt
+    the left-hand side is perturbed before the comparison, for
+    --selftest-corrupt.  An ArithmeticError (two internal code paths
+    disagreeing), or a value the expansion kernel finds not polynomial
+    (NotDivisible), gives a failed record carrying the message under
+    "error", with null lhs and rhs; an OverflowError or a MemoryError (an
+    exponent too large to expand) propagates.  The measured elapsed_ms is
+    added only with the timing flag.
     """
-    identity, params, corrupt, timing = cell
+    identity, params, timing = cell
     ident = IDENTITIES[identity]
     start = time.perf_counter()
     record = {"identity": identity, "params": params}
@@ -229,7 +227,7 @@ def _run_cell(cell):
     except (OverflowError, MemoryError):
         # a bad input, not a refutation: main reports it on stderr
         raise
-    except (ArithmeticError, NotDivisible, NotPolynomial) as exc:
+    except (ArithmeticError, NotDivisible) as exc:
         # an internal disagreement: a failed cell, not a crash
         error = "%s: %s" % (type(exc).__name__, exc)
         record.update(lhs=None, rhs=None, equal=False, error=error)
@@ -281,10 +279,7 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--jobs must be an integer >= 1, got %r" % (args.jobs,))
     cells, skipped = _grid_cells(args, parser)
     timing = args.output is not None
-    work = [
-        (args.identity, params, args.selftest_corrupt and i == 0, timing)
-        for i, params in enumerate(cells)
-    ]
+    work = [(args.identity, params, timing) for params in cells]
     workers = min(args.jobs, os.cpu_count() or 1, len(work))
     tally = {"pass": 0, "fail": 0, "degenerate": skipped}
     with contextlib.ExitStack() as stack:
@@ -307,11 +302,16 @@ def _cmd_verify(args, parser) -> int:
         else:
             records = map(_run_cell, work)
         # Executor.map yields in submission order, so stdout is independent
-        # of --jobs
-        for record in records:
+        # of --jobs, and the first record that is not None is the first
+        # cell that is not degenerate: the negative control reruns that
+        # cell here, perturbed
+        corrupt = args.selftest_corrupt
+        for cell, record in zip(work, records):
             if record is None:
                 tally["degenerate"] += 1
                 continue
+            if corrupt:
+                record, corrupt = _run_cell(cell, corrupt=True), False
             tally["pass" if record["equal"] else "fail"] += 1
             out.write(json.dumps(record, separators=(",", ":")) + "\n")
         summary = json.dumps(tally, separators=(",", ":"))
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--selftest-corrupt",
         action="store_true",
-        help="perturb one side of the first cell; the run must then fail",
+        help="perturb one side of the first non-degenerate cell; the run must then fail",
     )
 
     p_explain = sub.add_parser("explain", help="list each summand of an identity LHS")

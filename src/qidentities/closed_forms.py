@@ -61,13 +61,18 @@ def _check_spellings(n: int, k: int, where: str) -> None:
 def theorem1_rhs(d0: int, d1: int) -> LaurentPoly:
     """([2d0]_q / [d0]_q) * qbinom(d0, d1) * qbinom(d0 + d1 - 1, d0).
 
-    The bracket ratio equals x**d0 + x**(-d0).  Requires d0 > d1 >= 1.
+    The bracket ratio equals x**d0 + x**(-d0).  Also checks the
+    generating-series spelling with qbinom(d0 + d1 - 1, d1 - 1), the other
+    side of the last binomial's row, as theorem2_rhs does.  Requires
+    d0 > d1 >= 1.
     """
     if d1 < 1 or d0 <= d1:
         raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
     qf = _product((4 * d0,), -d0, den=(2 * d0,))
     qf = qf_mul(qf, q_binomial_factored(d0, d1))
-    return qf_expand_ratio(qf_mul(qf, q_binomial_factored(d0 + d1 - 1, d0)))
+    value = qf_expand_ratio(qf_mul(qf, q_binomial_factored(d0 + d1 - 1, d0)))
+    _check_spellings(d0 + d1 - 1, d0, "theorem1_rhs(%d, %d)" % (d0, d1))
+    return value
 
 
 def theorem2_rhs(d1: int, d2: int) -> LaurentPoly:
@@ -93,14 +98,9 @@ def nlog_value(surface: str, p: int, r: int) -> LaurentPoly:
     """The generating-series value for one of the two supported surfaces.
 
     For "dP1_04" the arguments are (d0, d1) with d0 > d1 >= 1; for "F0_04"
-    they are (d1, d2) with both >= 1, as each theorem checks.  The published
-    binomial spelling is checked against the theorem form at runtime, in
-    factored form (exact; see the module docstring) after the one expansion.
+    they are (d1, d2) with both >= 1, as each theorem checks.  Each
+    theorem's closed form checks the published binomial spelling.
     """
     if surface not in SURFACE_TAGS:
         raise ValueError("unknown surface tag: %r" % (surface,))
-    if surface == "dP1_04":
-        value = theorem1_rhs(p, r)
-        _check_spellings(p + r - 1, p, "nlog_value(dP1_04)")
-        return value
-    return theorem2_rhs(p, r)
+    return (theorem1_rhs if surface == "dP1_04" else theorem2_rhs)(p, r)

@@ -13,10 +13,6 @@ class NotDivisible(QIdentitiesError):
     """No exact Laurent-polynomial quotient exists."""
 
 
-class NotPolynomial(QIdentitiesError):
-    """A factored value with negative multiplicities cannot be expanded."""
-
-
 class InvalidHypothesis(QIdentitiesError):
     """Parameters outside the hypothesis of the identity being evaluated."""
 

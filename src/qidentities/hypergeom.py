@@ -133,12 +133,8 @@ def is_saalschutzian(series: PhiSeries) -> bool:
     for i, t in enumerate(series.upper):
         if t > 0 or t % 2 != 0:
             continue
-        n_order = -t // 2
         a, b = (series.upper[j] for j in range(3) if j != i)
-        for c, other in (
-            (series.lower[0], series.lower[1]),
-            (series.lower[1], series.lower[0]),
-        ):
-            if other == a + b + 2 * (1 - n_order) - c:
+        for c, other in (series.lower, series.lower[::-1]):
+            if other == SaalschutzInstance(a, b, c, -t // 2).derived_lower_exp():
                 return True
     return False

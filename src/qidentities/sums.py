@@ -1,4 +1,5 @@
-"""Partition-indexed sums: the refined sum f and the theorem left-hand sides.
+"""Partition-indexed sums: the refined sum f and the left-hand sides of
+Proposition 3 and both theorems.
 
 Indices are integer partitions written in distinct-part/multiplicity form:
 strictly decreasing parts n_1 > ... > n_m > 0 with positive multiplicities
@@ -7,13 +8,14 @@ The refined sum f pins both the weighted sum of parts and the total
 multiplicity, so its conventions at zero (f(D, 0, 0) = 1, and 0 when
 exactly one of d1, k0 is 0) are what the partition sum itself gives.
 
-Both theorems' left-hand sides are one partition sum over the indices of
+All three left-hand sides are one partition sum over the indices of
 weighted sum d: f_term(D, idx) times trailing[k], a q-binomial of
-k = sum k_i; an index whose k is not a key is left out.  _two_path_sum
-computes it by the direct transcription and by the refined-sum
-refactoring, and asserts the two equal; they share only the q-binomial
-caches.  f_recursive memoizes every refined sum it reaches, in one bounded
-LRU over (D, d1, k0), so every later call reuses them.
+k = sum k_i (for Proposition 3, 1 at k = k0 alone); an index whose k is
+not a key is left out.  _two_path_sum computes it by the direct
+transcription and by the refined-sum refactoring, and asserts the two
+equal; they share only the q-binomial caches.  f_recursive memoizes
+every refined sum it reaches, in one bounded LRU over (D, d1, k0), so
+every later call reuses them.
 """
 
 from __future__ import annotations
@@ -244,6 +246,13 @@ def theorem2_terms(d1: int, d2: int):
     on the first next())."""
     for idx, term in _summands(*_theorem2(d1, d2)):
         yield idx.to_json_obj(), term
+
+
+def prop3_lhs(D: int, d1: int, k0: int) -> LaurentPoly:
+    """Proposition 3's left-hand side, the refined sum f(D/2, d1, k0), by
+    _two_path_sum.  Requires d1 >= 0 and k0 >= 0."""
+    spec = FSumSpec(D, d1, k0)
+    return _two_path_sum(D, d1, {k0: ONE}, "prop3_lhs(%d, %d, %d)" % spec)
 
 
 def theorem1_lhs(d0: int, d1: int) -> LaurentPoly:

@@ -169,6 +169,21 @@ def test_verify_selftest_corrupt_fails(capsys):
     assert records[0]["equal"] is False
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_selftest_corrupt_perturbs_the_first_non_degenerate_cell(capsys, jobs):
+    # the lower parameter c = x^-2 vanishes in range, so the first cell is
+    # degenerate and the negative control must perturb the second
+    rc, out = run(
+        capsys,
+        "verify", "--identity", "saalschutz", "--a", "1", "--b", "1", "--c=-2..-1",
+        "--N", "2", "--selftest-corrupt", "--jobs", jobs,
+    )
+    assert rc == 1
+    (record,), summary = parse_records(out)
+    assert summary == {"pass": 0, "fail": 1, "degenerate": 1}
+    assert record["params"]["c"] == -1 and record["equal"] is False
+
+
 def test_equal_polynomial_sides_are_encoded_once(monkeypatch, capsys):
     import qidentities.cli as cli
     from qidentities import ONE, LaurentPoly, theorem2_rhs
@@ -178,7 +193,7 @@ def test_equal_polynomial_sides_are_encoded_once(monkeypatch, capsys):
     monkeypatch.setattr(
         LaurentPoly, "to_pairs", lambda self: encoded.append(self) or to_pairs(self)
     )
-    record = cli._run_cell(("thm2", {"d1": 2, "d2": 3}, False, False))
+    record = cli._run_cell(("thm2", {"d1": 2, "d2": 3}, False))
     assert record["equal"] is True and len(encoded) == 1
     assert record["lhs"] == record["rhs"]
     # the negative control's first cell is unequal: each side is its own

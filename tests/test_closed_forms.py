@@ -173,7 +173,7 @@ def _assert_spelling_checks_fail(monkeypatch, capsys, builder, broken):
         theorem2_rhs(1, 3)
     with pytest.raises(ArithmeticError, match=r"theorem2_rhs\(2, 2\)"):
         theorem2_rhs(2, 2)
-    with pytest.raises(ArithmeticError, match=r"nlog_value\(dP1_04\)"):
+    with pytest.raises(ArithmeticError, match=r"theorem1_rhs\(3, 1\)"):
         nlog_value("dP1_04", 3, 1)
     assert theorem2_rhs(2, 1) == untouched
     assert main(["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..3"]) == 1
@@ -185,3 +185,10 @@ def _assert_spelling_checks_fail(monkeypatch, capsys, builder, broken):
         assert record["lhs"] is None and record["rhs"] is None
         assert record["error"].startswith(
             "ArithmeticError: binomial-spelling disagreement in theorem2_rhs")
+    # verify thm1 reaches the same check: theorem1_rhs(3, 1) compares the
+    # two sides of the row of qbinom(3, 3)
+    assert main(["verify", "--identity", "thm1", "--d0", "3", "--d1", "1"]) == 1
+    line, summary = capsys.readouterr().out.splitlines()
+    assert json.loads(summary) == {"pass": 0, "fail": 1, "degenerate": 0}
+    assert json.loads(line)["error"] == (
+        "ArithmeticError: binomial-spelling disagreement in theorem1_rhs(3, 1)")

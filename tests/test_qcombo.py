@@ -10,7 +10,6 @@ from qidentities import (
     DivisionByZero,
     LaurentPoly,
     NotDivisible,
-    NotPolynomial,
     ONE,
     QFactored,
     RationalFunction,
@@ -240,9 +239,12 @@ def test_qf_expand_example():
     assert qf_expand(v) == oracle
 
 
-def test_qf_expand_rejects_negative_multiplicity():
-    with pytest.raises(NotPolynomial):
+def test_qf_expand_divides_out_negative_multiplicities():
+    # (1 - x^4) / (1 - x^2) = 1 + x^2 = 1 + q
+    assert qf_expand(QFactored(factors={4: 1, 2: -1})) == lp({0: 1, 2: 1})
+    with pytest.raises(NotDivisible):
         qf_expand(QFactored(factors={2: -1}))
+    assert qf_expand_ratio is qf_expand
 
 
 def test_qf_to_rational():

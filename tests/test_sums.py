@@ -294,6 +294,28 @@ def test_refined_path_is_the_memoized_recursion(monkeypatch, capsys):
         assert record["error"].startswith("ArithmeticError: internal disagreement")
 
 
+
+def test_prop3_lhs_is_checked_by_two_paths(monkeypatch, capsys):
+    # verify prop3's left-hand side is the refined sum by both paths, so a
+    # wrong recursion is caught before the closed form is compared
+    from qidentities import prop3_lhs, sums
+    from qidentities.cli import main
+
+    assert prop3_lhs(8, 2, 2) == f_enumerated(FSumSpec(8, 2, 2)) == prop3_rhs(8, 2, 2)
+    real = sums._refined
+    monkeypatch.setattr(sums, "_refined", lambda D, d1, k0: real(D, d1, k0) + ONE)
+    with pytest.raises(ArithmeticError, match=r"prop3_lhs\(8, 2, 2\)"):
+        prop3_lhs(8, 2, 2)
+    argv = ["verify", "--identity", "prop3", "--D", "3", "--d1", "1..2", "--k0", "1..2"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[-1]) == {"pass": 0, "fail": 3, "degenerate": 1}
+    for record in map(json.loads, lines[:-1]):
+        assert record["equal"] is False and record["lhs"] is None
+        where = "prop3_lhs(3, %(d1)d, %(k0)d)" % record["params"]
+        assert record["error"] == "ArithmeticError: internal disagreement in " + where
+
+
 # -- memos shared across calls ---------------------------------------------------
 
 
