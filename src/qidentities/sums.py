@@ -11,11 +11,11 @@ exactly one of d1, k0 is 0) are what the partition sum itself gives.
 All three left-hand sides are one partition sum over the indices of
 weighted sum d: f_term(D, idx) times trailing[k], a q-binomial of
 k = sum k_i (for Proposition 3, 1 at k = k0 alone); an index whose k is
-not a key is left out.  _two_path_sum computes it by the direct
-transcription and by the refined-sum refactoring, and asserts the two
-equal; they share only the q-binomial caches.  f_recursive memoizes
-every refined sum it reaches, in one bounded LRU over (D, d1, k0), so
-every later call reuses them.
+not a key is left out.  _two_path_sum sums it by k, as Proposition 3
+does: f(D, d, k) trailing[k] over the nonzero trailing[k], each f checked
+by the direct transcription against the recursion (they share only the
+q-binomial caches).  f_recursive memoizes every refined sum it reaches,
+in one bounded LRU over (D, d1, k0), so every later call reuses them.
 """
 
 from __future__ import annotations
@@ -92,12 +92,12 @@ def _index_sort_key(idx: PartitionedIndex):
 INDEX_CACHE_SIZE = 16
 
 # Refined sums f(D, d1, k0) the refined-sum memo keeps before it drops the
-# least recently used, base cases included.  A whole grid reaches 1,350 of
-# them on verify thm2 --d1 1..10 --d2 1..10, 2,882 on --d1 1..14 and 10,352
+# least recently used, base cases included.  A whole grid reaches 1,044 of
+# them on verify thm2 --d1 1..10 --d2 1..10, 1,922 on --d1 1..14 and 5,196
 # on --d1 1..24, and 595 on verify thm1 --d0 2..14 --d1 1..13, so 4096
-# computes each value of the first three grids once.  On the 1..24 grid the
-# CLI's peak RSS was 38, 53 and 76 MB at 2048, 4096 and 8192 entries, with
-# run times within the host's noise (2-vCPU VM, Python 3.11).
+# computes each value of all but the 1..24 grid once.  On the 1..24 grid the
+# CLI's peak RSS was 27, 33 and 34 MB at 2048, 4096 and 8192 entries, in
+# 6.7-7.4 s, within the host's noise (2-vCPU VM, Python 3.11).
 REFINED_CACHE_SIZE = 4096
 
 
@@ -127,7 +127,7 @@ def enumerate_indices(d: int, k0: int | None = None):
 def f_term(D: int, idx: PartitionedIndex) -> LaurentPoly:
     """One summand of the refined sum: the product over i of
     qbinom(D - 2*sum_{j<i} (n_j - n_i) k_j, k_i), which is ONE for the
-    empty index.
+    empty index; a factor of 1 is not multiplied in.
 
     The binomials use the generic-ratio (signed) extension so the refined
     sum matches its closed form for every positive D; on nonnegative tops
@@ -138,7 +138,7 @@ def f_term(D: int, idx: PartitionedIndex) -> LaurentPoly:
     count = 0  # sum of k_j over previous factors
     for n, k in zip(idx.parts, idx.mults):
         factor = q_binomial_signed(D - 2 * weighted + 2 * n * count, k)
-        total = factor if total is ONE else total * factor
+        total = factor if total is ONE else total if factor is ONE else total * factor
         if total.is_zero():
             return ZERO
         weighted += n * k
@@ -152,7 +152,7 @@ def f_enumerated(spec: FSumSpec) -> LaurentPoly:
     At d1 = 0 the one index is the empty one, of total multiplicity 0, so
     the sum is 1 when k0 = 0 and 0 otherwise; it is 0 when k0 > d1.
     """
-    return sum((term for _, term in _summands(spec.D, spec.d1, {spec.k0: ONE})), ZERO)
+    return sum((f_term(spec.D, idx) for idx in enumerate_indices(spec.d1, spec.k0)), ZERO)
 
 
 def f_recursive(spec: FSumSpec) -> LaurentPoly:
@@ -162,9 +162,8 @@ def f_recursive(spec: FSumSpec) -> LaurentPoly:
                        f(D, d1 - n*k0, k0 - k) * qbinom(D - 2*d1 + 2*n*k0, k)
 
     with f(D, 0, 0) = 1, the empty partition; when exactly one of d1, k0
-    is 0 the sums are empty and f is 0.
-    Every value on the way is memoized by _refined, a bounded LRU over
-    (D, d1, k0), so every later call reuses it.
+    is 0 the sums are empty and f is 0.  Every value on the way is
+    memoized by _refined, a bounded LRU over (D, d1, k0), for later calls.
     """
     return _refined(spec.D, spec.d1, spec.k0)
 
@@ -181,34 +180,36 @@ def _refined(D, d1, k0):
             if tail.is_zero():
                 continue
             binom = q_binomial_signed(D - 2 * d1 + 2 * n * k0, k)
-            # the empty-product tail f(D, 0, 0) = 1 needs no multiply
-            total = total + (binom if tail is ONE else tail * binom)
+            # a 1 (the empty-product tail f(D, 0, 0) or qbinom(m, m)) needs no multiply
+            total = total + (binom if tail is ONE else tail if binom is ONE else tail * binom)
     return total
 
 
 def _summands(D, d, trailing):
-    """Path (a), the direct transcription: (idx, f_term(D, idx) *
-    trailing[k]) in canonical index order.  Memoizes nothing."""
+    """The direct transcription: (idx, f_term(D, idx) * trailing[k]) in
+    canonical index order.  Memoizes nothing."""
     for idx in enumerate_indices(d):
         binom = trailing.get(idx.mult_sum())
         if binom is not None:
             term = f_term(D, idx)
-            # a trailing 1 (f_enumerated's, qbinom(n, 0) or qbinom(n, n)) needs no multiply
+            # a trailing 1 (qbinom(n, 0) or qbinom(n, n)) needs no multiply
             yield idx, term if binom is ONE else term * binom
 
 
 def _two_path_sum(D, d, trailing, where):
-    """The partition sum by path (a), _summands, and by path (b),
-    sum_k f_recursive(D, d, k) * trailing[k]; raises ArithmeticError
-    naming where if the two differ."""
-    direct = sum((term for _, term in _summands(D, d, trailing)), ZERO)
-    refined = sum(
-        (f_recursive(FSumSpec(D, d, k)) * binom for k, binom in trailing.items()),
-        ZERO,
-    )
-    if direct != refined:
-        raise ArithmeticError("internal disagreement in " + where)
-    return direct
+    """sum_k f(D, d, k) * trailing[k] over the nonzero trailing[k], each f
+    by path (a), f_enumerated, and by path (b), f_recursive; raises
+    ArithmeticError naming where if the two differ on any slice."""
+    total = ZERO
+    for k, binom in trailing.items():
+        if binom.is_zero():
+            continue
+        spec = FSumSpec(D, d, k)
+        refined = f_recursive(spec)
+        if refined != f_enumerated(spec):
+            raise ArithmeticError("internal disagreement in " + where)
+        total = total + (refined if binom is ONE else refined * binom)
+    return total
 
 
 def _theorem1(d0, d1):
@@ -223,7 +224,7 @@ def _theorem1(d0, d1):
 def _theorem2(d1, d2):
     """Theorem 2's (D, d, trailing): D = 2*d1 + d2, d = d1 and
     trailing[k] = qbinom(d2, k) for k = 1..d1, zero for k > d2 but still
-    listed.  Requires d1 >= 1 and d2 >= 1."""
+    listed for explain's summands.  Requires d1 >= 1 and d2 >= 1."""
     if d1 < 1 or d2 < 1:
         raise InvalidHypothesis("theorem 2 requires d1 >= 1 and d2 >= 1")
     return 2 * d1 + d2, d1, {k: q_binomial(d2, k) for k in range(1, d1 + 1)}
@@ -251,8 +252,7 @@ def theorem2_terms(d1: int, d2: int):
 def prop3_lhs(D: int, d1: int, k0: int) -> LaurentPoly:
     """Proposition 3's left-hand side, the refined sum f(D/2, d1, k0), by
     _two_path_sum.  Requires d1 >= 0 and k0 >= 0."""
-    spec = FSumSpec(D, d1, k0)
-    return _two_path_sum(D, d1, {k0: ONE}, "prop3_lhs(%d, %d, %d)" % spec)
+    return _two_path_sum(D, d1, {k0: ONE}, "prop3_lhs(%d, %d, %d)" % (D, d1, k0))
 
 
 def theorem1_lhs(d0: int, d1: int) -> LaurentPoly:

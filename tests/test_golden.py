@@ -19,6 +19,8 @@ GOLDEN = {
         (0, "94c92b867482863803729983d68090e48b44f3da1c4973fc572ba7ae6e51f3d4"),
     "verify --identity thm2 --d1 0..6 --d2 0..5":
         (0, "ecbaedc57c269faa0fb82201929fe32846f7aa8150a268627d3e6933739728b1"),
+    "verify --identity thm2 --d1 11..14 --d2 1..3":
+        (0, "1d2444d5e7c70163866c158fb9f25d0e67934911e292af876adc8c8006012637"),
     "verify --identity prop3 --D 0..9 --d1 0..5 --k0 0..5":
         (0, "c0f83e27921d12763303edb86fa91afe398c5bbb383d8311eb1630cd6652f146"),
     "verify --identity saalschutz --a=-3..3 --b=-3..3 --c=-3..3 --N=-1..3":

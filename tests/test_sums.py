@@ -269,13 +269,14 @@ def test_refined_path_is_the_memoized_recursion(monkeypatch, capsys):
     monkeypatch.setattr(sums, "f_recursive", recording)
     assert theorem1_lhs(5, 2) == theorem1_rhs(5, 2)
     assert theorem2_lhs(3, 2) == theorem2_rhs(3, 2)
-    # thm1 (5, 2): D = 10, k0 = 0..2; thm2 (3, 2): D = 8, k0 = 1..3; each
+    # thm1 (5, 2): D = 10, k0 = 0..2; thm2 (3, 2): D = 8, k = 1..2, since
+    # the k = 3 slice has trailing factor [2, 3] = 0 and is skipped; each
     # value path (b) used is still memoized, so looking it up again hits
-    assert [spec.D for spec in specs] == [10] * 3 + [8] * 3
+    assert [spec.D for spec in specs] == [10] * 3 + [8] * 2
     before = sums._refined.cache_info()
     assert all(sums._refined(*spec) is real(spec) for spec in specs)
     after = sums._refined.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (12, 0)
+    assert (after.hits - before.hits, after.misses - before.misses) == (10, 0)
 
     def perturbed(spec):
         return real(spec) + ONE
@@ -316,6 +317,50 @@ def test_prop3_lhs_is_checked_by_two_paths(monkeypatch, capsys):
         assert record["error"] == "ArithmeticError: internal disagreement in " + where
 
 
+def test_each_slice_is_checked_by_two_paths(monkeypatch, capsys):
+    # theorem2_lhs(3, 3) = sum_k f(9, 3, k) [3, k]: shifting f(9, 3, 1) by
+    # +[3, 2] and f(9, 3, 2) by -[3, 1] leaves the sum unchanged, so a check
+    # of the two totals alone passes it, and the left-hand side still equals
+    # the right-hand side; the per-slice check fails it
+    from qidentities import sums
+    from qidentities.cli import main
+
+    real = sums.f_recursive
+    shifts = {FSumSpec(9, 3, 1): q_binomial(3, 2), FSumSpec(9, 3, 2): -q_binomial(3, 1)}
+    monkeypatch.setattr(sums, "f_recursive", lambda spec: real(spec) + shifts.get(spec, ZERO))
+    assert sum((shifts[spec] * q_binomial(3, spec.k0) for spec in shifts), ZERO).is_zero()
+    with pytest.raises(ArithmeticError, match=r"theorem2_lhs\(3, 3\)"):
+        theorem2_lhs(3, 3)
+    assert main(["verify", "--identity", "thm2", "--d1", "3", "--d2", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[-1]) == {"pass": 0, "fail": 1, "degenerate": 0}
+    record = json.loads(lines[0])
+    assert record["equal"] is False and record["lhs"] is None
+    assert record["error"] == "ArithmeticError: internal disagreement in theorem2_lhs(3, 3)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--identity", "prop3", "--D", "1..24", "--d1", "1..8", "--k0", "1..8"],
+    ["--identity", "thm2", "--d1", "1..10", "--d2", "1..10"],
+], ids=["prop3", "thm2"])
+def test_no_multiply_by_one(monkeypatch, capsys, argv):
+    # f_term, _refined and the per-slice sum all skip a factor of 1, so no
+    # LaurentPoly multiply on these grids has an operand equal to 1
+    from qidentities.cli import main
+
+    real = LaurentPoly.__mul__
+    by_one = []  # per multiply: does an operand equal 1?
+
+    def recording(a, b):
+        by_one.append(a == ONE or b == ONE)
+        return real(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", recording)
+    assert main(["verify"] + argv) == 0
+    capsys.readouterr()
+    assert by_one and not any(by_one)
+
+
 # -- memos shared across calls ---------------------------------------------------
 
 
@@ -335,14 +380,15 @@ def test_lhs_same_with_cold_and_warm_refined_memo():
     warm = [fn(p, r) for fn, p, r in cells]
     assert warm == cold
     # thm1 (4, d1) makes d1 + 1 f_recursive calls (k0 = 0..d1) and thm2
-    # (d1, d2) makes d1 (k0 = 1..d1): 19 _refined calls.  Each (d1, k0) it
-    # computes with both nonzero calls _refined k0 * (d1 // k0) more times:
-    # (3, 1), (1, 1), (3, 2), (3, 3), (2, 1), (2, 2) at both D, 13 calls
-    # each, while (1, 3) and (1, 2) at D = 8 make none.  Of those 45 calls,
-    # one per distinct key misses: 14 keys at D = 8 and 11 at D = 7, base
-    # cases included; the other 20 hit.
+    # (d1, d2) makes min(d1, d2) (k = 1..min(d1, d2): a slice with k > d2
+    # has trailing factor [d2, k] = 0 and is skipped): 16 _refined calls.
+    # Each (d1, k0) it computes with both nonzero calls _refined
+    # k0 * (d1 // k0) more times: (3, 1), (2, 1), (2, 2) at both D, 7 calls
+    # each, and (1, 1), (3, 2) at D = 8, 3 calls, while (1, 3) and (1, 2) at
+    # D = 8 make none.  Of those 33 calls, one per distinct key misses: 12
+    # keys at D = 8 and 7 at D = 7, base cases included; the other 14 hit.
     info = sums._refined.cache_info()
-    assert (info.hits, info.misses) == (20, 25)
+    assert (info.hits, info.misses) == (14, 19)
     rhs = {theorem1_lhs: theorem1_rhs, theorem2_lhs: theorem2_rhs}
     assert warm == [rhs[fn](p, r) for fn, p, r in cells]
 
