@@ -8,18 +8,20 @@ through that registry, so adding an identity is one entry.
 Exit codes: 0 = no cell failed, 1 = at least one cell failed (a mismatch
 or an internal disagreement; with --selftest-corrupt, the perturbed first
 non-degenerate cell, so only a grid with none exits 0), 2 = usage or
-domain error, or from run() a failed write (such as a full disk), and from
-run() 141 = the reader closed stdout.
+domain error, a worker process that died, or from run() a failed write
+(such as a full disk), and from run() 141 = the reader closed stdout.
 A usage error found after parsing, such as an --output file that cannot
 be opened, a flag the subcommand does not take, or a parameter flag that
 the chosen --kind or --identity does not read, prints the subcommand's own
 usage line; a domain error, a library ValueError, an OverflowError (a huge
-exponent) or a MemoryError (an exponent or count too large to expand in
-memory) prints one line on stderr.
+exponent), a MemoryError (an exponent or count too large to expand in
+memory) or a BrokenProcessPool (a worker process died) prints one line on
+stderr.
 
 Verification records are line-delimited JSON, written in cell order as the
-cells finish and then a summary line, so no list of records is kept and an
-interrupted run keeps the records it wrote.  Records written to a file via
+cells finish and then a summary line.  The cells are generated as they run,
+so no list of cells or of records is kept, and an interrupted run keeps the
+records it wrote.  Records written to a file via
 --output carry a measured elapsed_ms field; on stdout it is omitted so
 that identical reruns are byte-identical.
 
@@ -39,6 +41,7 @@ import contextlib
 import gc
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -66,10 +69,10 @@ _STYLE = {"text": "plain", "json": "json", "latex": "latex"}
 
 class Identity(NamedTuple):
     """One registry entry.  holds, lhs, rhs and terms take the parameter
-    values in params order.  holds is the hypothesis, used to skip grid
-    cells up front and to reject eval of either side outside it; terms
-    yields explain's (label, summand) pairs, or is None when explain does
-    not support the identity."""
+    values in params order.  holds is the hypothesis, checked by each grid
+    cell before it computes either side and used to reject eval of either
+    side outside it; terms yields explain's (label, summand) pairs, or is
+    None when explain does not support the identity."""
 
     params: tuple
     holds: Callable
@@ -204,7 +207,8 @@ def _run_cell(cell, corrupt=False):
     """Compute one grid cell.  Top-level so it pickles for worker pools.
 
     cell = (identity, params-dict, timing-flag).  Returns the cell's
-    record in its final form, or None for a degenerate cell.  With corrupt
+    record in its final form, or None for a cell that is not checked: one
+    outside the identity's hypothesis, or a degenerate one.  With corrupt
     the left-hand side is perturbed before the comparison, for
     --selftest-corrupt.  An ArithmeticError (two internal code paths
     disagreeing), or a value the expansion kernel finds not polynomial
@@ -215,6 +219,8 @@ def _run_cell(cell, corrupt=False):
     """
     identity, params, timing = cell
     ident = IDENTITIES[identity]
+    if not ident.holds(*params.values()):
+        return None
     start = time.perf_counter()
     record = {"identity": identity, "params": params}
     try:
@@ -248,10 +254,10 @@ def _run_cell(cell, corrupt=False):
     return record
 
 
-def _grid_cells(args, parser):
-    """The params dicts of the requested identity's grid, in canonical
-    order (the last parameter varies fastest).  Cells outside the
-    identity's hypothesis are skipped up front and counted as degenerate."""
+def _grid_ranges(args, parser):
+    """The validated ranges of the requested identity's grid axes, in
+    params order; their product, with the last parameter varying fastest,
+    is the grid in canonical order."""
     ident = IDENTITIES[args.identity]
     _reject_unread(args, parser, ident.params, "--identity " + args.identity)
     ranges = []
@@ -262,14 +268,7 @@ def _grid_cells(args, parser):
             ranges.append(_parse_range(getattr(args, name)))
         except ValueError as exc:
             parser.error("--%s: %s" % (name, exc))
-    cells = []
-    skipped = 0
-    for values in itertools.product(*ranges):
-        if ident.holds(*values):
-            cells.append(dict(zip(ident.params, values)))
-        else:
-            skipped += 1
-    return cells, skipped
+    return ranges
 
 
 def _cmd_verify(args, parser) -> int:
@@ -277,11 +276,12 @@ def _cmd_verify(args, parser) -> int:
         args.jobs = 1
     if type(args.jobs) is not int or args.jobs < 1:
         parser.error("--jobs must be an integer >= 1, got %r" % (args.jobs,))
-    cells, skipped = _grid_cells(args, parser)
+    ranges = _grid_ranges(args, parser)
     timing = args.output is not None
-    work = [(args.identity, params, timing) for params in cells]
-    workers = min(args.jobs, os.cpu_count() or 1, len(work))
-    tally = {"pass": 0, "fail": 0, "degenerate": skipped}
+    names = IDENTITIES[args.identity].params
+    cells = ((args.identity, dict(zip(names, v)), timing) for v in itertools.product(*ranges))
+    workers = min(args.jobs, os.cpu_count() or 1, math.prod(len(r) for r in ranges))
+    tally = {"pass": 0, "fail": 0, "degenerate": 0}
     with contextlib.ExitStack() as stack:
         out = sys.stdout
         if timing:
@@ -298,19 +298,20 @@ def _cmd_verify(args, parser) -> int:
             # runs first on the way out: an error, such as a closed stdout,
             # drops the queued chunks instead of waiting for them all
             stack.callback(pool.shutdown, cancel_futures=True)
-            records = pool.map(_run_cell, work, chunksize=16)
+            records = pool.map(_run_cell, cells, chunksize=16)
         else:
-            records = map(_run_cell, work)
+            records = map(_run_cell, cells)
         # Executor.map yields in submission order, so stdout is independent
         # of --jobs, and the first record that is not None is the first
         # cell that is not degenerate: the negative control reruns that
         # cell here, perturbed
         corrupt = args.selftest_corrupt
-        for cell, record in zip(work, records):
+        for record in records:
             if record is None:
                 tally["degenerate"] += 1
                 continue
             if corrupt:
+                cell = (args.identity, record["params"], timing)
                 record, corrupt = _run_cell(cell, corrupt=True), False
             tally["pass" if record["equal"] else "fail"] += 1
             out.write(json.dumps(record, separators=(",", ":")) + "\n")
@@ -440,6 +441,13 @@ def _apply_config(args, parser):
             setattr(args, attr, value)
 
 
+def _pool_errors():
+    """BrokenProcessPool, a worker that died (say, ended by the OOM killer),
+    if a run has loaded the pool's module; else nothing."""
+    process = sys.modules.get("concurrent.futures.process")
+    return (process.BrokenProcessPool,) if process else ()
+
+
 def main(argv=None) -> int:
     args, extras = build_parser().parse_known_args(argv)
     if extras:
@@ -447,7 +455,9 @@ def main(argv=None) -> int:
     _apply_config(args, args.subparser)
     try:
         return args.run(args, args.subparser)
-    except (QIdentitiesError, ValueError, OverflowError) as exc:
+    # the tuple is built only when an exception arrives, so no launch
+    # imports the pool; a dead worker refutes nothing either
+    except (QIdentitiesError, ValueError, OverflowError, *_pool_errors()) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
     except MemoryError:

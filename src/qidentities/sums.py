@@ -127,7 +127,8 @@ def enumerate_indices(d: int, k0: int | None = None):
 def f_term(D: int, idx: PartitionedIndex) -> LaurentPoly:
     """One summand of the refined sum: the product over i of
     qbinom(D - 2*sum_{j<i} (n_j - n_i) k_j, k_i), which is ONE for the
-    empty index; a factor of 1 is not multiplied in.
+    empty index; a factor of 1 is not multiplied in, and a factor of 0
+    makes the term 0 before any multiply.
 
     The binomials use the generic-ratio (signed) extension so the refined
     sum matches its closed form for every positive D; on nonnegative tops
@@ -138,9 +139,10 @@ def f_term(D: int, idx: PartitionedIndex) -> LaurentPoly:
     count = 0  # sum of k_j over previous factors
     for n, k in zip(idx.parts, idx.mults):
         factor = q_binomial_signed(D - 2 * weighted + 2 * n * count, k)
-        total = factor if total is ONE else total if factor is ONE else total * factor
-        if total.is_zero():
+        # Laurent polynomials have no zero divisors: only a zero factor gives 0
+        if factor.is_zero():
             return ZERO
+        total = factor if total is ONE else total if factor is ONE else total * factor
         weighted += n * k
         count += k
     return total
@@ -180,6 +182,8 @@ def _refined(D, d1, k0):
             if tail.is_zero():
                 continue
             binom = q_binomial_signed(D - 2 * d1 + 2 * n * k0, k)
+            if binom.is_zero():
+                continue
             # a 1 (the empty-product tail f(D, 0, 0) or qbinom(m, m)) needs no multiply
             total = total + (binom if tail is ONE else tail if binom is ONE else tail * binom)
     return total
@@ -208,6 +212,8 @@ def _two_path_sum(D, d, trailing, where):
         refined = f_recursive(spec)
         if refined != f_enumerated(spec):
             raise ArithmeticError("internal disagreement in " + where)
+        if refined.is_zero():
+            continue
         total = total + (refined if binom is ONE else refined * binom)
     return total
 

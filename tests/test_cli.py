@@ -184,6 +184,52 @@ def test_selftest_corrupt_perturbs_the_first_non_degenerate_cell(capsys, jobs):
     assert record["params"]["c"] == -1 and record["equal"] is False
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_selftest_corrupt_reruns_the_first_checked_cell_from_its_record(
+        monkeypatch, capsys, jobs):
+    # (1, 1), (1, 2) and (2, 2) lie outside d0 > d1 >= 1; each cell, in a
+    # worker at --jobs 2, finds that itself, so the control perturbs (2, 1)
+    # by rerunning it from the params its record carries
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rc, out = run(
+        capsys, "verify", "--identity", "thm1", "--d0", "1..3", "--d1", "1..2",
+        "--selftest-corrupt", "--jobs", jobs,
+    )
+    assert rc == 1
+    records, summary = parse_records(out)
+    assert summary == {"pass": 2, "fail": 1, "degenerate": 3}
+    assert [r["params"] for r in records] == [
+        {"d0": 2, "d1": 1}, {"d0": 3, "d1": 1}, {"d0": 3, "d1": 2},
+    ]
+    assert [r["equal"] for r in records] == [False, True, True]
+
+
+def test_serial_verify_checks_each_hypothesis_in_its_cell(monkeypatch, capsys):
+    # the grid is a lazy stream: a serial run checks each cell's hypothesis
+    # just before it computes the cell, not every cell's first
+    import qidentities.cli as cli
+
+    thm1 = cli.IDENTITIES["thm1"]
+    calls = []
+
+    def holds(d0, d1):
+        calls.append(("holds", d0, d1))
+        return thm1.holds(d0, d1)
+
+    def lhs(d0, d1):
+        calls.append(("lhs", d0, d1))
+        return thm1.lhs(d0, d1)
+
+    monkeypatch.setitem(cli.IDENTITIES, "thm1", thm1._replace(holds=holds, lhs=lhs))
+    rc, out = run(capsys, "verify", "--identity", "thm1", "--d0", "1..3", "--d1", "1..2")
+    assert rc == 0
+    assert out.splitlines()[-1] == '{"pass":3,"fail":0,"degenerate":3}'
+    assert calls == [
+        ("holds", 1, 1), ("holds", 1, 2), ("holds", 2, 1), ("lhs", 2, 1),
+        ("holds", 2, 2), ("holds", 3, 1), ("lhs", 3, 1), ("holds", 3, 2), ("lhs", 3, 2),
+    ]
+
+
 def test_equal_polynomial_sides_are_encoded_once(monkeypatch, capsys):
     import qidentities.cli as cli
     from qidentities import ONE, LaurentPoly, theorem2_rhs
@@ -934,6 +980,44 @@ def test_closed_stdout_cancels_the_queued_cells(monkeypatch):
     with pytest.raises(BrokenPipeError):
         main(["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1", "--jobs", "2"])
     assert calls == [True]
+
+
+def test_dead_worker_is_one_line_not_a_failed_cell(monkeypatch, capsys):
+    # a worker that dies (as one the OOM killer ends) refutes nothing: exit
+    # 2 with one line, not a traceback and exit 1, and the queued chunks
+    # are dropped
+    import multiprocessing
+
+    import qidentities.cli as cli
+
+    cancelled = []
+
+    class ForkedPool(concurrent.futures.ProcessPoolExecutor):
+        # forked, so the workers run the patched registry entry below
+        def __init__(self, max_workers):
+            super().__init__(max_workers, mp_context=multiprocessing.get_context("fork"))
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            cancelled.append(cancel_futures)
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    thm2 = cli.IDENTITIES["thm2"]
+
+    def lhs(d1, d2):
+        if (d1, d2) == (2, 2):
+            os._exit(1)
+        return thm2.lhs(d1, d2)
+
+    monkeypatch.setitem(cli.IDENTITIES, "thm2", thm2._replace(lhs=lhs))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkedPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    rc = main(["verify", "--identity", "thm2", "--d1", "1..3", "--d2", "1..3", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert re.fullmatch(r"BrokenProcessPool: .*\n", captured.err), captured.err
+    # the one 16-cell chunk died, so no record and no summary line
+    assert captured.out == ""
+    assert cancelled[0] is True
 
 
 # -- usage errors after parsing ---------------------------------------------------

@@ -361,6 +361,30 @@ def test_no_multiply_by_one(monkeypatch, capsys, argv):
     assert by_one and not any(by_one)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--identity", "prop3", "--D", "1..24", "--d1", "1..8", "--k0", "1..8"],
+    ["--identity", "thm1", "--d0", "2..12", "--d1", "1..11"],
+], ids=["prop3", "thm1"])
+def test_no_multiply_by_zero(monkeypatch, capsys, argv):
+    # f_term stops at a zero factor, _refined skips a zero q-binomial and the
+    # per-slice sum a zero slice, so no LaurentPoly multiply on these grids
+    # has a zero operand (prop3 reaches zero binomials [m, k], 0 <= m < k,
+    # at small D; thm1 lists slices k > d, which are 0)
+    from qidentities.cli import main
+
+    real = LaurentPoly.__mul__
+    by_zero = []  # per multiply: is an operand 0?
+
+    def recording(a, b):
+        by_zero.append(a.is_zero() or b.is_zero())
+        return real(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", recording)
+    assert main(["verify"] + argv) == 0
+    capsys.readouterr()
+    assert by_zero and not any(by_zero)
+
+
 # -- memos shared across calls ---------------------------------------------------
 
 
