@@ -146,6 +146,9 @@ def _parse_range(text):
         raise ValueError("expected A..B or an integer, got %r" % (text,)) from None
     if hi < lo:
         raise ValueError("empty range %r" % text)
+    # a longer range has no len(), which the grid needs
+    if hi - lo >= sys.maxsize:
+        raise ValueError("range %r has more than %d values" % (text, sys.maxsize))
     return range(lo, hi + 1)
 
 

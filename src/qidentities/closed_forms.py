@@ -1,16 +1,22 @@
 """Closed forms for the refined sum, both theorems, and the two
 generating-series values.
 
-Everything is assembled in factored form (QFactored) and expanded once at
-the end, so bracket ratios like [2d0]_q / [d0]_q never pass through a
-Laurent-polynomial division chain.  Each bracket ratio [a]_q / [b]_q is
-one _product call, x**(b - a) (1 - x**(2a)) / (1 - x**(2b)).
+Each closed form is a bracket ratio [a]_q / [b]_q times q-binomials.
+Each q-binomial is expanded on its own from q_binomial_factored, not taken
+from the LRU caches the left-hand sides use, so a closed form shares no
+value with the left-hand side it is checked against.  The expanded
+q-binomials are multiplied, a factor 1 skipped, and the bracket ratio,
+one _product call x**(b - a) (1 - x**(2a)) / (1 - x**(2b)), is applied by
+one expansion pass started from their product: one strided multiply and
+one strided exact division, never a Laurent-polynomial division chain.
+(Expanding the whole factored value in one pass instead grows the list to
+the full numerator before the first division.)
 
 Where a value has two published spellings, they differ in one q-binomial,
 qbinom(n, k) = qbinom(n, n - k), built on the short side of its row for
 the value and again on the long side for the check.  The two are compared
-as QFactored values after the one expansion, which fails first on a value
-too large to expand.  That comparison is exact
+as QFactored values after the value is expanded, which fails first on a
+value too large to expand.  That comparison is exact
 equality of the rational functions they denote, because the canonical
 form sign * x^p * prod over e of (1 - x^e)^(m_e) (e >= 1, no m_e zero) of
 a nonzero value is unique.  Write 1 - x^e = -prod over d | e of Phi_d(x),
@@ -25,9 +31,8 @@ m_e, from the largest e down.
 from __future__ import annotations
 
 from .errors import InvalidHypothesis
-from .laurent import LaurentPoly
-from .qcombo import _product, _q_binomial_row, q_binomial_factored
-from .qcombo import qf_expand_ratio, qf_mul
+from .laurent import ONE, ZERO, LaurentPoly
+from .qcombo import _product, _q_binomial_row, q_binomial_factored, qf_expand_ratio
 
 SURFACE_TAGS = ("dP1_04", "F0_04")
 
@@ -45,10 +50,25 @@ def prop3_rhs(D: int, d1: int, k0: int) -> LaurentPoly:
         raise InvalidHypothesis("D must be >= 1")
     if not 1 <= k0 <= d1:
         raise InvalidHypothesis("requires 1 <= k0 <= d1")
-    qf = _product((2 * D,), k0 - D, den=(2 * k0,))
-    qf = qf_mul(qf, q_binomial_factored(D - d1 + k0 - 1, k0 - 1))
-    qf = qf_mul(qf, q_binomial_factored(d1 - 1, k0 - 1))
-    return qf_expand_ratio(qf)
+    return _times_ratio(
+        _product((2 * D,), k0 - D, den=(2 * k0,)),
+        qf_expand_ratio(q_binomial_factored(D - d1 + k0 - 1, k0 - 1)),
+        qf_expand_ratio(q_binomial_factored(d1 - 1, k0 - 1)),
+    )
+
+
+def _times_ratio(ratio, *factors) -> LaurentPoly:
+    """ratio, a factored bracket ratio [a]_q / [b]_q, times the product of
+    factors, expanded q-binomials.  Any factor 0 makes the value 0, a
+    factor 1 is not multiplied in, and the ratio is applied by one
+    qf_expand_ratio pass started from the factors' product."""
+    product = ONE
+    for factor in factors:
+        if factor.is_zero():
+            return ZERO
+        if factor != ONE:
+            product = factor if product is ONE else product * factor
+    return qf_expand_ratio(ratio, product)
 
 
 def _check_spellings(n: int, k: int, where: str) -> None:
@@ -68,9 +88,11 @@ def theorem1_rhs(d0: int, d1: int) -> LaurentPoly:
     """
     if d1 < 1 or d0 <= d1:
         raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
-    qf = _product((4 * d0,), -d0, den=(2 * d0,))
-    qf = qf_mul(qf, q_binomial_factored(d0, d1))
-    value = qf_expand_ratio(qf_mul(qf, q_binomial_factored(d0 + d1 - 1, d0)))
+    value = _times_ratio(
+        _product((4 * d0,), -d0, den=(2 * d0,)),
+        qf_expand_ratio(q_binomial_factored(d0, d1)),
+        qf_expand_ratio(q_binomial_factored(d0 + d1 - 1, d0)),
+    )
     _check_spellings(d0 + d1 - 1, d0, "theorem1_rhs(%d, %d)" % (d0, d1))
     return value
 
@@ -81,15 +103,14 @@ def theorem2_rhs(d1: int, d2: int) -> LaurentPoly:
     Also checks the generating-series spelling with qbinom(d1 + d2 - 1,
     d2 - 1) squared, the other side of the same row: both sides are built
     and compared in factored form, which is exact (see the module
-    docstring), after the one expansion; a disagreement raises
+    docstring), after the value is expanded; a disagreement raises
     ArithmeticError.  Requires d1 >= 1 and d2 >= 1 (the bracket [d2]_q
     vanishes at d2 = 0).
     """
     if d1 < 1 or d2 < 1:
         raise InvalidHypothesis("theorem 2 requires d1 >= 1 and d2 >= 1")
-    qf = _product((4 * d1 + 2 * d2,), -2 * d1, den=(2 * d2,))
-    bino = q_binomial_factored(d1 + d2 - 1, d1)
-    value = qf_expand_ratio(qf_mul(qf, qf_mul(bino, bino)))
+    bino = qf_expand_ratio(q_binomial_factored(d1 + d2 - 1, d1))
+    value = _times_ratio(_product((4 * d1 + 2 * d2,), -2 * d1, den=(2 * d2,)), bino, bino)
     _check_spellings(d1 + d2 - 1, d1, "theorem2_rhs(%d, %d)" % (d1, d2))
     return value
 

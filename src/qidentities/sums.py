@@ -95,9 +95,12 @@ INDEX_CACHE_SIZE = 16
 # least recently used, base cases included.  A whole grid reaches 1,044 of
 # them on verify thm2 --d1 1..10 --d2 1..10, 1,922 on --d1 1..14 and 5,196
 # on --d1 1..24, and 595 on verify thm1 --d0 2..14 --d1 1..13, so 4096
-# computes each value of all but the 1..24 grid once.  On the 1..24 grid the
-# CLI's peak RSS was 27, 33 and 34 MB at 2048, 4096 and 8192 entries, in
-# 6.7-7.4 s, within the host's noise (2-vCPU VM, Python 3.11).
+# computes each value of all but the 1..24 grid once.  A kept value also
+# keeps its Kronecker memo (laurent), its packed ints: at the end of the
+# 1..24 grid the live values hold 13.8 MB of coefficient lists and 2.9 MB
+# of memo (0.4 MB of it on q-binomials).  On that grid the CLI's peak RSS
+# was 29, 36 and 38 MB at 2048, 4096 and 8192 entries, in 4.2-4.6 s,
+# within the host's noise (2-vCPU VM, Python 3.11).
 REFINED_CACHE_SIZE = 4096
 
 
@@ -194,9 +197,14 @@ def _summands(D, d, trailing):
     canonical index order.  Memoizes nothing."""
     for idx in enumerate_indices(d):
         binom = trailing.get(idx.mult_sum())
-        if binom is not None:
+        if binom is None:
+            continue
+        # a trailing 0 (qbinom(d2, k), k > d2) or 1 (qbinom(n, 0) or
+        # qbinom(n, n)) needs no multiply; a zero summand is still listed
+        if binom.is_zero():
+            yield idx, ZERO
+        else:
             term = f_term(D, idx)
-            # a trailing 1 (qbinom(n, 0) or qbinom(n, n)) needs no multiply
             yield idx, term if binom is ONE else term * binom
 
 

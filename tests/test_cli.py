@@ -1045,6 +1045,11 @@ def test_dead_worker_is_one_line_not_a_failed_cell(monkeypatch, capsys):
      "usage: qident verify", "--d1: expected A..B or an integer, got '1...3'"),
     (["verify", "--identity", "thm2", "--d2", "1", "--config", "bad-d1.json"],
      "usage: qident verify", "--d1: expected A..B or an integer, got 'x..2'"),
+    # more values than a C ssize_t holds, so the range has no len()
+    (["verify", "--identity", "saalschutz", "--a", "1", "--b", "1", "--c", "1",
+      "--N", "1..99999999999999999999"],
+     "usage: qident verify",
+     "--N: range '1..99999999999999999999' has more than %d values" % sys.maxsize),
 ])
 def test_post_parse_usage_error_names_subcommand(
         tmp_path, monkeypatch, capsys, argv, usage, message):

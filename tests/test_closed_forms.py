@@ -114,6 +114,71 @@ def test_q_to_one_specialization():
             assert theorem2_rhs(d1, d2).coeff_sum() == total // d2
 
 
+# -- one q-binomial at a time ---------------------------------------------------------
+
+
+def single_pass(ratio, *binomials):
+    """The closed form as one factored value expanded in one pass: the
+    bracket ratio times the factored q-binomials, which expand together."""
+    from qidentities.qcombo import qf_expand, qf_mul
+
+    for binomial in binomials:
+        ratio = qf_mul(ratio, binomial)
+    return qf_expand(ratio)
+
+
+def test_closed_forms_match_one_factored_expansion():
+    # the CI grids of all three closed forms, cells outside the hypothesis
+    # left out
+    from qidentities.qcombo import _product, q_binomial_factored as qb
+
+    for d0 in range(2, 13):
+        for d1 in range(1, d0):
+            assert theorem1_rhs(d0, d1) == single_pass(
+                _product((4 * d0,), -d0, den=(2 * d0,)), qb(d0, d1), qb(d0 + d1 - 1, d0))
+    for d1 in range(1, 15):
+        for d2 in range(1, 11):
+            bino = qb(d1 + d2 - 1, d1)
+            assert theorem2_rhs(d1, d2) == single_pass(
+                _product((4 * d1 + 2 * d2,), -2 * d1, den=(2 * d2,)), bino, bino)
+    for D in range(1, 25):
+        for d1 in range(1, 9):
+            for k0 in range(1, d1 + 1):
+                assert prop3_rhs(D, d1, k0) == single_pass(
+                    _product((2 * D,), k0 - D, den=(2 * k0,)),
+                    qb(D - d1 + k0 - 1, k0 - 1), qb(d1 - 1, k0 - 1))
+
+
+@pytest.mark.parametrize("argv, failed", [
+    (["--identity", "thm2", "--d1", "2..3", "--d2", "3..4"], [{"d1": 2, "d2": 4}, {"d1": 3, "d2": 3}]),
+    (["--identity", "thm1", "--d0", "4..5", "--d1", "1..2"], [{"d0": 5, "d1": 2}]),
+    (["--identity", "prop3", "--D", "7", "--d1", "5..6", "--k0", "3"], [{"D": 7, "d1": 6, "k0": 3}]),
+], ids=["thm2", "thm1", "prop3"])
+def test_wrong_closed_form_binomial_fails_its_cell(monkeypatch, capsys, argv, failed):
+    # qbinom(5, 2) with one coefficient off, in the closed forms alone: the
+    # left-hand sides keep the true value, so exactly the cells whose
+    # closed form has that factor fail
+    import json
+
+    from qidentities import closed_forms
+    from qidentities.cli import main
+    from qidentities.laurent import ONE
+    from qidentities.qcombo import q_binomial_factored
+
+    real = closed_forms.qf_expand_ratio
+    target = q_binomial_factored(5, 2)
+
+    def one_off(qf, start=ONE):
+        value = real(qf, start)
+        return value + ONE if qf == target else value
+
+    monkeypatch.setattr(closed_forms, "qf_expand_ratio", one_off)
+    assert main(["verify"] + argv) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert [r["params"] for r in records if not r["equal"]] == failed
+    assert all(r["rhs"] is not None for r in records)
+
+
 # -- surface generating-series values ------------------------------------------------
 
 

@@ -312,11 +312,18 @@ def operand_pair(coeffs, spread_factor=2):
     )
 
 
+def cold(p):
+    """An equal value whose Kronecker memo is empty."""
+    return LaurentPoly(p.terms)
+
+
 def check_product(a, b):
+    # the first product packs both operands, the later ones reuse the packs
+    a, b = cold(a), cold(b)
     expected = convolve(a, b)
     assert a * b == expected
     assert b * a == expected
-    kron = _kronecker_mul(a._coeffs, b._coeffs, len(a.terms), len(b.terms))
+    kron = _kronecker_mul(a, b, len(a.terms), len(b.terms))
     # canonical: one slot per exponent of the span, nonzero at both ends
     assert len(kron) == a.degree() - a.valuation() + b.degree() - b.valuation() + 1
     assert kron[0] and kron[-1]
@@ -327,11 +334,12 @@ def check_product(a, b):
 def test_kronecker_selection(monkeypatch):
     calls = []
 
-    def spy(a, b, na, nb):
+    def spy(p, q, na, nb):
         # the nonzero counts passed in are those of the operand lists
+        a, b = p._coeffs, q._coeffs
         assert (na, nb) == (len(a) - a.count(0), len(b) - b.count(0))
         calls.append(na * nb)
-        return _kronecker_mul(a, b, na, nb)
+        return _kronecker_mul(p, q, na, nb)
 
     monkeypatch.setattr(laurent, "_kronecker_mul", spy)
 
@@ -515,6 +523,120 @@ def test_kronecker_cancellation(c, e, n):
     assert h + (-f) * f == ZERO
     assert (h + (-f) * f).terms == {}
     assert f * ZERO == ZERO and ZERO * f == ZERO
+
+
+# -- stride-2 slots and the per-value pack memo ---------------------------------
+
+# sign-uniform coefficient magnitudes whose bound max|a| * max|b| * min(na, nb)
+# (16 to 20 nonzeros each) needs exactly the given unsigned slot width; 9
+# stands for any width beyond machine words
+slot_magnitudes = {
+    1: (1, 3),
+    2: (5, 50),
+    4: (2**8, 2**13),
+    8: (2**17, 2**28),
+    9: (2**33, 2**60),
+}
+
+
+@st.composite
+def stride2_operand(draw, size, magnitude):
+    """x^v times a polynomial in x^2 with exactly `size` positive
+    coefficients in [lo, hi] = magnitude, v odd or even, some with interior
+    zeros at even offsets too."""
+    low = draw(st.integers(min_value=-41, max_value=41))
+    offsets = draw(st.lists(st.integers(min_value=0, max_value=size + size // 4),
+                            min_size=size, max_size=size, unique=True))
+    cs = draw(st.lists(st.integers(*magnitude), min_size=size, max_size=size))
+    return lp({low + 2 * j: c for j, c in zip(offsets, cs)})
+
+
+def memo_keys(p):
+    """The (slot width, stride) pairs p's Kronecker memo holds packs for."""
+    return set(p._kron[3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(slot_magnitudes)).flatmap(lambda width: st.tuples(
+        st.just(width),
+        stride2_operand(16, slot_magnitudes[width]),
+        stride2_operand(20, slot_magnitudes[width]))),
+    st.booleans(),
+    st.booleans(),
+)
+def test_stride2_products(case, negate_a, negate_b):
+    # both operands polynomials in x^2 up to a monomial: only their even
+    # slots are packed, at the width the bound needs, nonnegative or not
+    width, a, b = case
+    a, b = -a if negate_a else a, -b if negate_b else b
+    check_product(a, b)
+    a, b = cold(a), cold(b)
+    assert a * b == convolve(a, b)
+    for p in (a, b):
+        (k, stride), = memo_keys(p)
+        assert stride == 2
+        assert k == width if width <= 8 else k > 8
+
+
+@settings(max_examples=30, deadline=None)
+@given(stride2_operand(16, (1, 2**20)), stride2_operand(20, (1, 2**20)),
+       st.integers(min_value=0, max_value=24), st.booleans())
+def test_stride2_times_stride1(a, b, odd, negate):
+    # a polynomial in x^2 times one with a single term at an odd offset,
+    # anywhere in its span: both are packed whole, one slot per exponent
+    b = b + lp({b.valuation() + 2 * odd + 1: 1})
+    b = -b if negate else b
+    check_product(a, b)
+    a, b = cold(a), cold(b)
+    assert a * b == convolve(a, b)
+    assert {s for _, s in memo_keys(a)} == {s for _, s in memo_keys(b)} == {1}
+
+
+def test_one_value_packed_once_per_slot_width(monkeypatch):
+    packed = spy_packing(monkeypatch)
+    a = lp({2 * e + 1: 1 + e % 3 for e in range(20)})
+    small = lp({2 * e: 1 for e in range(-8, 12)})
+    large = lp({2 * e: 2**30 + e for e in range(-8, 12)})
+    products = [convolve(a, small), convolve(a, large)]
+    for _ in range(2):
+        assert [a * small, a * large] == products
+        assert large * a == products[1]
+    # the first round packs each of the three values once per width, the
+    # second round reuses every pack
+    assert sorted(packed) == [("unsigned", 1), ("unsigned", 1),
+                              ("unsigned", 8), ("unsigned", 8)]
+    assert memo_keys(a) == {(1, 2), (8, 2)}
+
+
+def test_memo_leaves_equality_hash_and_pickle_unchanged():
+    import copy
+    import pickle
+
+    a = lp({2 * e: e + 1 for e in range(20)})
+    b = -lp({2 * e + 1: 3 for e in range(20)})
+    before = hash(a), pickle.dumps(a), pickle.dumps(b)
+    assert not hasattr(a, "_kron")
+    product = a * b
+    assert memo_keys(a) and memo_keys(b)
+    assert (hash(a), pickle.dumps(a), pickle.dumps(b)) == before
+    assert a == cold(a) and b == cold(b) and hash(b) == hash(cold(b))
+    for back in (pickle.loads(pickle.dumps(product)), copy.copy(a), copy.deepcopy(b)):
+        assert not hasattr(back, "_kron")
+    assert pickle.loads(before[1]) == a and copy.copy(b) == b
+
+
+def test_mixed_sign_stride2_product_takes_the_signed_path(monkeypatch):
+    packed = spy_packing(monkeypatch)
+    a = lp({2 * e: (e + 11) * (-1) ** (e % 2) for e in range(-10, 10)})
+    b = lp({2 * e + 1: e + 1 for e in range(20)})
+    check_product(a, b)
+    assert packed and {path for path, _ in packed} == {"signed"}
+    a, b = cold(a), cold(b)
+    a * b
+    # the signed path keeps the smallest and largest coefficients, and
+    # neither a stride nor packs
+    assert a._kron == (-20, 19) and b._kron == (0, 20)
 
 
 @given(polys, nonzero_polys)

@@ -385,6 +385,30 @@ def test_no_multiply_by_zero(monkeypatch, capsys, argv):
     assert by_zero and not any(by_zero)
 
 
+def test_explain_lists_zero_summands_without_multiplying_by_zero(monkeypatch, capsys):
+    # explain thm2 lists every index of weight d1; those with sum k_i > d2
+    # have the trailing factor qbinom(d2, sum k_i) = 0, and their summand
+    # is 0 without a multiply by that factor
+    from qidentities.cli import main
+
+    real = LaurentPoly.__mul__
+    by_zero = []  # per multiply: is an operand 0?
+
+    def recording(a, b):
+        by_zero.append(a.is_zero() or b.is_zero())
+        return real(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", recording)
+    assert main(["explain", "--identity", "thm2", "--d1", "6", "--d2", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert by_zero and not any(by_zero)
+    indices = enumerate_indices(6)
+    assert [line.split("\t")[0] for line in lines[:-1]] == [
+        json.dumps(idx.to_json_obj(), separators=(",", ":")) for idx in indices]
+    zeros = [line.endswith("\t0") for line in lines[:-1]]
+    assert zeros == [idx.mult_sum() > 2 for idx in indices]
+
+
 # -- memos shared across calls ---------------------------------------------------
 
 
