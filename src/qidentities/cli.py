@@ -39,7 +39,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import itertools
 import json
 import math
 import os
@@ -274,6 +273,18 @@ def _grid_ranges(args, parser):
     return ranges
 
 
+def _grid(ranges):
+    """The tuples of the ranges' product in canonical order, the last
+    range varying fastest, each range read lazily: itertools.product
+    would copy every range into a tuple before its first cell."""
+    if not ranges:
+        yield ()
+        return
+    for head in _grid(ranges[:-1]):
+        for v in ranges[-1]:
+            yield head + (v,)
+
+
 def _cmd_verify(args, parser) -> int:
     if args.jobs is None:
         args.jobs = 1
@@ -282,7 +293,7 @@ def _cmd_verify(args, parser) -> int:
     ranges = _grid_ranges(args, parser)
     timing = args.output is not None
     names = IDENTITIES[args.identity].params
-    cells = ((args.identity, dict(zip(names, v)), timing) for v in itertools.product(*ranges))
+    cells = ((args.identity, dict(zip(names, v)), timing) for v in _grid(ranges))
     workers = min(args.jobs, os.cpu_count() or 1, math.prod(len(r) for r in ranges))
     tally = {"pass": 0, "fail": 0, "degenerate": 0}
     with contextlib.ExitStack() as stack:

@@ -25,14 +25,23 @@ Kronecker substitution", J. Symb. Comput. 2009) writes each coefficient
 list into one Python int, a k-byte slot per exponent, and a single
 big-integer multiply does all term products in C.
 
-When both coefficient lists are sign-uniform (all entries >= 0, or all
-<= 0), as in every product of q-binomials (each q-binomial's coefficients
-share one sign), the slots are unsigned and carry no bias.  A nonpositive
-operand is negated first, and the output is negated when the two signs
-differ.  For k <= 8, array(unsigned fmt, coeffs).tobytes() read as one
-int is sum c_i 2^(8k i), and the product's bytes read back as the same
-unsigned array are the output coefficients; wider slots convert each
-coefficient with int.to_bytes and int.from_bytes.
+The slots are unsigned when both coefficient lists are sign-uniform (all
+entries >= 0, or all <= 0), as in every product of q-binomials (each
+q-binomial's coefficients share one sign), and two's complement
+otherwise.  An unsigned slot holds a coefficient's absolute value: a
+nonpositive operand is negated when it is packed, and the output is
+negated when the two signs differ.  For k <= 8 a slot is a machine word:
+array(fmt, coeffs).tobytes() read as one int, with fmt the unsigned array
+type, is sum c_i 2^(8k i), and the product's bytes read back as the same
+array are the output coefficients.  With fmt the signed array type, the
+same int U holds each coefficient c as c mod 2^(8k).  Let B be the int
+with the bias 2^(8k-1) in every slot.  XOR with B flips each slot's top
+bit, which adds the bias modulo 2^(8k); since c + 2^(8k-1) already lies in
+[0, 2^(8k)), U ^ B holds exactly c + 2^(8k-1) per slot, and (U ^ B) - B is
+sum c_i 2^(8k i).  Unpacking runs the same steps backward: the product P
+plus its B, XOR B, written out as bytes and read back as the signed array.
+Slots wider than 8 bytes take the same steps with int.to_bytes and
+int.from_bytes per coefficient.
 
 Every q-binomial is a polynomial in q = x^2, so its list is zero at every
 odd offset from its valuation, and so is any product of q-binomials.  When
@@ -42,47 +51,34 @@ big-integer multiply gives A B, whose slots are the even offsets of the
 output, and its odd offsets are zero.  A and B have the coefficients of a
 and b, so the bound and k are computed as for stride 1.
 
-A value computes its smallest and largest coefficient the first time it
-is a Kronecker operand and keeps them in its memo slot, _kron.  The first
-time it is an operand on the unsigned path, the memo also gets its stride
-and one packed int per (slot width, stride) it is packed at.  So a cached
-q-binomial or refined sum is packed once per slot width however often it
-is multiplied: on verify thm2 --d1 1..10 --d2 1..10, 2,910 of the 3,716
-operand packs the unsigned path asks for are found in a memo.  _new and
-__init__ leave the slot unset, so a value that never reaches the
-Kronecker kernel, like most of the small values of the hypergeometric
-series, pays nothing for it; a mixed-sign operand keeps its two
-coefficients only, and its biased packs are not kept.  The memo takes no
-part in equality, hashing, pickling or copying.
-
-Mixed-sign operands use two's complement slots.  For k <= 8 the slots are
-a signed machine-word array: array(fmt, coeffs).tobytes(), read as one
-unsigned int U, holds each coefficient c as c mod 2^(8k).  Let B be the
-int with the bias 2^(8k-1) in every slot.  XOR with B flips each slot's top
-bit, which adds the bias modulo 2^(8k); since c + 2^(8k-1) already lies in
-[0, 2^(8k)), U ^ B holds exactly c + 2^(8k-1) per slot, and (U ^ B) - B is
-sum c_i 2^(8k i).  Unpacking runs the same steps backward: the product P
-plus its B, XOR B, written out as bytes and read back as the signed array.
-Slots wider than 8 bytes take the same steps with int.to_bytes and
-int.from_bytes (signed=True) per coefficient.
+A value computes its Kronecker memo, _kron, the first time it is a
+Kronecker operand: its smallest and largest coefficient, its stride, and
+one packed int per (slot width, stride, signed) it is packed at.  So a
+cached q-binomial or refined sum is packed once per slot layout however
+often it is multiplied: on verify thm2 --d1 1..10 --d2 1..10, 2,910 of the
+3,716 operand packs are found in a memo.  _new and __init__ leave the slot
+unset, so a value that never reaches the Kronecker kernel, like most of
+the small values of the hypergeometric series, pays nothing for it.  The
+memo takes no part in equality, hashing, pickling or copying.
 
 Exactness does not depend on coefficient size.  Every output coefficient
 is a sum of at most min(nonzeros of a, nonzeros of b) products, so its
-absolute value is at most bound = max|a| * max|b| * that minimum; both
-paths below take max|a| and max|b| from the memo's smallest and largest
-coefficient.  On the unsigned path every output coefficient is a sum of
-nonnegative products, so it lies in [0, bound].  k is the smallest width
-with bound < 2^(8k), i.e. k = ceil(bound.bit_length() / 8), so every slot
-of the product holds its coefficient with no carry into the next, and the
-product is below 2^(8kn) for its n slots.  On the signed path k is chosen
-with bound < 2^(8k-1), i.e. k = bound.bit_length() // 8 + 1.  Adding B to
-the product then leaves every slot at p_i + 2^(8k-1), which lies in
-[0, 2^(8k)): no slot carries into or borrows from the next, and the slots
-read back the exact coefficients.  On both paths k is then rounded up to 1, 2,
-4 or 8 bytes where possible, so packing and unpacking can use machine
-words.  The dense layout costs memory and time in the exponent span, so a
-product whose span has more than half as many exponents as it has nonzero
-term products stays on the schoolbook loop, as do products below the
+absolute value is at most bound = max|a| * max|b| * that minimum, with
+max|a| and max|b| taken from the memo's smallest and largest coefficient.
+With unsigned slots every output coefficient is a sum of nonnegative
+products, so it lies in [0, bound], and k is the smallest width with
+bound < 2^(8k); every slot of the product holds its coefficient with no
+carry into the next, and the product is below 2^(8kn) for its n slots.
+With signed slots k is the smallest width with bound < 2^(8k-1), one bit
+more.  Adding B to the product then leaves every slot at p_i + 2^(8k-1),
+which lies in [0, 2^(8k)): no slot carries into or borrows from the next,
+and the slots read back the exact coefficients.  So k =
+ceil((bound.bit_length() + signed) / 8), rounded up to 1, 2, 4 or 8 bytes
+where possible, so packing and unpacking can use machine words.
+
+The dense layout costs memory and time in the exponent span, so a product
+whose span has more than half as many exponents as it has nonzero term
+products stays on the schoolbook loop, as do products below the
 threshold, where the schoolbook loop is faster.  Below it fall most
 cross-multiplications of RationalFunction sums and comparisons in the
 hypergeometric series, and many of the q-binomial products in the refined
@@ -103,15 +99,6 @@ from .errors import DivisionByZero, NotDivisible
 # __mul__ uses Kronecker substitution instead of the schoolbook loop.
 KRONECKER_MIN_PRODUCTS = 256
 
-# Smallest signed and unsigned machine-word array types holding a k-byte
-# slot, k <= 8.
-_WORD_FORMAT = {
-    k: next(f for f in "bhiq" if array(f).itemsize >= k) for k in range(1, 9)
-}
-_UNSIGNED_FORMAT = {
-    k: next(f for f in "BHIQ" if array(f).itemsize >= k) for k in range(1, 9)
-}
-
 
 class LaurentPoly:
     """A Laurent polynomial stored as its valuation and dense coefficients.
@@ -123,7 +110,7 @@ class LaurentPoly:
     """
 
     # _kron, the Kronecker memo, is set only when a value first enters
-    # _kronecker_mul (see _kron_stats and _unsigned_stats)
+    # _kronecker_mul (see _kron_memo)
     __slots__ = ("_val", "_coeffs", "_kron")
 
     def __init__(self, terms=None):
@@ -351,115 +338,90 @@ def _kronecker_mul(p: LaurentPoly, q: LaurentPoly, na: int, nb: int) -> list:
     Kronecker substitution.
 
     Returns the len(a) + len(b) - 1 product coefficients; see the module
-    docstring for why the slot width k makes them exact.  Sign-uniform
-    operands go through unsigned slots with no bias, packed once per value
-    and slot layout (_packed_unsigned); when both have zeros at every odd
-    offset, only their even entries are packed.  Mixed signs go through
-    the biased two's complement slots of _pack.
+    docstring for why the slot width k makes them exact.  The slots are
+    unsigned when both operands are sign-uniform and biased two's
+    complement otherwise; when both operands are zero at every odd offset,
+    only their even entries are packed (_packed).
     """
     a, b = p._coeffs, q._coeffs
     n = len(a) + len(b) - 1
-    a_low, a_high = _kron_stats(p)[:2]
-    b_low, b_high = _kron_stats(q)[:2]
+    a_low, a_high, a_stride, _ = _kron_memo(p)
+    b_low, b_high, b_stride, _ = _kron_memo(q)
     bound = max(a_high, -a_low) * max(b_high, -b_low) * min(na, nb)
-    if (a_low >= 0 or a_high <= 0) and (b_low >= 0 or b_high <= 0):
-        k = (bound.bit_length() + 7) // 8
-        fmt = _UNSIGNED_FORMAT.get(k)
-        if fmt:
-            k = array(fmt).itemsize
-        stride = min(_unsigned_stats(p)[2], _unsigned_stats(q)[2])
-        product = _packed_unsigned(p, fmt, k, stride) * _packed_unsigned(q, fmt, k, stride)
-        size = k * ((n - 1) // stride + 1)
-        data = product.to_bytes(size, _ORDER)
-        if fmt:
-            out = array(fmt, data).tolist()
-        else:
-            out = [int.from_bytes(data[i : i + k], _ORDER) for i in range(0, size, k)]
-        if (a_high <= 0) is not (b_high <= 0):
-            out = list(map(neg, out))
-        if stride == 1:
-            return out
-        # the product of two polynomials in x^2 is one too
-        full = [0] * n
-        full[::2] = out
-        return full
-    k = bound.bit_length() // 8 + 1
-    fmt = _WORD_FORMAT.get(k)
-    if fmt:
+    signed = a_low < 0 < a_high or b_low < 0 < b_high
+    k = (bound.bit_length() + signed + 7) // 8
+    fmt = None
+    if k <= 8:
+        # the array type of 1, 2, 4 or 8 bytes holding k; k becomes its size
+        fmt = ("bhiq" if signed else "BHIQ")[(k - 1).bit_length()]
         k = array(fmt).itemsize
-    slot = (1 << (8 * k - 1)).to_bytes(k, _ORDER)
-    bias = int.from_bytes(slot * n, _ORDER)
-    product = _pack(a, fmt, k, slot) * _pack(b, fmt, k, slot)
-    data = ((product + bias) ^ bias).to_bytes(n * k, _ORDER)
+    stride = min(a_stride, b_stride)
+    product = _packed(p, k, stride, signed, fmt) * _packed(q, k, stride, signed, fmt)
+    slots = (n - 1) // stride + 1
+    if signed:
+        bias = _bias(k, slots)
+        product = (product + bias) ^ bias
+    data = product.to_bytes(k * slots, _ORDER)
     if fmt:
-        return array(fmt, data).tolist()
-    return [int.from_bytes(data[i : i + k], _ORDER, signed=True) for i in range(0, n * k, k)]
+        out = array(fmt, data).tolist()
+    else:
+        out = [int.from_bytes(data[i : i + k], _ORDER, signed=signed)
+               for i in range(0, k * slots, k)]
+    if not signed and (a_high <= 0) is not (b_high <= 0):
+        out = list(map(neg, out))
+    if stride == 1:
+        return out
+    # the product of two polynomials in x^2 is one too
+    full = [0] * n
+    full[::2] = out
+    return full
 
 
-def _kron_stats(p: LaurentPoly) -> tuple:
-    """p's Kronecker memo, made on p's first Kronecker multiply as (low,
-    high), its smallest and largest coefficient; _unsigned_stats extends
-    it."""
+def _kron_memo(p: LaurentPoly) -> tuple:
+    """p's Kronecker memo (low, high, stride, packs), made on p's first
+    Kronecker multiply: its smallest and largest coefficient, 2 if every
+    odd offset of its list is zero (a polynomial in x^2 times a monomial)
+    and 1 otherwise, and a dict {(k, stride, signed): packed int} that
+    _packed fills."""
     try:
         return p._kron
     except AttributeError:
         c = p._coeffs
-        memo = p._kron = (min(c), max(c))
+        memo = p._kron = (min(c), max(c), 1 if any(c[1::2]) else 2, {})
         return memo
 
 
-def _unsigned_stats(p: LaurentPoly) -> tuple:
-    """p's Kronecker memo extended, on p's first multiply on the unsigned
-    path, to (low, high, stride, packs): stride is 2 if every odd offset of
-    p's list is zero (a polynomial in x^2 times a monomial) and 1
-    otherwise, and packs a dict {(k, stride): packed int} that
-    _packed_unsigned fills.  A mixed-sign operand never gets them."""
-    memo = p._kron
-    if len(memo) == 2:
-        c = p._coeffs
-        memo = p._kron = memo + (1 if any(c[1::2]) else 2, {})
-    return memo
+def _packed(p: LaurentPoly, k: int, stride: int, signed: bool, fmt) -> int:
+    """sum of c_i * 2^(8ki) over p's coefficients c_i at offsets 0, stride,
+    2 stride, ...: their k-byte slots read as one int, packed once per
+    (k, stride, signed) and kept in p's memo.
 
-
-def _packed_unsigned(p: LaurentPoly, fmt, k: int, stride: int) -> int:
-    """The absolute values of sign-uniform p's coefficients at offsets 0,
-    stride, 2 stride, ... in k-byte unsigned slots, read as one int
-    (_pack_unsigned); packed once per (k, stride) and kept in p's memo,
-    which _unsigned_stats has extended."""
+    Unsigned slots hold the absolute values of a sign-uniform p's
+    coefficients.  Signed slots hold two's complement, read as one
+    unsigned int with each slot's bias added by XOR and then subtracted.
+    fmt is the array type for a machine-word k, else None.
+    """
     _, high, _, packs = p._kron
-    packed = packs.get((k, stride))
+    packed = packs.get((k, stride, signed))
     if packed is None:
         coeffs = p._coeffs if stride == 1 else p._coeffs[::stride]
-        if high <= 0:
+        if high <= 0 and not signed:
             coeffs = list(map(neg, coeffs))
-        packed = packs[k, stride] = _pack_unsigned(coeffs, fmt, k)
+        if fmt:
+            data = array(fmt, coeffs).tobytes()
+        else:
+            data = b"".join([c.to_bytes(k, _ORDER, signed=signed) for c in coeffs])
+        packed = int.from_bytes(data, _ORDER)
+        if signed:
+            bias = _bias(k, len(coeffs))
+            packed = (packed ^ bias) - bias
+        packs[k, stride, signed] = packed
     return packed
 
 
-def _pack_unsigned(coeffs: list, fmt, k: int) -> int:
-    """sum of coeffs[i] * 2^(8ki) for nonnegative coeffs below 2^(8k):
-    the k-byte unsigned slots read as one int.  fmt is the unsigned array
-    type for a machine-word k, else None."""
-    if fmt:
-        data = array(fmt, coeffs).tobytes()
-    else:
-        data = b"".join([c.to_bytes(k, _ORDER) for c in coeffs])
-    return int.from_bytes(data, _ORDER)
-
-
-def _pack(coeffs: list, fmt, k: int, slot: bytes) -> int:
-    """sum of coeffs[i] * 2^(8ki): the k-byte two's complement slots read
-    as one unsigned int, each slot's bias added by XOR and then subtracted.
-
-    fmt is the signed array type for a machine-word k, else None; slot is
-    one k-byte slot holding the bias 2^(8k-1).
-    """
-    if fmt:
-        data = array(fmt, coeffs).tobytes()
-    else:
-        data = b"".join([c.to_bytes(k, _ORDER, signed=True) for c in coeffs])
-    bias = int.from_bytes(slot * len(coeffs), _ORDER)
-    return (int.from_bytes(data, _ORDER) ^ bias) - bias
+def _bias(k: int, slots: int) -> int:
+    """The int with 2^(8k-1) in each of its `slots` k-byte slots."""
+    return int.from_bytes((1 << (8 * k - 1)).to_bytes(k, _ORDER) * slots, _ORDER)
 
 
 def _q_power(e: int, style: str):

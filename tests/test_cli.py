@@ -792,6 +792,36 @@ def test_huge_pochhammer_count_vanishing_in_range_stays_degenerate():
     assert done.stdout == '{"pass":0,"fail":0,"degenerate":1}\n'
 
 
+@pytest.mark.parametrize("axes", [
+    ["--a", "1", "--b", "1", "--c", "1", "--N", "1..100000000000"],
+    ["--a", "1..100000000000", "--b", "1", "--c", "1", "--N", "1"],
+], ids=["last-axis", "first-axis"])
+def test_verify_reads_a_long_grid_axis_lazily(axes):
+    # an axis of 10^11 values is read one value at a time, so the first
+    # record comes at once; under the 200 MB address-space cap a copy of
+    # the axis fails fast with a MemoryError instead of filling memory
+    import resource
+    import threading
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-m", "qidentities.cli", "verify", "--identity", "saalschutz"]
+    with subprocess.Popen(argv + axes, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, preexec_fn=cap) as proc:
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            first = proc.stdout.readline()
+        finally:
+            watchdog.cancel()
+            proc.kill()
+        err = proc.stderr.read()
+    assert first, err
+    assert json.loads(first)["params"] == {"a": 1, "b": 1, "c": 1, "N": 1}
+
+
 @pytest.mark.parametrize("argv, flags", [
     # explain takes only the parameters of the identities it explains
     (["explain", "--identity", "thm2", "--d1", "2", "--d2", "1",

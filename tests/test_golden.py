@@ -25,6 +25,10 @@ GOLDEN = {
         (0, "c0f83e27921d12763303edb86fa91afe398c5bbb383d8311eb1630cd6652f146"),
     "verify --identity saalschutz --a=-3..3 --b=-3..3 --c=-3..3 --N=-1..3":
         (0, "4bfb492d80635a477c6526568cbc8cb8ce594e75f40f07c2574b212c8ccea1bc"),
+    # 12 of its 33 Kronecker products have mixed-sign operands that are
+    # both zero at every odd offset: biased slots at stride 2
+    "verify --identity saalschutz --a=-6 --b=-6..-4 --c=4..6 --N=3":
+        (0, "a5c5ffb903ee59b7bb8eaabc512af6e2d1b3ba3ee10df6351c8f0d944712ef8f"),
     # negative control
     "verify --identity thm2 --d1 1..3 --d2 1..3 --selftest-corrupt":
         (1, "73ba184918b091f51c57aae43f40811a578a7123fda3c5235a7a87176cc937aa"),

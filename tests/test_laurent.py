@@ -363,14 +363,7 @@ def test_kronecker_slot_width_boundaries(monkeypatch, k):
     # 32 c^2, exactly the bound.  The largest c with 32 c^2 < 2^(8k-1)
     # packs into k-byte slots with the middle slot near its top; c + 1
     # needs the next width (9 bytes: the path beyond machine words).
-    widths = []
-    pack = laurent._pack
-
-    def spy(coeffs, fmt, k, slot):
-        widths.append(k)
-        return pack(coeffs, fmt, k, slot)
-
-    monkeypatch.setattr(laurent, "_pack", spy)
+    packed = spy_packing(monkeypatch)
     top = 1 << (8 * k - 1)
     c = isqrt((top - 1) // 32)
     for coeff, width in ((c, k), (c + 1, {1: 2, 2: 4, 4: 8, 8: 9}[k])):
@@ -378,31 +371,34 @@ def test_kronecker_slot_width_boundaries(monkeypatch, k):
         a = lp({e: coeff for e in range(-40, -8)})
         b = lp({e: coeff for e in range(5, 37)})
         alternating = lp({e: coeff * (-1) ** e for e in range(5, 37)})
-        widths.clear()
+        packed.clear()
         for other in (b, -b, alternating):
             check_product(a, other)
-        assert set(widths) == {width}
+        # only the mixed-sign product takes the biased slots
+        assert {k for path, k in packed if path == "signed"} == {width}
         assert max((a * b).terms.values()) == 32 * coeff * coeff
         assert min((a * -b).terms.values()) == -32 * coeff * coeff
 
 
+def memo_keys(p):
+    """The (slot width, stride, signed) layouts p's Kronecker memo holds
+    packs for."""
+    return set(p._kron[3])
+
 
 def spy_packing(monkeypatch):
-    """Record ("signed" or "unsigned", slot width) per operand the Kronecker
-    kernel packs."""
+    """Record ("signed" or "unsigned", slot width) per operand pack the
+    Kronecker kernel builds; a pack found in the operand's memo is not
+    recorded."""
     packed = []
-    signed, unsigned = laurent._pack, laurent._pack_unsigned
+    pack = laurent._packed
 
-    def spy_signed(coeffs, fmt, k, slot):
-        packed.append(("signed", k))
-        return signed(coeffs, fmt, k, slot)
+    def spy(p, k, stride, signed, fmt):
+        if (k, stride, signed) not in memo_keys(p):
+            packed.append(("signed" if signed else "unsigned", k))
+        return pack(p, k, stride, signed, fmt)
 
-    def spy_unsigned(coeffs, fmt, k):
-        packed.append(("unsigned", k))
-        return unsigned(coeffs, fmt, k)
-
-    monkeypatch.setattr(laurent, "_pack", spy_signed)
-    monkeypatch.setattr(laurent, "_pack_unsigned", spy_unsigned)
+    monkeypatch.setattr(laurent, "_packed", spy)
     return packed
 
 
@@ -551,12 +547,13 @@ def stride2_operand(draw, size, magnitude):
     return lp({low + 2 * j: c for j, c in zip(offsets, cs)})
 
 
-def memo_keys(p):
-    """The (slot width, stride) pairs p's Kronecker memo holds packs for."""
-    return set(p._kron[3])
+def alternate(p):
+    """p with every other nonzero coefficient negated: mixed signs, the
+    same magnitudes."""
+    return lp({e: c * (-1) ** i for i, (e, c) in enumerate(sorted(p.terms.items()))})
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(sorted(slot_magnitudes)).flatmap(lambda width: st.tuples(
         st.just(width),
@@ -564,18 +561,28 @@ def memo_keys(p):
         stride2_operand(20, slot_magnitudes[width]))),
     st.booleans(),
     st.booleans(),
+    st.sampled_from([(False, False), (True, False), (False, True), (True, True)]),
 )
-def test_stride2_products(case, negate_a, negate_b):
+def test_stride2_products(case, negate_a, negate_b, mixed):
     # both operands polynomials in x^2 up to a monomial: only their even
-    # slots are packed, at the width the bound needs, nonnegative or not
+    # slots are packed, at the width the bound needs, nonnegative, nonpositive
+    # or of mixed signs
     width, a, b = case
+    signed = any(mixed)
+    if signed:
+        # biased slots need one bit more than the bound: the same width, or
+        # the next one when the bound fills the top bit
+        bound = max(a.terms.values()) * max(b.terms.values()) * 16
+        if width <= 8 and bound >> (8 * width - 1):
+            width = {1: 2, 2: 4, 4: 8, 8: 9}[width]
+    a, b = (alternate(p) if m else p for p, m in zip((a, b), mixed))
     a, b = -a if negate_a else a, -b if negate_b else b
     check_product(a, b)
     a, b = cold(a), cold(b)
     assert a * b == convolve(a, b)
     for p in (a, b):
-        (k, stride), = memo_keys(p)
-        assert stride == 2
+        (k, stride, packed_signed), = memo_keys(p)
+        assert (stride, packed_signed) == (2, signed)
         assert k == width if width <= 8 else k > 8
 
 
@@ -590,7 +597,7 @@ def test_stride2_times_stride1(a, b, odd, negate):
     check_product(a, b)
     a, b = cold(a), cold(b)
     assert a * b == convolve(a, b)
-    assert {s for _, s in memo_keys(a)} == {s for _, s in memo_keys(b)} == {1}
+    assert {s for _, s, _ in memo_keys(a)} == {s for _, s, _ in memo_keys(b)} == {1}
 
 
 def test_one_value_packed_once_per_slot_width(monkeypatch):
@@ -606,7 +613,7 @@ def test_one_value_packed_once_per_slot_width(monkeypatch):
     # second round reuses every pack
     assert sorted(packed) == [("unsigned", 1), ("unsigned", 1),
                               ("unsigned", 8), ("unsigned", 8)]
-    assert memo_keys(a) == {(1, 2), (8, 2)}
+    assert memo_keys(a) == {(1, 2, False), (8, 2, False)}
 
 
 def test_memo_leaves_equality_hash_and_pickle_unchanged():
@@ -630,13 +637,15 @@ def test_mixed_sign_stride2_product_takes_the_signed_path(monkeypatch):
     packed = spy_packing(monkeypatch)
     a = lp({2 * e: (e + 11) * (-1) ** (e % 2) for e in range(-10, 10)})
     b = lp({2 * e + 1: e + 1 for e in range(20)})
+    # bound 20 * 20 * 20 = 8000 has 13 bits: with the sign bit, 2-byte slots
     check_product(a, b)
-    assert packed and {path for path, _ in packed} == {"signed"}
+    # check_product multiplies cold copies three times: each is packed once,
+    # at stride 2 in biased slots, and the later products reuse the packs
+    assert packed == [("signed", 2), ("signed", 2)]
     a, b = cold(a), cold(b)
-    a * b
-    # the signed path keeps the smallest and largest coefficients, and
-    # neither a stride nor packs
-    assert a._kron == (-20, 19) and b._kron == (0, 20)
+    assert a * b == convolve(a, b)
+    assert a._kron[:3] == (-20, 19, 2) and b._kron[:3] == (0, 20, 2)
+    assert memo_keys(a) == memo_keys(b) == {(2, 2, True)}
 
 
 @given(polys, nonzero_polys)
