@@ -21,9 +21,13 @@ stderr.
 Verification records are line-delimited JSON, written in cell order as the
 cells finish and then a summary line.  The cells are generated as they run,
 so no list of cells or of records is kept, and an interrupted run keeps the
-records it wrote.  Records written to a file via
---output carry a measured elapsed_ms field; on stdout it is omitted so
-that identical reruns are byte-identical.
+records it wrote.  Each cell encodes its own record, so with --jobs the
+workers do the encoding and the parent only tallies verdicts and writes
+lines; it keeps at most 4 chunks of 16 cells per worker in flight, so its
+memory does not grow with the grid either, and an error, such as a closed
+stdout, ends the workers instead of waiting for their chunks.  Records
+written to a file via --output carry a measured elapsed_ms field; on
+stdout it is omitted so that identical reruns are byte-identical.
 
 The qident console script and python -m qidentities.cli call run(), not
 main(): once main() has returned, run() moves every live object into the
@@ -37,8 +41,10 @@ the collector as it was.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import gc
+import itertools
 import json
 import math
 import os
@@ -208,11 +214,12 @@ def _cmd_eval(args, parser) -> int:
 def _run_cell(cell, corrupt=False):
     """Compute one grid cell.  Top-level so it pickles for worker pools.
 
-    cell = (identity, params-dict, timing-flag).  Returns the cell's
-    record in its final form, or None for a cell that is not checked: one
-    outside the identity's hypothesis, or a degenerate one.  With corrupt
-    the left-hand side is perturbed before the comparison, for
-    --selftest-corrupt.  An ArithmeticError (two internal code paths
+    cell = (identity, params-dict, timing-flag).  Returns (equal, line):
+    the verdict and the cell's record encoded as one JSON line in its final
+    form, so that a pool worker, not the parent, encodes it; or None for a
+    cell that is not checked: one outside the identity's hypothesis, or a
+    degenerate one.  With corrupt the left-hand side is perturbed before
+    the comparison, for --selftest-corrupt.  An ArithmeticError (two internal code paths
     disagreeing), or a value the expansion kernel finds not polynomial
     (NotDivisible), gives a failed record carrying the message under
     "error", with null lhs and rhs; an OverflowError or a MemoryError (an
@@ -253,7 +260,37 @@ def _run_cell(cell, corrupt=False):
         record["equal"] = equal
     if timing:
         record["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
-    return record
+    return record["equal"], json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _run_chunk(cells):
+    """_run_cell over a list of cells: one task for a pool worker."""
+    return [_run_cell(cell) for cell in cells]
+
+
+def _pooled(pool, cells, window):
+    """_run_cell of each cell, in cell order, run by the pool in chunks of
+    16 cells.  At most `window` chunks are submitted and not yet read, so
+    neither the queued cells nor the finished results grow with the grid."""
+    chunks = iter(lambda: list(itertools.islice(cells, 16)), [])
+    pending = collections.deque()
+    for chunk in chunks:
+        pending.append(pool.submit(_run_chunk, chunk))
+        if len(pending) == window:
+            yield from pending.popleft().result()
+    for future in pending:
+        yield from future.result()
+
+
+def _stop_workers(exc_type, exc, tb):
+    """Exit callback of a pool: after an error, such as a closed stdout,
+    end its workers at once, so that the shutdown after it does not wait
+    for the chunks they are running.  A normal exit leaves them be."""
+    if exc_type is not None:
+        import multiprocessing
+
+        for worker in multiprocessing.active_children():
+            worker.terminate()
 
 
 def _grid_ranges(args, parser):
@@ -309,26 +346,29 @@ def _cmd_verify(args, parser) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            # runs first on the way out: an error, such as a closed stdout,
-            # drops the queued chunks instead of waiting for them all
+            # run first on the way out: an error, such as a closed stdout,
+            # ends the running chunks and drops the queued ones instead of
+            # waiting for them
             stack.callback(pool.shutdown, cancel_futures=True)
-            records = pool.map(_run_cell, cells, chunksize=16)
+            stack.push(_stop_workers)
+            results = _pooled(pool, cells, 4 * workers)
         else:
-            records = map(_run_cell, cells)
-        # Executor.map yields in submission order, so stdout is independent
-        # of --jobs, and the first record that is not None is the first
-        # cell that is not degenerate: the negative control reruns that
-        # cell here, perturbed
+            results = map(_run_cell, cells)
+        # the results come in cell order, so stdout is independent of
+        # --jobs, and the first that is not None is the first cell that is
+        # not degenerate: the negative control reruns that cell here,
+        # perturbed, from the params its line carries
         corrupt = args.selftest_corrupt
-        for record in records:
-            if record is None:
+        for result in results:
+            if result is None:
                 tally["degenerate"] += 1
                 continue
+            equal, line = result
             if corrupt:
-                cell = (args.identity, record["params"], timing)
-                record, corrupt = _run_cell(cell, corrupt=True), False
-            tally["pass" if record["equal"] else "fail"] += 1
-            out.write(json.dumps(record, separators=(",", ":")) + "\n")
+                cell = (args.identity, json.loads(line)["params"], timing)
+                (equal, line), corrupt = _run_cell(cell, corrupt=True), False
+            tally["pass" if equal else "fail"] += 1
+            out.write(line)
         summary = json.dumps(tally, separators=(",", ":"))
         out.write(summary + "\n")
     if timing:

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -239,8 +240,10 @@ def test_equal_polynomial_sides_are_encoded_once(monkeypatch, capsys):
     monkeypatch.setattr(
         LaurentPoly, "to_pairs", lambda self: encoded.append(self) or to_pairs(self)
     )
-    record = cli._run_cell(("thm2", {"d1": 2, "d2": 3}, False))
-    assert record["equal"] is True and len(encoded) == 1
+    equal, line = cli._run_cell(("thm2", {"d1": 2, "d2": 3}, False))
+    record = json.loads(line)
+    assert equal is record["equal"] is True and len(encoded) == 1
+    assert line.endswith("}\n") and line.count("\n") == 1
     assert record["lhs"] == record["rhs"]
     # the negative control's first cell is unequal: each side is its own
     rc, out = run(
@@ -287,6 +290,73 @@ def test_verify_theorem_grids_same_stdout_with_a_real_pool(monkeypatch, capsys, 
     assert rc1 == rc2 == 0
     assert out1 == out2
     assert json.loads(out1.splitlines()[-1])["fail"] == 0
+
+
+class ForkedPool(concurrent.futures.ProcessPoolExecutor):
+    """A real pool whose workers are forked, so that they run what a test
+    patched in this process."""
+
+    def __init__(self, max_workers):
+        import multiprocessing
+
+        super().__init__(max_workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def test_verify_saalschutz_records_are_encoded_in_the_workers(tmp_path, monkeypatch, capsys):
+    # each worker encodes its cells' fraction records; the parent encodes
+    # only the summary line, and stdout is the serial run's
+    import types
+
+    import qidentities.cli as cli
+
+    log = tmp_path / "dumps.log"
+
+    def dumps(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write("%d\n" % os.getpid())
+        return json.dumps(*args, **kwargs)
+
+    proxy = types.ModuleType("json")
+    proxy.__dict__.update(json.__dict__, dumps=dumps)
+    monkeypatch.setattr(cli, "json", proxy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkedPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = ["verify", "--identity", "saalschutz", "--a=-2..2", "--b=-2..2", "--c=-2..2",
+            "--N", "1..2"]
+    rc1, out1 = run(capsys, *args, "--jobs", "1")
+    serial = log.read_text().split()
+    log.unlink()
+    rc2, out2 = run(capsys, *args, "--jobs", "2")
+    pool = log.read_text().split()
+    assert rc1 == rc2 == 0
+    assert out1 == out2
+    records, summary = parse_records(out1)
+    assert summary == {"pass": 143, "fail": 0, "degenerate": 107}
+    assert set(records[0]["lhs"]) == {"num", "den"}
+    parent = str(os.getpid())
+    assert serial == [parent] * 144
+    assert pool.count(parent) == 1 and len(pool) == 144
+
+
+def test_selftest_corrupt_with_a_real_pool_perturbs_a_cell_of_a_later_chunk(
+        monkeypatch, capsys):
+    # N < 0 lies outside the hypothesis, so the first 20 cells, the whole
+    # first chunk among them, are not checked; the control reruns N = 0
+    # from the params of the line a worker encoded
+    import qidentities.cli as cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = ["verify", "--identity", "saalschutz", "--a", "1", "--b", "1", "--c", "1",
+            "--N=-20..2", "--selftest-corrupt"]
+    rc1, out1 = run(capsys, *args, "--jobs", "1")
+    rc2, out2 = run(capsys, *args, "--jobs", "2")
+    assert rc1 == rc2 == 1
+    assert out1 == out2
+    records, summary = parse_records(out2)
+    assert summary == {"pass": 2, "fail": 1, "degenerate": 20}
+    assert [(r["params"]["N"], r["equal"]) for r in records] == [
+        (0, False), (1, True), (2, True),
+    ]
 
 
 def test_verify_reruns_byte_identical(capsys):
@@ -434,26 +504,40 @@ def test_verify_config_bad_range_type_is_usage_error(tmp_path, capsys):
     assert info.value.code == 2
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: runs each submitted task at once,
+    in this process, and returns its completed Future, which holds the
+    result or, as a worker's would, the exception the task raised."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
+
+
 def test_verify_config_jobs_is_applied(tmp_path, monkeypatch, capsys):
     used = []
 
-    class SerialPool:
+    class RecordingPool(SerialPool):
         def __init__(self, max_workers):
             used.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     args = ["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2"]
     rc, expected = run(capsys, *args)
     assert rc == 0 and used == []
@@ -563,51 +647,34 @@ def test_verify_config_typed_values_are_applied(tmp_path, capsys):
     assert records[0]["equal"] is False and "elapsed_ms" in records[0]
 
 
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: runs the cells lazily, in order,
-    in this process."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
-
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        pass
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_verify_interrupted_run_keeps_finished_records(
         tmp_path, monkeypatch, capsys, jobs):
+    # the 19th cell raises: a serial run keeps the 18 records before it, a
+    # pool the 16 of the chunk before the one that raised
     import qidentities.cli as cli
 
     original = cli.theorem2_lhs
     calls = []
 
-    def fail_third(d1, d2):
+    def fail_19th(d1, d2):
         calls.append((d1, d2))
-        if len(calls) == 3:
+        if len(calls) == 19:
             raise RuntimeError("interrupted")
         return original(d1, d2)
 
-    monkeypatch.setattr(cli, "theorem2_lhs", fail_third)
+    monkeypatch.setattr(cli, "theorem2_lhs", fail_19th)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     target = tmp_path / "report.jsonl"
     with pytest.raises(RuntimeError):
-        main(["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2",
+        main(["verify", "--identity", "thm2", "--d1", "1..4", "--d2", "1..5",
               "--jobs", str(jobs), "--output", str(target)])
     lines = target.read_text().splitlines()
+    kept = {1: 18, 2: 16}[jobs]
     assert [json.loads(line)["params"] for line in lines] == [
-        {"d1": 1, "d2": 1}, {"d1": 1, "d2": 2},
-    ]
+        {"d1": d1, "d2": d2} for d1 in range(1, 5) for d2 in range(1, 6)
+    ][:kept]
     assert all(json.loads(line)["equal"] is True for line in lines)
 
 
@@ -741,6 +808,17 @@ def _run_capped(argv):
     )
 
 
+def _communicate_or_kill(proc, timeout=60):
+    """proc.communicate(); past the timeout, kill proc's process group (it
+    was started with start_new_session), pool workers too, before the
+    TimeoutExpired fails the test."""
+    try:
+        return proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        raise
+
+
 SAALSCHUTZ_HUGE_N = ["verify", "--identity", "saalschutz", "--a", "1", "--b", "1",
                      "--N", HUGE]
 
@@ -820,6 +898,30 @@ def test_verify_reads_a_long_grid_axis_lazily(axes):
         err = proc.stderr.read()
     assert first, err
     assert json.loads(first)["params"] == {"a": 1, "b": 1, "c": 1, "N": 1}
+
+
+def test_verify_long_grid_at_jobs_2_under_a_memory_cap():
+    # the parent keeps at most 4 chunks per worker in flight, so a pool run
+    # needs no more memory for 300,000 cells than for 300; with every chunk
+    # submitted at once this grid peaked at 145 MB of RSS, and under the cap
+    # it ended in a MemoryError or hung. Under a cap much above 80 MB glibc
+    # can reserve a 64 MB malloc arena for a pool thread, and a later
+    # thread's stack may then not fit
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (80 << 20, 80 << 20))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-m", "qidentities.cli", "verify", "--identity", "saalschutz",
+            "--a", "1", "--b", "1", "--c=-2", "--N", "1..300000", "--jobs", "2"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, preexec_fn=cap, start_new_session=True) as proc:
+        out, err = _communicate_or_kill(proc)
+    assert (proc.returncode, err) == (0, "")
+    record, summary = out.splitlines()
+    assert json.loads(record)["params"] == {"a": 1, "b": 1, "c": -2, "N": 1}
+    assert summary == '{"pass":1,"fail":0,"degenerate":299999}'
 
 
 @pytest.mark.parametrize("argv, flags", [
@@ -954,18 +1056,22 @@ SAALSCHUTZ_GRID = ["verify", "--identity", "saalschutz", "--a=-6..6", "--b=-6..6
     SAALSCHUTZ_GRID + ["--jobs", "1"],
     SAALSCHUTZ_GRID + ["--jobs", "2"],
     ["explain", "--identity", "thm2", "--d1", "12", "--d2", "10"],
-], ids=["verify-serial", "verify-pool", "explain"])
+    # the first 16-cell chunk takes well under a second, the next ones
+    # minutes: the run must end the workers' chunks, not wait for them
+    ["verify", "--identity", "saalschutz", "--a", "1", "--b", "1", "--c", "1",
+     "--N", "1..64", "--jobs", "2"],
+], ids=["verify-serial", "verify-pool", "explain", "verify-pool-running-chunks"])
 def test_closed_stdout_ends_the_run_quietly(argv):
     # each command writes far more than a pipe holds, so the reader's close
     # reaches the CLI while it is still writing
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.Popen(
         [sys.executable, "-m", "qidentities.cli", *argv], env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
     )
     assert proc.stdout.readline()
     proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
+    _, err = _communicate_or_kill(proc)
     assert (proc.returncode, err) == (141, b"")
 
 
@@ -992,6 +1098,11 @@ def test_failed_write_is_one_line(argv, stdout):
 
 
 def test_closed_stdout_cancels_the_queued_cells(monkeypatch):
+    # an error ends the workers, then drops the queued chunks; a normal
+    # exit only shuts the pool down
+    import io
+    import multiprocessing
+
     import qidentities.cli as cli
 
     calls = []
@@ -1000,15 +1111,25 @@ def test_closed_stdout_cancels_the_queued_cells(monkeypatch):
         def shutdown(self, wait=True, *, cancel_futures=False):
             calls.append(cancel_futures)
 
+    class Worker:
+        def terminate(self):
+            calls.append("terminate")
+
     class ClosedStdout:
         def write(self, text):
             raise BrokenPipeError
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "active_children", lambda: [Worker()])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cli.sys, "stdout", ClosedStdout())
+    argv = ["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1", "--jobs", "2"]
     with pytest.raises(BrokenPipeError):
-        main(["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1", "--jobs", "2"])
+        main(argv)
+    assert calls == ["terminate", True]
+    calls.clear()
+    monkeypatch.setattr(cli.sys, "stdout", io.StringIO())
+    assert main(argv) == 0
     assert calls == [True]
 
 
@@ -1016,17 +1137,12 @@ def test_dead_worker_is_one_line_not_a_failed_cell(monkeypatch, capsys):
     # a worker that dies (as one the OOM killer ends) refutes nothing: exit
     # 2 with one line, not a traceback and exit 1, and the queued chunks
     # are dropped
-    import multiprocessing
-
     import qidentities.cli as cli
 
     cancelled = []
 
-    class ForkedPool(concurrent.futures.ProcessPoolExecutor):
+    class RecordingPool(ForkedPool):
         # forked, so the workers run the patched registry entry below
-        def __init__(self, max_workers):
-            super().__init__(max_workers, mp_context=multiprocessing.get_context("fork"))
-
         def shutdown(self, wait=True, *, cancel_futures=False):
             cancelled.append(cancel_futures)
             super().shutdown(wait, cancel_futures=cancel_futures)
@@ -1039,7 +1155,7 @@ def test_dead_worker_is_one_line_not_a_failed_cell(monkeypatch, capsys):
         return thm2.lhs(d1, d2)
 
     monkeypatch.setitem(cli.IDENTITIES, "thm2", thm2._replace(lhs=lhs))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     rc = main(["verify", "--identity", "thm2", "--d1", "1..3", "--d2", "1..3", "--jobs", "2"])
     captured = capsys.readouterr()
@@ -1110,21 +1226,9 @@ def test_verify_jobs_capped(monkeypatch, capsys, jobs, cpus, expected):
 
     used = []
 
-    class RecordingPool:
+    class RecordingPool(SerialPool):
         def __init__(self, max_workers):
             used.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            pass
 
     args = ["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2"]
     rc, serial = run(capsys, *args)
