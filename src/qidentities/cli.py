@@ -8,24 +8,27 @@ through that registry, so adding an identity is one entry.
 Exit codes: 0 = no cell failed, 1 = at least one cell failed (a mismatch
 or an internal disagreement; with --selftest-corrupt, the perturbed first
 non-degenerate cell, so only a grid with none exits 0), 2 = usage or
-domain error, a worker process that died, or from run() a failed write
-(such as a full disk), and from run() 141 = the reader closed stdout.
+domain error, a worker process or pool thread that died, or from run() a
+failed write (such as a full disk), and from run() 141 = the reader
+closed stdout.
 A usage error found after parsing, such as an --output file that cannot
 be opened, a flag the subcommand does not take, or a parameter flag that
 the chosen --kind or --identity does not read, prints the subcommand's own
 usage line; a domain error, a library ValueError, an OverflowError (a huge
 exponent), a MemoryError (an exponent or count too large to expand in
-memory) or a BrokenProcessPool (a worker process died) prints one line on
-stderr.
+memory) or a BrokenProcessPool (a worker process or the pool's manager
+thread died) prints one line on stderr.
 
 Verification records are line-delimited JSON, written in cell order as the
 cells finish and then a summary line.  The cells are generated as they run,
 so no list of cells or of records is kept, and an interrupted run keeps the
 records it wrote.  Each cell encodes its own record, so with --jobs the
 workers do the encoding and the parent only tallies verdicts and writes
-lines; it keeps at most 4 chunks of 16 cells per worker in flight, so its
-memory does not grow with the grid either, and an error, such as a closed
-stdout, ends the workers instead of waiting for their chunks.  Records
+lines; it keeps at most 4 chunks of at most 16 cells per worker in
+flight, so its memory does not grow with the grid either, and an error,
+such as a closed stdout, ends the workers instead of waiting for their
+chunks.  A grid too small to give each worker 4 chunks of 16 gets smaller
+chunks, so that its cells still spread over the workers.  Records
 written to a file via --output carry a measured elapsed_ms field; on
 stdout it is omitted so that identical reruns are byte-identical.
 
@@ -233,11 +236,14 @@ def _run_cell(cell, corrupt=False):
     start = time.perf_counter()
     record = {"identity": identity, "params": params}
     try:
-        lhs = ident.lhs(*params.values())
+        # the closed form first: where it is degenerate, as a q-Saalschutz
+        # denominator that vanishes, the series is never summed
         rhs = ident.rhs(*params.values())
+        lhs = ident.lhs(*params.values())
     except Degenerate:
-        # a lower-parameter Pochhammer symbol vanishes in range: the series
-        # is undefined there, so the cell is degenerate rather than failed
+        # a lower-parameter Pochhammer symbol vanishes in range, and so does
+        # a closed-form denominator: the series is undefined there, so the
+        # cell is degenerate rather than failed
         return None
     except (OverflowError, MemoryError):
         # a bad input, not a refutation: main reports it on stderr
@@ -268,18 +274,40 @@ def _run_chunk(cells):
     return [_run_cell(cell) for cell in cells]
 
 
-def _pooled(pool, cells, window):
+def _pooled(pool, cells, size, window):
     """_run_cell of each cell, in cell order, run by the pool in chunks of
-    16 cells.  At most `window` chunks are submitted and not yet read, so
-    neither the queued cells nor the finished results grow with the grid."""
-    chunks = iter(lambda: list(itertools.islice(cells, 16)), [])
+    `size` cells.  At most `window` chunks are submitted and not yet read,
+    so neither the queued cells nor the finished results grow with the
+    grid."""
+    chunks = iter(lambda: list(itertools.islice(cells, size)), [])
     pending = collections.deque()
     for chunk in chunks:
         pending.append(pool.submit(_run_chunk, chunk))
         if len(pending) == window:
-            yield from pending.popleft().result()
+            yield from _result(pool, pending.popleft())
     for future in pending:
-        yield from future.result()
+        yield from _result(pool, future)
+
+
+def _result(pool, future):
+    """future.result(), or BrokenProcessPool once the pool's manager
+    thread, which alone completes its futures, has died with the future
+    still pending (say, when it could not start a queue's feeder thread):
+    a plain result() would wait forever."""
+    from concurrent.futures import TimeoutError
+    from concurrent.futures.process import BrokenProcessPool
+
+    while True:
+        try:
+            # the timeout bounds only how late a dead manager is noticed;
+            # a finished chunk is returned at once
+            return future.result(timeout=1.0)
+        except TimeoutError:
+            manager = getattr(pool, "_executor_manager_thread", None)
+            if manager is not None and not manager.is_alive() and not future.done():
+                raise BrokenProcessPool(
+                    "the process pool's manager thread died; its chunks cannot finish"
+                ) from None
 
 
 def _stop_workers(exc_type, exc, tb):
@@ -331,7 +359,8 @@ def _cmd_verify(args, parser) -> int:
     timing = args.output is not None
     names = IDENTITIES[args.identity].params
     cells = ((args.identity, dict(zip(names, v)), timing) for v in _grid(ranges))
-    workers = min(args.jobs, os.cpu_count() or 1, math.prod(len(r) for r in ranges))
+    count = math.prod(len(r) for r in ranges)
+    workers = min(args.jobs, os.cpu_count() or 1, count)
     tally = {"pass": 0, "fail": 0, "degenerate": 0}
     with contextlib.ExitStack() as stack:
         out = sys.stdout
@@ -351,7 +380,10 @@ def _cmd_verify(args, parser) -> int:
             # waiting for them
             stack.callback(pool.shutdown, cancel_futures=True)
             stack.push(_stop_workers)
-            results = _pooled(pool, cells, 4 * workers)
+            # 16 cells a chunk, or fewer on a grid too small to give each
+            # worker 4 chunks; larger chunks balance the load worse
+            size = min(16, -(-count // (4 * workers)))
+            results = _pooled(pool, cells, size, 4 * workers)
         else:
             results = map(_run_cell, cells)
         # the results come in cell order, so stdout is independent of
@@ -496,8 +528,9 @@ def _apply_config(args, parser):
 
 
 def _pool_errors():
-    """BrokenProcessPool, a worker that died (say, ended by the OOM killer),
-    if a run has loaded the pool's module; else nothing."""
+    """BrokenProcessPool, a worker that died (say, ended by the OOM killer)
+    or a pool whose manager thread died, if a run has loaded the pool's
+    module; else nothing."""
     process = sys.modules.get("concurrent.futures.process")
     return (process.BrokenProcessPool,) if process else ()
 

@@ -7,6 +7,7 @@ is likewise a monomial x**z_exp.  A pure power q^n has x-exponent 2n.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 
 from .errors import Degenerate, NonTerminating
@@ -48,14 +49,19 @@ def phi_evaluate(series: PhiSeries) -> RationalFunction:
     call per step (four linear factors over three here), so each step is
     O(1) factored work plus one fraction accumulation.  Raises
     NonTerminating if no upper parameter terminates the series, and
-    Degenerate if a lower-parameter Pochhammer symbol vanishes in range.
+    Degenerate if a lower-parameter Pochhammer symbol vanishes in range,
+    found by range membership as q_pochhammer finds it, without building
+    the symbol; otherwise a series longer than sys.maxsize terms raises
+    OverflowError.
     """
     n_max = _termination_order(series.upper)
     for t in series.lower:
-        if q_pochhammer(t, n_max).zero:
+        if 0 in range(t, t + 2 * n_max, 2):
             raise Degenerate(
                 "lower parameter x^%d vanishes within summation range" % t
             )
+    if n_max > sys.maxsize:
+        raise OverflowError("series of %d terms is too long to sum" % n_max)
     total = RationalFunction(ONE)
     term = QFactored()
     # below n_max no factor vanishes: n_max is the least termination order,
@@ -97,17 +103,21 @@ class SaalschutzInstance(namedtuple("SaalschutzInstance", "a_exp b_exp c_exp N")
 
 
 def saalschutz_rhs(inst: SaalschutzInstance) -> RationalFunction:
-    """(c/a; q)_N (c/b; q)_N / ((c; q)_N (c/(ab); q)_N), exactly."""
+    """(c/a; q)_N (c/b; q)_N / ((c; q)_N (c/(ab); q)_N), exactly.
+
+    The denominator is built and checked first, (c; q)_N before
+    (c/(ab); q)_N, so a degenerate instance raises Degenerate before any
+    numerator symbol is built or anything is expanded.
+    """
+    den = q_pochhammer(inst.c_exp, inst.N)
+    if not den.zero:
+        den = qf_mul(den, q_pochhammer(inst.c_exp - inst.a_exp - inst.b_exp, inst.N))
+    if den.zero:
+        raise Degenerate("a denominator Pochhammer symbol vanishes")
     num = qf_mul(
         q_pochhammer(inst.c_exp - inst.a_exp, inst.N),
         q_pochhammer(inst.c_exp - inst.b_exp, inst.N),
     )
-    den = qf_mul(
-        q_pochhammer(inst.c_exp, inst.N),
-        q_pochhammer(inst.c_exp - inst.a_exp - inst.b_exp, inst.N),
-    )
-    if den.zero:
-        raise Degenerate("a denominator Pochhammer symbol vanishes")
     return RationalFunction(qf_expand(num), qf_expand(den))
 
 

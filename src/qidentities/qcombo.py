@@ -13,7 +13,10 @@ division.  The pass may start from a given polynomial's coefficients
 instead of from 1: the cached q-binomials take one row step each, from
 the cached neighbour [n, k - 1], with one strided multiply and one
 strided division, and a closed form applies its bracket ratio to the
-product of its expanded q-binomials the same way.
+product of its expanded q-binomials the same way.  A pass from 1 is made
+once per distinct value in a process: qf_expand keeps its results in one
+bounded LRU keyed by the value's fields, since the same Pochhammer
+symbols and series terms recur from cell to cell of a grid.
 """
 
 from __future__ import annotations
@@ -60,6 +63,18 @@ class QFactored(namedtuple("QFactored", "sign x_power factors")):
         return not self.sign
 
 
+def _qf(sign, x_power, factors) -> QFactored:
+    """QFactored(sign, x_power, factors) for fields this module built, so
+    already valid: an int sign in (1, -1, 0), an int x_power and int keys
+    >= 1.  Takes ownership of the dict, drops its zero multiplicities, and
+    keeps zero as (0, 0, {})."""
+    if not sign:
+        return tuple.__new__(QFactored, (0, 0, {}))
+    if 0 in factors.values():
+        factors = {e: m for e, m in factors.items() if m}
+    return tuple.__new__(QFactored, (sign, x_power, factors))
+
+
 def _product(exps, x_power=0, sign=1, den=()) -> QFactored:
     """sign * x**x_power * prod over e in exps of (1 - x**e), divided by
     prod over e in den of (1 - x**e), normalized: 1 - x^e = -x^e (1 - x^(-e)),
@@ -74,11 +89,11 @@ def _product(exps, x_power=0, sign=1, den=()) -> QFactored:
         factors[e] = factors.get(e, 0) - 1
     for e in exps:
         if e == 0:
-            return QFactored(0)
+            return _qf(0, 0, {})
         if e < 0:
             sign, x_power, e = -sign, x_power + e, -e
         factors[e] = factors.get(e, 0) + 1
-    return QFactored(sign, x_power, factors)
+    return _qf(sign, x_power, factors)
 
 
 def qf_mul(a: QFactored, b: QFactored) -> QFactored:
@@ -87,7 +102,7 @@ def qf_mul(a: QFactored, b: QFactored) -> QFactored:
     factors = dict(a.factors)
     for e, m in b.factors.items():
         factors[e] = factors.get(e, 0) + m
-    return QFactored(a.sign * b.sign, a.x_power + b.x_power, factors)
+    return _qf(a.sign * b.sign, a.x_power + b.x_power, factors)
 
 
 def qf_div(a: QFactored, b: QFactored) -> QFactored:
@@ -106,15 +121,24 @@ def qf_expand(a: QFactored, start: LaurentPoly = ONE) -> LaurentPoly:
     is a Laurent polynomial expands, such as a q-binomial as its ratio of
     q-integers, or a bracket ratio [a]_q / [b]_q started from a product of
     q-binomials; any other product raises NotDivisible.
+
+    A value expanded from 1, the default start, is looked up in one
+    bounded LRU (QF_EXPAND_CACHE_SIZE entries) keyed by its fields, so a
+    process expands each distinct value once and shares the LaurentPoly,
+    which is immutable, with every later caller.  An error is raised again
+    on every call, never cached.
     """
-    return _expand(a, start)
+    factors = sorted(a.factors.items())
+    if start is ONE:
+        return _expanded(a.sign, a.x_power, tuple(factors))
+    return _expand(a.sign, a.x_power, factors, start)
 
 
 def qf_to_rational(a: QFactored) -> RationalFunction:
     """Split into numerator (positive multiplicities, sign, monomial) over
     denominator (negative multiplicities)."""
-    num = QFactored(a.sign, a.x_power, {e: m for e, m in a.factors.items() if m > 0})
-    den = QFactored(1, 0, {e: -m for e, m in a.factors.items() if m < 0})
+    num = _qf(a.sign, a.x_power, {e: m for e, m in a.factors.items() if m > 0})
+    den = _qf(1, 0, {e: -m for e, m in a.factors.items() if m < 0})
     return RationalFunction(qf_expand(num), qf_expand(den))
 
 
@@ -125,9 +149,11 @@ def qf_to_rational(a: QFactored) -> RationalFunction:
 qf_expand_ratio = qf_expand
 
 
-def _expand(a, start=ONE):
-    """The one expansion pass: dense coefficients of a * start, from
-    x**(x_power + valuation of start) up; start is a nonzero LaurentPoly.
+def _expand(sign, x_power, factors, start):
+    """The one expansion pass: dense coefficients of the value with fields
+    sign, x_power and factors, the (e, mult) pairs of its factor dict,
+    times start, from x**(x_power + valuation of start) up; start is a
+    nonzero LaurentPoly.
 
     Starting from start's coefficients times the sign, each positive
     factor 1 - x^e is multiplied in by a strided O(n) update, t - x^e t;
@@ -136,10 +162,10 @@ def _expand(a, start=ONE):
     factor's exponent no list could index (above sys.maxsize) raises
     OverflowError.  start's list is read, never changed.
     """
-    if a.zero:
+    if not sign:
         return ZERO
-    coeffs = start._coeffs if a.sign == 1 else list(map(neg, start._coeffs))
-    factors = sorted(a.factors.items())
+    coeffs = start._coeffs if sign == 1 else list(map(neg, start._coeffs))
+    factors = sorted(factors)
     for e, m in factors:
         if m > 0 and e > sys.maxsize:
             raise OverflowError("factor x-exponent %d is too large to expand" % e)
@@ -150,7 +176,7 @@ def _expand(a, start=ONE):
     for e, m in factors:
         for _ in range(-m):
             coeffs = _divide_one_minus_x(coeffs, e)
-    return _from_coeffs(a.x_power + start._val, coeffs)
+    return _from_coeffs(x_power + start._val, coeffs)
 
 
 def _divide_one_minus_x(t, e):
@@ -240,6 +266,23 @@ def _q_binomial_row(n: int, k: int, sign: int = 1) -> QFactored:
 Q_BINOMIAL_CACHE_SIZE = 2048
 
 
+# Entries qf_expand's memo keeps before it drops the least recently used.
+# verify saalschutz --a=-6..6 --b=-6..6 --c=-6..6 --N 1..3 expands 2,362
+# distinct values in 24,720 calls: 2048 entries hit 90.0% of them, 4096
+# 90.4%.  On --N 7..8 they hit 61% and 72%, but the CLI's peak RSS rises
+# from 16.1 MB without the memo to 20.5 and 23.7 MB (26.0 MB unbounded),
+# and an entry grows with N: about 10 KB each at N 20..23, so a deep grid
+# may keep about 20 MB here (Linux x86-64, Python 3.11.7).
+QF_EXPAND_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=QF_EXPAND_CACHE_SIZE)
+def _expanded(sign, x_power, factors):
+    """qf_expand's memo: _expand from 1 of the value with these fields,
+    factors as a sorted tuple of (e, mult) pairs."""
+    return _expand(sign, x_power, factors, ONE)
+
+
 @lru_cache(maxsize=Q_BINOMIAL_CACHE_SIZE)
 def q_binomial(n: int, k: int) -> LaurentPoly:
     """The symmetric q-binomial coefficient as a Laurent polynomial.
@@ -287,4 +330,4 @@ def q_binomial_signed(n: int, k: int) -> LaurentPoly:
     for j in range(1, k):
         below = q_binomial_signed(n, j)
     step = _product((2 * (n - k + 1),), 2 * k - n - 1, den=(2 * k,))
-    return _expand(step, below)
+    return _expand(step.sign, step.x_power, step.factors.items(), below)

@@ -154,6 +154,38 @@ def test_verify_saalschutz_counts_degenerates(capsys):
     assert set(records[0]["lhs"]) == {"num", "den"}
 
 
+def test_degenerate_saalschutz_cells_sum_no_series(monkeypatch):
+    # the closed form goes first, so a cell whose denominator vanishes is
+    # skipped before any series term is expanded.  Here a = q^-1 ends the
+    # series after one term, before the lower parameter c = q^-1 vanishes,
+    # but the closed form's (c; q)_3 vanishes
+    import itertools
+
+    import qidentities.cli as cli
+    from qidentities import hypergeom
+
+    calls = []
+    original = hypergeom.qf_to_rational
+
+    def spy(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(hypergeom, "qf_to_rational", spy)
+    assert cli._run_cell(("saalschutz", {"a": -2, "b": 1, "c": -2, "N": 3}, False)) is None
+    assert calls == []
+    degenerate = 0
+    for a, b, c, n in itertools.product(range(-3, 4), range(-3, 4), range(-3, 4), (1, 2, 3)):
+        before = len(calls)
+        result = cli._run_cell(("saalschutz", {"a": a, "b": b, "c": c, "N": n}, False))
+        if result is None:
+            degenerate += 1
+            assert len(calls) == before, (a, b, c, n)
+        else:
+            assert result[0] is True
+    assert 0 < degenerate < 7**3 * 3
+
+
 def test_verify_selftest_corrupt_fails(capsys):
     rc, out = run(
         capsys, "verify", "--identity", "thm1", "--d0", "2..4", "--d1", "1..3"
@@ -271,8 +303,8 @@ def test_verify_jobs_deterministic(capsys):
     ["--identity", "thm2", "--d1", "1..6", "--d2", "1..6"],
 ])
 def test_verify_theorem_grids_same_stdout_with_a_real_pool(monkeypatch, capsys, args):
-    # each worker fills its own refined-sum and index memos, one 16-cell
-    # chunk after another; the records must not depend on which worker ran
+    # each worker fills its own refined-sum and index memos, one chunk
+    # after another; the records must not depend on which worker ran
     # a cell or what it ran before
     sizes = []
 
@@ -650,20 +682,21 @@ def test_verify_config_typed_values_are_applied(tmp_path, capsys):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_verify_interrupted_run_keeps_finished_records(
         tmp_path, monkeypatch, capsys, jobs):
-    # the 19th cell raises: a serial run keeps the 18 records before it, a
-    # pool the 16 of the chunk before the one that raised
+    # the 20th cell raises: a serial run keeps the 19 records before it, a
+    # pool the 18 of the six 3-cell chunks before the one that raised (20
+    # cells at 2 workers give 3-cell chunks, 4 per worker)
     import qidentities.cli as cli
 
     original = cli.theorem2_lhs
     calls = []
 
-    def fail_19th(d1, d2):
+    def fail_20th(d1, d2):
         calls.append((d1, d2))
-        if len(calls) == 19:
+        if len(calls) == 20:
             raise RuntimeError("interrupted")
         return original(d1, d2)
 
-    monkeypatch.setattr(cli, "theorem2_lhs", fail_19th)
+    monkeypatch.setattr(cli, "theorem2_lhs", fail_20th)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     target = tmp_path / "report.jsonl"
@@ -671,7 +704,7 @@ def test_verify_interrupted_run_keeps_finished_records(
         main(["verify", "--identity", "thm2", "--d1", "1..4", "--d2", "1..5",
               "--jobs", str(jobs), "--output", str(target)])
     lines = target.read_text().splitlines()
-    kept = {1: 18, 2: 16}[jobs]
+    kept = {1: 19, 2: 18}[jobs]
     assert [json.loads(line)["params"] for line in lines] == [
         {"d1": d1, "d2": d2} for d1 in range(1, 5) for d2 in range(1, 6)
     ][:kept]
@@ -1161,9 +1194,67 @@ def test_dead_worker_is_one_line_not_a_failed_cell(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert re.fullmatch(r"BrokenProcessPool: .*\n", captured.err), captured.err
-    # the one 16-cell chunk died, so no record and no summary line
-    assert captured.out == ""
+    # the 9 cells run in 2-cell chunks: only chunks that finished before
+    # the one that died, those of cells before (2, 2), may have written
+    # their records, in cell order, and there is no summary line
+    before = [{"d1": 1, "d2": 1}, {"d1": 1, "d2": 2}, {"d1": 1, "d2": 3}, {"d1": 2, "d2": 1}]
+    params = [json.loads(line)["params"] for line in captured.out.splitlines()]
+    assert params == before[:len(params)] and len(params) % 2 == 0
     assert cancelled[0] is True
+
+
+def test_dead_pool_manager_thread_is_one_line_not_a_hang():
+    # the pool's manager thread starts the call queue's feeder thread; if
+    # that cannot start (say, under a tight address-space cap), the manager
+    # dies and no chunk ever completes.  The run must notice, exit 2 and end
+    # stderr with one BrokenProcessPool line, not wait forever
+    script = "\n".join([
+        "import multiprocessing.queues, os, sys",
+        "from qidentities import cli",
+        "def refuse(self):",
+        "    raise RuntimeError(\"can't start new thread\")",
+        "multiprocessing.queues.Queue._start_thread = refuse",
+        "os.cpu_count = lambda: 2",
+        "sys.exit(cli.run(%r))" % (THM2_GRID + ["--jobs", "2"]),
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, start_new_session=True, text=True,
+    )
+    out, err = _communicate_or_kill(proc, timeout=30)
+    # (Python 3.12's pool reports the same fault as its workers lost)
+    assert (proc.returncode, out) == (2, "")
+    assert re.fullmatch(r"BrokenProcessPool: .*", err.splitlines()[-1]), err
+
+
+@pytest.mark.parametrize("cells, jobs, sizes", [
+    (9, 2, [2, 2, 2, 2, 1]),
+    (20, 3, [2] * 10),
+    (100, 2, [13] * 7 + [9]),
+    (127, 2, [16] * 7 + [15]),
+    (300, 2, [16] * 18 + [12]),
+])
+def test_verify_small_grid_is_spread_over_the_workers(monkeypatch, capsys, cells, jobs, sizes):
+    # min(16, ceil(cells / (4 * workers))) cells a chunk: a small grid still
+    # gives each worker 4 chunks, a grid of 128 cells or more at 2 workers
+    # keeps 16
+    import qidentities.cli as cli
+
+    submitted = []
+
+    class RecordingPool(SerialPool):
+        def submit(self, fn, chunk):
+            submitted.append(len(chunk))
+            return super().submit(fn, chunk)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    # N < 0 lies outside the hypothesis, so the cells cost nothing to run
+    rc, out = run(capsys, "verify", "--identity", "saalschutz", "--a", "1", "--b", "1",
+                  "--c", "1", "--N=-%d..-1" % cells, "--jobs", str(jobs))
+    assert (rc, out) == (0, '{"pass":0,"fail":0,"degenerate":%d}\n' % cells)
+    assert submitted == sizes
 
 
 # -- usage errors after parsing ---------------------------------------------------

@@ -192,6 +192,30 @@ def test_verify_degenerate_exactly_when_a_lower_pochhammer_vanishes():
     assert 0 < degenerate < 13**3 * 5
 
 
+def test_degenerate_closed_form_is_found_before_its_numerator():
+    # (c; q)_N vanishes, so the numerator's (c/a; q)_N, with a count past
+    # any list index, is never built: Degenerate, not OverflowError
+    huge = 10**20
+    with pytest.raises(Degenerate):
+        saalschutz_rhs(SaalschutzInstance(a_exp=1, b_exp=2, c_exp=-2, N=huge))
+    with pytest.raises(OverflowError):
+        saalschutz_rhs(SaalschutzInstance(a_exp=1, b_exp=2, c_exp=1, N=huge))
+
+
+def test_phi_evaluate_huge_order_overflows_at_once(monkeypatch):
+    # a lower parameter's vanishing is found by range membership, so a
+    # huge N still raises at once instead of summing terms without end
+    def no_term(*args, **kwargs):
+        raise AssertionError("a series term was built")
+
+    monkeypatch.setattr(hypergeom, "_product", no_term)
+    huge = 10**20
+    with pytest.raises(OverflowError):
+        phi_evaluate(PhiSeries(upper=(1, 3, -2 * huge), lower=(5, 7), z_exp=2))
+    with pytest.raises(Degenerate):
+        phi_evaluate(PhiSeries(upper=(1, 3, -2 * huge), lower=(5, -2), z_exp=2))
+
+
 def test_instance_validation_and_json():
     with pytest.raises(ValueError):
         SaalschutzInstance(2, 4, 8, -1)

@@ -360,6 +360,85 @@ def test_qf_expand_ratio_agrees_with_exact_div(factors, sign, x_power):
         assert qf_expand_ratio(a) == expected
 
 
+# -- qf_expand's memo ----------------------------------------------------------
+
+
+@example(({2: -1}, 1, 0))
+@example(({4: 1, 2: -1}, -1, 3))
+@example(({3: 2}, 0, 5))
+@given(st.tuples(
+    st.dictionaries(
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=-3, max_value=4).filter(bool),
+        max_size=5,
+    ),
+    st.sampled_from([1, -1, 0]),
+    st.integers(min_value=-12, max_value=6),
+))
+def test_qf_expand_memo_matches_the_pass_cold_and_warm(args):
+    from qidentities import qcombo
+
+    factors, sign, x_power = args
+    a = QFactored(sign, x_power, factors)
+    # the same value, its factor dict filled in another order
+    b = QFactored(sign, x_power, dict(reversed(list(factors.items()))))
+    qcombo._expanded.cache_clear()
+    try:
+        expected = qcombo._expand(a.sign, a.x_power, a.factors.items(), ONE)
+    except NotDivisible:
+        # raised again on every call, never cached
+        for value in (a, b):
+            with pytest.raises(NotDivisible):
+                qf_expand(value)
+        assert qcombo._expanded.cache_info().currsize == 0
+        return
+    cold = qf_expand(a)
+    warm = qf_expand(b)
+    assert cold == expected and warm is cold
+    info = qcombo._expanded.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    # a start other than ONE bypasses the memo
+    start = lp({1: 2, 3: -1})
+    assert qf_expand(a, start) == expected * start
+    assert qcombo._expanded.cache_info().misses == 1
+
+
+def test_qf_expand_memo_is_bounded():
+    from qidentities import qcombo
+
+    bound = qcombo.QF_EXPAND_CACHE_SIZE
+    assert qcombo._expanded.cache_info().maxsize == bound
+    # a sweep over more distinct values than the memo holds
+    for p in range(bound + 20):
+        assert qf_expand(QFactored(-1, p, {2: 1})) == lp({p: -1, p + 2: 1})
+    info = qcombo._expanded.cache_info()
+    assert (info.misses, info.currsize) == (bound + 20, bound)
+    # the least recently used values were dropped, and expand again
+    assert qf_expand(QFactored(-1, 0, {2: 1})) == lp({0: -1, 2: 1})
+    assert qcombo._expanded.cache_info().misses == bound + 21
+
+
+@example(([3], 1, 1, [3]), ([5], 0, -1, []), False)
+@example(([2, -2], 0, 1, [4]), ([4], 2, 1, [2]), True)
+@given(product_args, product_args, st.booleans())
+def test_built_values_equal_the_validated_constructor(a_args, b_args, zero):
+    # _product and qf_mul skip QFactored's validation; what they build must
+    # still be what it would build: no zero multiplicity, zero as (0, 0, {})
+    exps, x_power, sign, den = a_args
+    a = _product([0] * zero + exps, x_power, sign, den)
+    b = _product(*b_args)
+    quotient = qf_div(b, a) if not a.zero else b
+    for value in (a, b, qf_mul(a, b), qf_mul(b, a), qf_mul(a, quotient)):
+        assert type(value) is QFactored
+        assert value == QFactored(*value)
+        assert 0 not in value.factors.values()
+        if value.zero:
+            assert value == (0, 0, {})
+    if not a.zero:
+        # factors of a cancel in a * (b / a)
+        assert qf_mul(a, quotient) == b
+
+
 # -- q-binomial coefficients ---------------------------------------------------
 
 
