@@ -24,13 +24,16 @@ cells finish and then a summary line.  The cells are generated as they run,
 so no list of cells or of records is kept, and an interrupted run keeps the
 records it wrote.  Each cell encodes its own record, so with --jobs the
 workers do the encoding and the parent only tallies verdicts and writes
-lines; it keeps at most 4 chunks of at most 16 cells per worker in
-flight, so its memory does not grow with the grid either, and an error,
-such as a closed stdout, ends the workers instead of waiting for their
-chunks.  A grid too small to give each worker 4 chunks of 16 gets smaller
-chunks, so that its cells still spread over the workers.  Records
-written to a file via --output carry a measured elapsed_ms field; on
-stdout it is omitted so that identical reruns are byte-identical.
+lines.  Each chunk after the first few is sized from the worker time of
+the chunk read before it, so cheap cells travel in large chunks and
+expensive ones alone (_chunk_size), and no chunk is so large that a
+worker gets fewer than 4.  The parent keeps at most 4 chunks of at most
+CHUNK_CELLS cells per worker in flight, so its memory does not grow with
+the grid either, and an error, such as a closed stdout, ends the pool's
+workers, and no other process, instead of waiting for their chunks.
+Records written to a file via --output carry a measured elapsed_ms
+field; on stdout it is omitted so that identical reruns are
+byte-identical.
 
 The qident console script and python -m qidentities.cli call run(), not
 main(): once main() has returned, run() moves every live object into the
@@ -46,6 +49,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import functools
 import gc
 import itertools
 import json
@@ -269,24 +273,68 @@ def _run_cell(cell, corrupt=False):
     return record["equal"], json.dumps(record, separators=(",", ":")) + "\n"
 
 
+# The worker time a pool chunk should take.  A task costs the parent's pool
+# threads a wake-up each, which on a host whose CPUs all run workers is
+# taken from a worker: 16-cell chunks of 150 us Saalschutz cells (2-3 ms
+# tasks) made the parent burn a quarter of the workers' CPU.  On that grid
+# at --jobs 2 (2 vCPU, Python 3.11.7) targets of 10 to 80 ms ran alike and
+# 5 ms kept almost half of that CPU, while 40 ms or more slowed a thm2 grid
+# whose last, costliest cells then came in few large chunks; the sweep is
+# in CHANGES.md.
+CHUNK_SECONDS = 0.02
+# The most cells in one chunk, so that at most 4 x workers x CHUNK_CELLS
+# cells are in flight however cheap they are.  Only nearly free cells reach
+# it: the 300,000 mostly degenerate cells of the CI's long --jobs 2 grid
+# ran in 2.5, 1.9 and 1.5 s with caps of 64, 256 and 1024 (5.0 s in 16-cell
+# chunks); 256 takes most of that gain with a quarter of 1024's cells in
+# flight.
+CHUNK_CELLS = 256
+
+
 def _run_chunk(cells):
-    """_run_cell over a list of cells: one task for a pool worker."""
-    return [_run_cell(cell) for cell in cells]
+    """_run_cell over a list of cells: one task for a pool worker.  Returns
+    (seconds, results): the time the worker spent on the cells, not
+    counting the time the chunk queued, and their results in order."""
+    start = time.perf_counter()
+    results = [_run_cell(cell) for cell in cells]
+    return time.perf_counter() - start, results
 
 
-def _pooled(pool, cells, size, window):
-    """_run_cell of each cell, in cell order, run by the pool in chunks of
-    `size` cells.  At most `window` chunks are submitted and not yet read,
-    so neither the queued cells nor the finished results grow with the
-    grid."""
-    chunks = iter(lambda: list(itertools.islice(cells, size)), [])
+def _chunk_size(size, seconds, limit):
+    """The size of the next chunk after one of `size` cells that took
+    `seconds` of worker time: CHUNK_SECONDS of cells at that rate, but at
+    most twice `size` (cells outside the hypothesis cost nothing and come
+    in runs, which must not lift the size to its cap in one step), at
+    least 1 and at most `limit`."""
+    if 2 * seconds <= CHUNK_SECONDS:
+        # also seconds == 0: the rate says nothing beyond "cheap"
+        grown = 2 * size
+    else:
+        grown = int(CHUNK_SECONDS * size / seconds)
+    return max(1, min(grown, limit))
+
+
+def _pooled(pool, cells, count, workers):
+    """_run_cell of each of the `count` cells, in cell order, run by the
+    pool of `workers` workers in chunks.  Each chunk is sized by
+    _chunk_size from the chunk read last; those submitted before any was
+    read hold min(16, limit) cells.  The limit is CHUNK_CELLS, or fewer on
+    a grid too small to give each worker 4 chunks of it.  At most 4 chunks
+    per worker are submitted and not yet read, so neither the queued cells
+    nor the finished results grow with the grid."""
+    limit = min(CHUNK_CELLS, -(-count // (4 * workers)))
+    size = min(16, limit)
+    window = 4 * workers
     pending = collections.deque()
-    for chunk in chunks:
-        pending.append(pool.submit(_run_chunk, chunk))
+    while chunk := list(itertools.islice(cells, size)):
+        pending.append((len(chunk), pool.submit(_run_chunk, chunk)))
         if len(pending) == window:
-            yield from _result(pool, pending.popleft())
-    for future in pending:
-        yield from _result(pool, future)
+            n, future = pending.popleft()
+            seconds, results = _result(pool, future)
+            size = _chunk_size(n, seconds, limit)
+            yield from results
+    for _, future in pending:
+        yield from _result(pool, future)[1]
 
 
 def _result(pool, future):
@@ -310,15 +358,27 @@ def _result(pool, future):
                 ) from None
 
 
-def _stop_workers(exc_type, exc, tb):
-    """Exit callback of a pool: after an error, such as a closed stdout,
-    end its workers at once, so that the shutdown after it does not wait
-    for the chunks they are running.  A normal exit leaves them be."""
+def _stop_workers(others, exc_type, exc, tb):
+    """Exit callback of a pool started while the multiprocessing children
+    `others` ran: after an error, such as a closed stdout, end its workers,
+    every child not in `others`, at once, so that the shutdown after it
+    does not wait for the chunks they are running.  The caller's own
+    children are left be, and a normal exit ends nothing."""
     if exc_type is not None:
         import multiprocessing
 
         for worker in multiprocessing.active_children():
-            worker.terminate()
+            if worker not in others:
+                worker.terminate()
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one (taskset, a container's cpuset), else the CPU
+    count, 1 if that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _grid_ranges(args, parser):
@@ -360,7 +420,7 @@ def _cmd_verify(args, parser) -> int:
     names = IDENTITIES[args.identity].params
     cells = ((args.identity, dict(zip(names, v)), timing) for v in _grid(ranges))
     count = math.prod(len(r) for r in ranges)
-    workers = min(args.jobs, os.cpu_count() or 1, count)
+    workers = min(args.jobs, _usable_cpus(), count)
     tally = {"pass": 0, "fail": 0, "degenerate": 0}
     with contextlib.ExitStack() as stack:
         out = sys.stdout
@@ -372,18 +432,17 @@ def _cmd_verify(args, parser) -> int:
         if workers > 1:
             # imported here: it loads multiprocessing, which eval, explain
             # and serial runs never need
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
+            others = set(multiprocessing.active_children())
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             # run first on the way out: an error, such as a closed stdout,
             # ends the running chunks and drops the queued ones instead of
             # waiting for them
             stack.callback(pool.shutdown, cancel_futures=True)
-            stack.push(_stop_workers)
-            # 16 cells a chunk, or fewer on a grid too small to give each
-            # worker 4 chunks; larger chunks balance the load worse
-            size = min(16, -(-count // (4 * workers)))
-            results = _pooled(pool, cells, size, 4 * workers)
+            stack.push(functools.partial(_stop_workers, others))
+            results = _pooled(pool, cells, count, workers)
         else:
             results = map(_run_cell, cells)
         # the results come in cell order, so stdout is independent of

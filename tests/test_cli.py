@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import concurrent.futures
+import itertools
 import json
 import os
 import re
@@ -223,7 +224,7 @@ def test_selftest_corrupt_reruns_the_first_checked_cell_from_its_record(
     # (1, 1), (1, 2) and (2, 2) lie outside d0 > d1 >= 1; each cell, in a
     # worker at --jobs 2, finds that itself, so the control perturbs (2, 1)
     # by rerunning it from the params its record carries
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("qidentities.cli._usable_cpus", lambda: 2)
     rc, out = run(
         capsys, "verify", "--identity", "thm1", "--d0", "1..3", "--d1", "1..2",
         "--selftest-corrupt", "--jobs", jobs,
@@ -314,7 +315,7 @@ def test_verify_theorem_grids_same_stdout_with_a_real_pool(monkeypatch, capsys, 
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("qidentities.cli._usable_cpus", lambda: 2)
     rc1, out1 = run(capsys, "verify", *args, "--jobs", "1")
     assert sizes == []
     rc2, out2 = run(capsys, "verify", *args, "--jobs", "2")
@@ -352,7 +353,7 @@ def test_verify_saalschutz_records_are_encoded_in_the_workers(tmp_path, monkeypa
     proxy.__dict__.update(json.__dict__, dumps=dumps)
     monkeypatch.setattr(cli, "json", proxy)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkedPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     args = ["verify", "--identity", "saalschutz", "--a=-2..2", "--b=-2..2", "--c=-2..2",
             "--N", "1..2"]
     rc1, out1 = run(capsys, *args, "--jobs", "1")
@@ -377,7 +378,7 @@ def test_selftest_corrupt_with_a_real_pool_perturbs_a_cell_of_a_later_chunk(
     # from the params of the line a worker encoded
     import qidentities.cli as cli
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     args = ["verify", "--identity", "saalschutz", "--a", "1", "--b", "1", "--c", "1",
             "--N=-20..2", "--selftest-corrupt"]
     rc1, out1 = run(capsys, *args, "--jobs", "1")
@@ -698,7 +699,7 @@ def test_verify_interrupted_run_keeps_finished_records(
 
     monkeypatch.setattr(cli, "theorem2_lhs", fail_20th)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     target = tmp_path / "report.jsonl"
     with pytest.raises(RuntimeError):
         main(["verify", "--identity", "thm2", "--d1", "1..4", "--d2", "1..5",
@@ -815,7 +816,7 @@ def test_exponent_too_large_to_expand_is_one_line(monkeypatch, capsys, argv):
             pools.append(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1131,8 +1132,8 @@ def test_failed_write_is_one_line(argv, stdout):
 
 
 def test_closed_stdout_cancels_the_queued_cells(monkeypatch):
-    # an error ends the workers, then drops the queued chunks; a normal
-    # exit only shuts the pool down
+    # an error ends the pool's workers, not the caller's own children, then
+    # drops the queued chunks; a normal exit only shuts the pool down
     import io
     import multiprocessing
 
@@ -1140,26 +1141,34 @@ def test_closed_stdout_cancels_the_queued_cells(monkeypatch):
 
     calls = []
 
+    class Worker:
+        def __init__(self, name):
+            self.name = name
+
+        def terminate(self):
+            calls.append("terminate " + self.name)
+
+    children = [Worker("caller's child")]
+
     class RecordingPool(SerialPool):
+        def __init__(self, max_workers):
+            children.append(Worker("pool worker"))
+
         def shutdown(self, wait=True, *, cancel_futures=False):
             calls.append(cancel_futures)
-
-    class Worker:
-        def terminate(self):
-            calls.append("terminate")
 
     class ClosedStdout:
         def write(self, text):
             raise BrokenPipeError
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(multiprocessing, "active_children", lambda: [Worker()])
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "active_children", lambda: list(children))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(cli.sys, "stdout", ClosedStdout())
     argv = ["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1", "--jobs", "2"]
     with pytest.raises(BrokenPipeError):
         main(argv)
-    assert calls == ["terminate", True]
+    assert calls == ["terminate pool worker", True]
     calls.clear()
     monkeypatch.setattr(cli.sys, "stdout", io.StringIO())
     assert main(argv) == 0
@@ -1189,7 +1198,7 @@ def test_dead_worker_is_one_line_not_a_failed_cell(monkeypatch, capsys):
 
     monkeypatch.setitem(cli.IDENTITIES, "thm2", thm2._replace(lhs=lhs))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     rc = main(["verify", "--identity", "thm2", "--d1", "1..3", "--d2", "1..3", "--jobs", "2"])
     captured = capsys.readouterr()
     assert rc == 2
@@ -1214,7 +1223,7 @@ def test_dead_pool_manager_thread_is_one_line_not_a_hang():
         "def refuse(self):",
         "    raise RuntimeError(\"can't start new thread\")",
         "multiprocessing.queues.Queue._start_thread = refuse",
-        "os.cpu_count = lambda: 2",
+        "cli._usable_cpus = lambda: 2",
         "sys.exit(cli.run(%r))" % (THM2_GRID + ["--jobs", "2"]),
     ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -1233,12 +1242,15 @@ def test_dead_pool_manager_thread_is_one_line_not_a_hang():
     (20, 3, [2] * 10),
     (100, 2, [13] * 7 + [9]),
     (127, 2, [16] * 7 + [15]),
-    (300, 2, [16] * 18 + [12]),
+    (300, 2, [16] * 8 + [32] * 5 + [12]),
+    (3000, 2, [16] * 8 + [32] * 8 + [64] * 8 + [128] * 8 + [256] * 4 + [56]),
 ])
 def test_verify_small_grid_is_spread_over_the_workers(monkeypatch, capsys, cells, jobs, sizes):
-    # min(16, ceil(cells / (4 * workers))) cells a chunk: a small grid still
-    # gives each worker 4 chunks, a grid of 128 cells or more at 2 workers
-    # keeps 16
+    # the chunks sent before any is read hold min(16, ceil(cells / (4 *
+    # workers))) cells, so a small grid still gives each worker 4 chunks;
+    # later chunks of free cells double, up to that limit and CHUNK_CELLS
+    import types
+
     import qidentities.cli as cli
 
     submitted = []
@@ -1249,7 +1261,9 @@ def test_verify_small_grid_is_spread_over_the_workers(monkeypatch, capsys, cells
             return super().submit(fn, chunk)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    # a worker clock that stands still: every chunk took 0 s
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
     # N < 0 lies outside the hypothesis, so the cells cost nothing to run
     rc, out = run(capsys, "verify", "--identity", "saalschutz", "--a", "1", "--b", "1",
                   "--c", "1", "--N=-%d..-1" % cells, "--jobs", str(jobs))
@@ -1257,7 +1271,122 @@ def test_verify_small_grid_is_spread_over_the_workers(monkeypatch, capsys, cells
     assert submitted == sizes
 
 
-# -- usage errors after parsing ---------------------------------------------------
+@pytest.mark.parametrize("size, seconds, limit, expected", [
+    (16, 0.0, 256, 32),       # no measurable time: doubles
+    (16, 0.0, 20, 20),        # ... up to the grid's limit
+    (200, 0.0, 256, 256),     # ... and to the cap it is given
+    (16, 0.001, 256, 32),     # a rate of 320 cells per CHUNK_SECONDS: at most x2
+    (16, 0.01, 256, 32),      # exactly CHUNK_SECONDS / 2: still x2
+    (16, 0.016, 256, 20),     # 1 ms a cell: 20 cells
+    (16, 0.02, 256, 16),      # on target: unchanged
+    (16, 5.0, 256, 1),        # 300 ms a cell: at once down to 1
+    (1, 0.3, 256, 1),         # never below 1
+    (256, 0.0, 1, 1),         # a limit of 1 holds
+])
+def test_chunk_size_rule(size, seconds, limit, expected):
+    import qidentities.cli as cli
+
+    assert cli.CHUNK_SECONDS == 0.02
+    assert cli._chunk_size(size, seconds, limit) == expected
+
+
+def test_pooled_chunks_follow_the_worker_clock(monkeypatch):
+    # cheap cells grow the chunks to CHUNK_CELLS, expensive ones shrink
+    # them to 1, the cells come back in order, and no more than 4 chunks
+    # per worker are ever submitted and unread
+    import types
+
+    import qidentities.cli as cli
+
+    clock = [0.0]
+    sizes, unread = [], []
+
+    def run_cell(cell, corrupt=False):
+        # 10 us a cell for the first 2,000 cells, then 1 s a cell
+        clock[0] += 1e-5 if cell < 2000 else 1.0
+        return cell
+
+    class CountingPool(SerialPool):
+        def submit(self, fn, chunk):
+            future = super().submit(fn, chunk)
+            sizes.append(len(chunk))
+            unread.append(future)
+            read = future.result
+
+            def result(timeout=None):
+                unread.remove(future)
+                return read(timeout)
+
+            future.result = result
+            assert len(unread) <= 8
+            return future
+
+    monkeypatch.setattr(cli, "_run_cell", run_cell)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    cells = 5000
+    results = list(cli._pooled(CountingPool(2), iter(range(cells)), cells, 2))
+    assert results == list(range(cells))
+    assert unread == []
+    assert sizes[:8] == [16] * 8
+    assert max(sizes) == cli.CHUNK_CELLS
+    # chunk k holds cell 2000, the first slow one; its reading sizes chunk
+    # k + 8, after which every chunk holds a single cell
+    k = next(i for i, n in enumerate(itertools.accumulate(sizes)) if n > 2000)
+    assert sizes[k] == cli.CHUNK_CELLS
+    assert len(sizes) > k + 8
+    assert sizes[k + 8:] == [1] * (len(sizes) - k - 8)
+
+
+def test_verify_growing_chunks_with_a_real_pool_same_stdout(monkeypatch, capsys):
+    # 729 cheap Saalschutz cells, whose chunks grow past 16 cells on any
+    # host but a stalled one: stdout must still be the serial run's, byte
+    # for byte
+    import qidentities.cli as cli
+
+    sizes = []
+
+    class RecordingPool(ForkedPool):
+        def submit(self, fn, chunk):
+            sizes.append(len(chunk))
+            return super().submit(fn, chunk)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    args = ["verify", "--identity", "saalschutz", "--a=-4..4", "--b=-4..4", "--c=-4..4",
+            "--N", "1"]
+    rc1, out1 = run(capsys, *args, "--jobs", "1")
+    rc2, out2 = run(capsys, *args, "--jobs", "2")
+    assert rc1 == rc2 == 0
+    assert out1 == out2
+    assert sum(sizes) == 729
+
+
+def test_error_at_jobs_2_ends_only_the_pools_workers(monkeypatch, capsys):
+    # a caller's own child process outlives a pool run that fails: only
+    # the workers the pool started are ended
+    import multiprocessing
+    import time
+
+    import qidentities.cli as cli
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(30,))
+    child.start()
+    try:
+        # every N is past any exponent that can be expanded: each cell
+        # raises OverflowError in a worker
+        rc = main(["verify", "--identity", "saalschutz", "--a", "1", "--b", "1", "--c", "1",
+                   "--N", "99999999999999999990..99999999999999999999", "--jobs", "2"])
+        assert rc == 2
+        assert "OverflowError" in capsys.readouterr().err
+        assert child.is_alive() and child.exitcode is None
+    finally:
+        child.terminate()
+        child.join(timeout=10)
+    assert not child.is_alive()
+
+
+# -- usage errors after parsing# -- usage errors after parsing ---------------------------------------------------
 
 
 @pytest.mark.parametrize("argv, usage, message", [
@@ -1313,7 +1442,10 @@ def test_post_parse_usage_error_names_subcommand(
     (64, None, []),    # unknown CPU count counts as one
 ])
 def test_verify_jobs_capped(monkeypatch, capsys, jobs, cpus, expected):
+    # on a platform with no affinity mask, the CPU count caps the workers
     import qidentities.cli as cli
+
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
 
     used = []
 
@@ -1330,3 +1462,28 @@ def test_verify_jobs_capped(monkeypatch, capsys, jobs, cpus, expected):
     assert rc == 0
     assert used == expected
     assert out == serial
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity mask")
+def test_verify_jobs_capped_by_the_cpus_the_process_may_run_on(monkeypatch, capsys):
+    # pinned to one CPU of eight (taskset -c 0), --jobs 2 runs serially:
+    # two workers would only share that CPU
+    import qidentities.cli as cli
+
+    used = []
+
+    class RecordingPool(SerialPool):
+        def __init__(self, max_workers):
+            used.append(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    rc, _ = run(capsys, "verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2",
+                "--jobs", "2")
+    assert rc == 0
+    assert used == []
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 5})
+    rc, _ = run(capsys, "verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1..2",
+                "--jobs", "2")
+    assert used == [2]
