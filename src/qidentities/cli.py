@@ -146,21 +146,18 @@ _KINDS = {
 
 
 def _parse_range(text):
-    """Inclusive integer range "A..B", or a single integer "A" (a config
-    file may also give a JSON integer)."""
-    if type(text) is int:
-        return range(text, text + 1)
+    """Inclusive integer range "A..B", or a single integer "A": the type of
+    verify's range flags, so argparse names the flag of a malformed one."""
+    lo, sep, hi = text.partition("..")
     try:
-        lo, sep, hi = text.partition("..")
         lo, hi = int(lo), int(hi if sep else lo)
-    except (AttributeError, ValueError):
-        # not a string, or an end that is not an integer
-        raise ValueError("expected A..B or an integer, got %r" % (text,)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected A..B or an integer, got %r" % text) from None
     if hi < lo:
-        raise ValueError("empty range %r" % text)
+        raise argparse.ArgumentTypeError("empty range %r" % text)
     # a longer range has no len(), which the grid needs
     if hi - lo >= sys.maxsize:
-        raise ValueError("range %r has more than %d values" % (text, sys.maxsize))
+        raise argparse.ArgumentTypeError("range %r has more than %d values" % (text, sys.maxsize))
     return range(lo, hi + 1)
 
 
@@ -358,18 +355,20 @@ def _result(pool, future):
                 ) from None
 
 
-def _stop_workers(others, exc_type, exc, tb):
+def _close_pool(pool, others, exc_type, exc, tb):
     """Exit callback of a pool started while the multiprocessing children
-    `others` ran: after an error, such as a closed stdout, end its workers,
-    every child not in `others`, at once, so that the shutdown after it
-    does not wait for the chunks they are running.  The caller's own
-    children are left be, and a normal exit ends nothing."""
+    `others` ran: one shutdown that drops the chunks still queued.  After
+    an error, such as a closed stdout, it first ends the pool's workers,
+    every child not in `others`, so that the shutdown does not wait for
+    the chunks they are running; the caller's own children are left be,
+    and a normal exit ends nothing."""
     if exc_type is not None:
         import multiprocessing
 
         for worker in multiprocessing.active_children():
             if worker not in others:
                 worker.terminate()
+    pool.shutdown(cancel_futures=True)
 
 
 def _usable_cpus():
@@ -379,23 +378,6 @@ def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _grid_ranges(args, parser):
-    """The validated ranges of the requested identity's grid axes, in
-    params order; their product, with the last parameter varying fastest,
-    is the grid in canonical order."""
-    ident = IDENTITIES[args.identity]
-    _reject_unread(args, parser, ident.params, "--identity " + args.identity)
-    ranges = []
-    for name in ident.params:
-        if getattr(args, name) is None:
-            parser.error("verify --identity %s needs --%s A..B" % (args.identity, name))
-        try:
-            ranges.append(_parse_range(getattr(args, name)))
-        except ValueError as exc:
-            parser.error("--%s: %s" % (name, exc))
-    return ranges
 
 
 def _grid(ranges):
@@ -411,13 +393,14 @@ def _grid(ranges):
 
 
 def _cmd_verify(args, parser) -> int:
-    if args.jobs is None:
-        args.jobs = 1
-    if type(args.jobs) is not int or args.jobs < 1:
-        parser.error("--jobs must be an integer >= 1, got %r" % (args.jobs,))
-    ranges = _grid_ranges(args, parser)
-    timing = args.output is not None
+    if args.jobs < 1:
+        parser.error("--jobs must be an integer >= 1, got %d" % args.jobs)
     names = IDENTITIES[args.identity].params
+    _reject_unread(args, parser, names, "--identity " + args.identity)
+    # the axes in params order: their product, the last varying fastest,
+    # is the grid in canonical order
+    ranges = _require(args, parser, names)
+    timing = args.output is not None
     cells = ((args.identity, dict(zip(names, v)), timing) for v in _grid(ranges))
     count = math.prod(len(r) for r in ranges)
     workers = min(args.jobs, _usable_cpus(), count)
@@ -436,12 +419,8 @@ def _cmd_verify(args, parser) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             others = set(multiprocessing.active_children())
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            # run first on the way out: an error, such as a closed stdout,
-            # ends the running chunks and drops the queued ones instead of
-            # waiting for them
-            stack.callback(pool.shutdown, cancel_futures=True)
-            stack.push(functools.partial(_stop_workers, others))
+            pool = ProcessPoolExecutor(max_workers=workers)
+            stack.push(functools.partial(_close_pool, pool, others))
             results = _pooled(pool, cells, count, workers)
         else:
             results = map(_run_cell, cells)
@@ -513,10 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--identity", required=True, choices=list(IDENTITIES))
     verify_params = [*dict.fromkeys(p for ident in IDENTITIES.values() for p in ident.params)]
     for name in verify_params:
-        p_verify.add_argument("--%s" % name, default=None, metavar="A..B")
-    p_verify.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default 1)"
-    )
+        p_verify.add_argument("--%s" % name, type=_parse_range, default=None, metavar="A..B")
+    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p_verify.add_argument("--output", default=None, metavar="FILE")
     p_verify.add_argument("--config", default=None, metavar="FILE")
     p_verify.add_argument(
@@ -539,51 +516,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The JSON type a --config value must have, for the flags whose values no
-# later check validates: ranges go through _parse_range and "jobs" through
-# _cmd_verify.
-_CONFIG_TYPES = {
-    "output": (str, "a string"),
-    "selftest_corrupt": (bool, "true or false"),
-}
-
-
-def _apply_config(args, parser):
-    """Fill the flags left unset from the --config JSON object; a null
-    value leaves the default.  A file that is not a JSON object, a key that
-    names no flag of the subcommand, or a value of the wrong JSON type, is a
-    usage error."""
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, ValueError) as exc:
-            parser.error("cannot read config file: %s" % exc)
-        if not isinstance(defaults, dict):
-            parser.error(
-                "config file must hold a JSON object, got %.40s" % json.dumps(defaults)
+def _parse_with_config(parser, argv, args):
+    """argv parsed again with the values of the --config JSON object as the
+    defaults of the subcommand's flags, so that argparse converts and checks
+    each one as the text typed after its flag, and an explicit flag wins.  A
+    key is a flag's name, with - or _; a switch takes true or false, null
+    leaves the default, and any other value is that text: a string, or for a
+    flag of type int an integer, or for a range either.  A file that is not a
+    JSON object or a key that names no flag a file may set is a usage error,
+    and so is a value of another JSON type, unless the flag is given too."""
+    sub = args.subparser
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        sub.error("cannot read config file: %s" % exc)
+    if not isinstance(config, dict):
+        sub.error("config file must hold a JSON object, got %.40s" % json.dumps(config))
+    flags = {a.dest: a for a in sub._actions if a.option_strings}
+    # --identity is required on the command line, so a file's would never apply
+    for dest in ("help", "config", "identity"):
+        del flags[dest]
+    json_types = {
+        None: ((str,), "a string"),
+        int: ((int,), "an integer"),
+        _parse_range: ((str, int), "a string or an integer"),
+    }
+    defaults = {}
+    for key, value in config.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            sub.error("config key %s names no %s flag" % (json.dumps(key), args.command))
+        if value is None:
+            continue
+        switch = action.nargs == 0
+        allowed, described = ((bool,), "true or false") if switch else json_types[action.type]
+        # by type, not isinstance: true is no integer here
+        if type(value) not in allowed:
+            # like a malformed text, reported only if no flag replaces it
+            value = argparse.ArgumentTypeError(
+                "config value for %s must be %s, got %s" % (key, described, json.dumps(value))
             )
-        flags = {a.dest for a in parser._actions if a.option_strings}
-        flags -= {"help", "config"}
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if attr not in flags:
-                parser.error(
-                    "config key %s names no %s flag" % (json.dumps(key), args.command)
-                )
-            current = getattr(args, attr)
-            # an unset flag is None (False for --selftest-corrupt); compared
-            # by identity, since an explicit --jobs 0 == False must stay
-            if value is None or (current is not None and current is not False):
-                continue
-            if attr in _CONFIG_TYPES:
-                expected, described = _CONFIG_TYPES[attr]
-                if type(value) is not expected:
-                    parser.error(
-                        "config value for %s must be %s, got %s"
-                        % (key, described, json.dumps(value))
-                    )
-            setattr(args, attr, value)
+        elif not switch:
+            value = str(value)
+        defaults[action.dest] = value
+    sub.set_defaults(**defaults)
+    args = parser.parse_known_args(argv)[0]
+    for value in vars(args).values():
+        if isinstance(value, argparse.ArgumentTypeError):
+            sub.error(str(value))
+    return args
 
 
 def _pool_errors():
@@ -595,10 +577,12 @@ def _pool_errors():
 
 
 def main(argv=None) -> int:
-    args, extras = build_parser().parse_known_args(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
     if extras:
         args.subparser.error("unrecognized arguments: %s" % " ".join(extras))
-    _apply_config(args, args.subparser)
+    if getattr(args, "config", None):
+        args = _parse_with_config(parser, argv, args)
     try:
         return args.run(args, args.subparser)
     # the tuple is built only when an exception arrives, so no launch

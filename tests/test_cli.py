@@ -598,7 +598,11 @@ def test_verify_config_bad_jobs_is_usage_error(tmp_path, capsys, jobs):
         main(argv)
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert "--jobs must be an integer >= 1" in err
+    if type(jobs) is int:
+        # an integer is the text typed after --jobs, which _cmd_verify checks
+        assert "--jobs must be an integer >= 1, got %d" % jobs in err
+    else:
+        assert "config value for jobs must be an integer, got %s" % json.dumps(jobs) in err
     assert "Traceback" not in err
 
 
@@ -629,8 +633,11 @@ def test_verify_config_bad_shape_is_usage_error(tmp_path, capsys, content, messa
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("key", ["job", "run", "subparser", "command", "help", "config"])
+@pytest.mark.parametrize(
+    "key", ["job", "run", "subparser", "command", "help", "config", "identity"])
 def test_verify_config_unknown_key_is_usage_error(tmp_path, capsys, key):
+    # --identity is required on the command line, so a file's value could
+    # never take effect
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({key: 2, "d1": "1..2"}))
     with pytest.raises(SystemExit) as info:
@@ -678,6 +685,83 @@ def test_verify_config_typed_values_are_applied(tmp_path, capsys):
     assert json.loads(out) == {"pass": 0, "fail": 1, "degenerate": 0}
     records, summary = parse_records(out_file.read_text())
     assert records[0]["equal"] is False and "elapsed_ms" in records[0]
+
+
+CONFIG_CASES = [
+    ({"d1": "1..3"}, ["--d1", "1..3"]),
+    ({"d1": 2}, ["--d1", "2"]),
+    ({"d1": "1..3", "jobs": 2}, ["--d1", "1..3", "--jobs", "2"]),
+    ({"d1": "1..2", "output": "records.jsonl"}, ["--d1", "1..2", "--output", "records.jsonl"]),
+    ({"d1": "1..2", "selftest-corrupt": True}, ["--d1", "1..2", "--selftest-corrupt"]),
+    ({"d1": "1..2", "selftest_corrupt": False}, ["--d1", "1..2"]),
+    ({"d1": "1..2", "jobs": None, "output": None, "a": None}, ["--d1", "1..2"]),
+    # rejected: one usage line and exit 2
+    ({"jobs": "2"}, None), ({"jobs": 1.5}, None), ({"jobs": True}, None), ({"jobs": 0}, None),
+    ({"output": 5}, None), ({"output": ["x"]}, None),
+    ({"selftest_corrupt": "no"}, None), ({"selftest_corrupt": 1}, None),
+    ({"d1": [1, 2]}, None), ({"d1": True}, None), ({"d1": "x..2"}, None),
+]
+
+
+@pytest.mark.parametrize(
+    "config, flags", CONFIG_CASES, ids=[json.dumps(c) for c, _ in CONFIG_CASES])
+def test_verify_config_is_the_same_flags(tmp_path, monkeypatch, capsys, config, flags):
+    # each config value is the text typed after its flag: the same exit
+    # code, stdout, worker count and --output records either way
+    import qidentities.cli as cli
+
+    used = []
+
+    class RecordingPool(SerialPool):
+        def __init__(self, max_workers):
+            used.append(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.json").write_text(json.dumps({"d1": "1", **config}))
+    argv = ["verify", "--identity", "thm2", "--d2", "1..2"]
+    if flags is None:
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--config", "grid.json"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: qident verify")
+        lines = captured.err.splitlines()
+        assert [l for l in lines if "error:" in l] == [lines[-1]]
+        assert "Traceback" not in captured.err
+        return
+
+    def outcome(*extra):
+        used.clear()
+        rc, out = run(capsys, *argv, *extra)
+        records = []
+        if os.path.exists("records.jsonl"):
+            records, _ = parse_records(open("records.jsonl").read())
+            os.remove("records.jsonl")
+            for r in records:
+                del r["elapsed_ms"]
+        return rc, out, list(used), records
+
+    assert outcome("--config", "grid.json") == outcome(*flags)
+
+
+def test_verify_config_bad_value_under_an_explicit_flag_is_unused(tmp_path, capsys):
+    # an explicit flag wins over any config value, malformed or of the
+    # wrong JSON type, as it wins over a valid one
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"d1": [1, 2], "d2": "x..2", "jobs": "2", "output": 5}))
+    argv = ["verify", "--identity", "thm2", "--d1", "1", "--d2", "1", "--jobs", "1"]
+    target = str(tmp_path / "records.jsonl")
+    assert run(capsys, *argv, "--output", target) == run(
+        capsys, *argv, "--output", target, "--config", str(path))
+    # without --output, the file's output value applies, and is rejected
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--config", str(path)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "qident verify: error: config value for output must be a string, got 5\n")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -1391,7 +1475,7 @@ def test_error_at_jobs_2_ends_only_the_pools_workers(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, usage, message", [
     (["verify", "--identity", "thm1", "--d0", "2..4"],
-     "usage: qident verify", "verify --identity thm1 needs --d1 A..B"),
+     "usage: qident verify", "missing required parameter(s): d1"),
     (["verify", "--identity", "thm1", "--d0", "2..4", "--d1", "1..2", "--jobs", "0"],
      "usage: qident verify", "--jobs must be an integer >= 1, got 0"),
     (["verify", "--identity", "thm2", "--d1", "3..1", "--d2", "1"],
