@@ -12,16 +12,18 @@ domain error, a worker process or pool thread that died, or from run() a
 failed write (such as a full disk), and from run() 141 = the reader
 closed stdout.
 A usage error found after parsing, such as an --output file that cannot
-be opened, a flag the subcommand does not take, or a parameter flag that
-the chosen --kind or --identity does not read, prints the subcommand's own
-usage line; a domain error, a library ValueError, an OverflowError (a huge
-exponent), a MemoryError (an exponent or count too large to expand in
-memory) or a BrokenProcessPool (a worker process or the pool's manager
-thread died) prints one line on stderr.
+be opened, a flag the subcommand does not take, a parameter flag that the
+chosen --kind or --identity does not read, or a --config file that names
+one flag twice, prints the subcommand's own usage line; a domain error, a
+library ValueError, an OverflowError (a huge exponent), a MemoryError (an
+exponent or count too large to expand in memory) or a BrokenProcessPool (a
+worker process or the pool's manager thread died) prints one line on
+stderr.
 
 Verification records are line-delimited JSON, written in cell order as the
 cells finish and then a summary line.  The cells are generated as they run,
-so no list of cells or of records is kept, and an interrupted run keeps the
+each range read one value at a time, so no list of cells or of records is
+kept, a range may have any length, and an interrupted run keeps the
 records it wrote.  Each cell encodes its own record, so with --jobs the
 workers do the encoding and the parent only tallies verdicts and writes
 lines.  Each chunk after the first few is sized from the worker time of
@@ -147,7 +149,8 @@ _KINDS = {
 
 def _parse_range(text):
     """Inclusive integer range "A..B", or a single integer "A": the type of
-    verify's range flags, so argparse names the flag of a malformed one."""
+    verify's range flags, so argparse names the flag of a malformed one.  A
+    range may have any length: the grid reads it one value at a time."""
     lo, sep, hi = text.partition("..")
     try:
         lo, hi = int(lo), int(hi if sep else lo)
@@ -155,15 +158,19 @@ def _parse_range(text):
         raise argparse.ArgumentTypeError("expected A..B or an integer, got %r" % text) from None
     if hi < lo:
         raise argparse.ArgumentTypeError("empty range %r" % text)
-    # a longer range has no len(), which the grid needs
-    if hi - lo >= sys.maxsize:
-        raise argparse.ArgumentTypeError("range %r has more than %d values" % (text, sys.maxsize))
     return range(lo, hi + 1)
 
 
-def _require(args, parser, names):
-    """The values of the named flags, in order; a usage error if any is
-    missing."""
+def _params(args, parser, names, chosen):
+    """The values of the named parameter flags, in order.  A usage error if
+    a parameter flag of the subcommand that is not in `names` was given,
+    as the `chosen` kind or identity would ignore it (unless chosen is
+    None), and then if one of `names` is missing."""
+    unread = [
+        "--" + p for p in args.param_flags if p not in names and getattr(args, p) is not None
+    ]
+    if chosen and unread:
+        parser.error("%s does not read %s" % (chosen, ", ".join(unread)))
     values = [getattr(args, n) for n in names]
     missing = [n for n, v in zip(names, values) if v is None]
     if missing:
@@ -171,43 +178,27 @@ def _require(args, parser, names):
     return values
 
 
-def _reject_unread(args, parser, read, chosen):
-    """A usage error if a parameter flag of the subcommand that is not in
-    `read` was given: the chosen kind or identity would ignore it."""
-    unread = [
-        "--" + p for p in args.param_flags if p not in read and getattr(args, p) is not None
-    ]
-    if unread:
-        parser.error("%s does not read %s" % (chosen, ", ".join(unread)))
-
-
 # -- eval ------------------------------------------------------------------
 
 
-def _eval_value(args, parser) -> LaurentPoly:
+def _cmd_eval(args, parser) -> int:
     kind = args.kind
     if kind in _KINDS:
         names, value = _KINDS[kind]
-        _reject_unread(args, parser, names, "--kind " + kind)
-        return value(*_require(args, parser, names))
-    # lhs / rhs of the identity named by --identity
-    (name,) = _require(args, parser, ["identity"])
-    ident = IDENTITIES[name]
-    _reject_unread(
-        args, parser, ("identity", *ident.params), "--kind %s --identity %s" % (kind, name)
-    )
-    values = _require(args, parser, ident.params)
-    if not ident.holds(*values):
-        raise InvalidHypothesis(
-            "outside the %s hypothesis: %s"
-            % (name, ", ".join("%s=%d" % p for p in zip(ident.params, values)))
-        )
-    side = ident.lhs if kind == "lhs" else ident.rhs
-    return side(*values)
-
-
-def _cmd_eval(args, parser) -> int:
-    value = _eval_value(args, parser)
+        value = value(*_params(args, parser, names, "--kind " + kind))
+    else:
+        # lhs / rhs of the identity named by --identity, checked first: it
+        # names the parameters read
+        (name,) = _params(args, parser, ["identity"], None)
+        ident = IDENTITIES[name]
+        chosen = "--kind %s --identity %s" % (kind, name)
+        _, *values = _params(args, parser, ("identity", *ident.params), chosen)
+        if not ident.holds(*values):
+            raise InvalidHypothesis(
+                "outside the %s hypothesis: %s"
+                % (name, ", ".join("%s=%d" % p for p in zip(ident.params, values)))
+            )
+        value = (ident.lhs if kind == "lhs" else ident.rhs)(*values)
     print(value.render(_STYLE[args.format]))
     return 0
 
@@ -396,13 +387,13 @@ def _cmd_verify(args, parser) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be an integer >= 1, got %d" % args.jobs)
     names = IDENTITIES[args.identity].params
-    _reject_unread(args, parser, names, "--identity " + args.identity)
     # the axes in params order: their product, the last varying fastest,
     # is the grid in canonical order
-    ranges = _require(args, parser, names)
+    ranges = _params(args, parser, names, "--identity " + args.identity)
     timing = args.output is not None
     cells = ((args.identity, dict(zip(names, v)), timing) for v in _grid(ranges))
-    count = math.prod(len(r) for r in ranges)
+    # from the bounds, as a range longer than sys.maxsize has no len()
+    count = math.prod(r.stop - r.start for r in ranges)
     workers = min(args.jobs, _usable_cpus(), count)
     tally = {"pass": 0, "fail": 0, "degenerate": 0}
     with contextlib.ExitStack() as stack:
@@ -453,9 +444,9 @@ def _cmd_explain(args, parser) -> int:
     """One label/summand line per term of the identity's left-hand side,
     then their total."""
     ident = IDENTITIES[args.identity]
-    _reject_unread(args, parser, ident.params, "--identity " + args.identity)
+    values = _params(args, parser, ident.params, "--identity " + args.identity)
     total = LaurentPoly()
-    for label, term in ident.terms(*_require(args, parser, ident.params)):
+    for label, term in ident.terms(*values):
         total = total + term
         print("%s\t%s" % (json.dumps(label, separators=(",", ":")), term.render("plain")))
     print("total\t%s" % total.render("plain"))
@@ -507,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_explain, term_params)
 
     # post-parse usage errors are reported against the subcommand's parser;
-    # param_flags are the flags _reject_unread checks
+    # param_flags are the flags _params checks for one not read
     p_eval.set_defaults(
         run=_cmd_eval, subparser=p_eval, param_flags=["identity", *eval_params, "surface"]
     )
@@ -523,8 +514,9 @@ def _parse_with_config(parser, argv, args):
     key is a flag's name, with - or _; a switch takes true or false, null
     leaves the default, and any other value is that text: a string, or for a
     flag of type int an integer, or for a range either.  A file that is not a
-    JSON object or a key that names no flag a file may set is a usage error,
-    and so is a value of another JSON type, unless the flag is given too."""
+    JSON object, a key that names no flag a file may set, or two keys that
+    name one flag (its - and _ spellings) is a usage error, and so is a
+    value of another JSON type, unless the flag is given too."""
     sub = args.subparser
     try:
         with open(args.config) as fh:
@@ -534,19 +526,24 @@ def _parse_with_config(parser, argv, args):
     if not isinstance(config, dict):
         sub.error("config file must hold a JSON object, got %.40s" % json.dumps(config))
     flags = {a.dest: a for a in sub._actions if a.option_strings}
-    # --identity is required on the command line, so a file's would never apply
-    for dest in ("help", "config", "identity"):
-        del flags[dest]
     json_types = {
         None: ((str,), "a string"),
         int: ((int,), "an integer"),
         _parse_range: ((str, int), "a string or an integer"),
     }
-    defaults = {}
+    defaults, keys = {}, {}
     for key, value in config.items():
-        action = flags.get(key.replace("-", "_"))
+        dest = key.replace("-", "_")
+        # --identity is required on the command line, so a file's would never apply
+        if dest in ("help", "config", "identity"):
+            sub.error("config key %s names a flag a config file may not set" % json.dumps(key))
+        action = flags.get(dest)
         if action is None:
             sub.error("config key %s names no %s flag" % (json.dumps(key), args.command))
+        if dest in keys:
+            sub.error("config keys %s and %s both name %s"
+                      % (json.dumps(keys[dest]), json.dumps(key), action.option_strings[0]))
+        keys[dest] = key
         if value is None:
             continue
         switch = action.nargs == 0
@@ -559,7 +556,7 @@ def _parse_with_config(parser, argv, args):
             )
         elif not switch:
             value = str(value)
-        defaults[action.dest] = value
+        defaults[dest] = value
     sub.set_defaults(**defaults)
     args = parser.parse_known_args(argv)[0]
     for value in vars(args).values():

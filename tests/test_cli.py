@@ -617,8 +617,13 @@ def test_verify_config_bad_jobs_is_usage_error(tmp_path, capsys, jobs):
     ('{"output": 5}', "config value for output must be a string, got 5"),
     ('{"output": ["x.jsonl"]}',
      'config value for output must be a string, got ["x.jsonl"]'),
+    # the - and _ spellings of one flag: neither may silently win
+    ('{"selftest_corrupt": true, "selftest-corrupt": false, "d1": "1", "d2": "1"}',
+     'config keys "selftest_corrupt" and "selftest-corrupt" both name --selftest-corrupt'),
+    ('{"selftest-corrupt": null, "selftest_corrupt": true}',
+     'config keys "selftest-corrupt" and "selftest_corrupt" both name --selftest-corrupt'),
 ], ids=["array", "string", "null", "corrupt-string", "corrupt-int", "output-int",
-        "output-array"])
+        "output-array", "corrupt-twice", "corrupt-twice-one-null"])
 def test_verify_config_bad_shape_is_usage_error(tmp_path, capsys, content, message):
     config = tmp_path / "grid.json"
     config.write_text(content)
@@ -636,8 +641,11 @@ def test_verify_config_bad_shape_is_usage_error(tmp_path, capsys, content, messa
 @pytest.mark.parametrize(
     "key", ["job", "run", "subparser", "command", "help", "config", "identity"])
 def test_verify_config_unknown_key_is_usage_error(tmp_path, capsys, key):
+    # help, config and identity name flags, but no flag a file may set:
     # --identity is required on the command line, so a file's value could
     # never take effect
+    fixed = key in ("help", "config", "identity")
+    message = "names a flag a config file may not set" if fixed else "names no verify flag"
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({key: 2, "d1": "1..2"}))
     with pytest.raises(SystemExit) as info:
@@ -646,7 +654,7 @@ def test_verify_config_unknown_key_is_usage_error(tmp_path, capsys, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == (
-        'qident verify: error: config key "%s" names no verify flag' % key
+        'qident verify: error: config key "%s" %s' % (key, message)
     )
 
 
@@ -991,11 +999,15 @@ def test_huge_pochhammer_count_vanishing_in_range_stays_degenerate():
 @pytest.mark.parametrize("axes", [
     ["--a", "1", "--b", "1", "--c", "1", "--N", "1..100000000000"],
     ["--a", "1..100000000000", "--b", "1", "--c", "1", "--N", "1"],
-], ids=["last-axis", "first-axis"])
+    ["--a", "1", "--b", "1", "--c", "1", "--N", "1..100000000000000000000"],
+    ["--a", "1..100000000000000000000", "--b", "1", "--c", "1", "--N", "1"],
+], ids=["last-axis", "first-axis", "last-axis-past-maxsize", "first-axis-past-maxsize"])
 def test_verify_reads_a_long_grid_axis_lazily(axes):
     # an axis of 10^11 values is read one value at a time, so the first
     # record comes at once; under the 200 MB address-space cap a copy of
-    # the axis fails fast with a MemoryError instead of filling memory
+    # the axis fails fast with a MemoryError instead of filling memory. An
+    # axis of 10^20 values, more than sys.maxsize, has no len() and runs
+    # the same way
     import resource
     import threading
 
@@ -1495,11 +1507,6 @@ def test_error_at_jobs_2_ends_only_the_pools_workers(monkeypatch, capsys):
      "usage: qident verify", "--d1: expected A..B or an integer, got '1...3'"),
     (["verify", "--identity", "thm2", "--d2", "1", "--config", "bad-d1.json"],
      "usage: qident verify", "--d1: expected A..B or an integer, got 'x..2'"),
-    # more values than a C ssize_t holds, so the range has no len()
-    (["verify", "--identity", "saalschutz", "--a", "1", "--b", "1", "--c", "1",
-      "--N", "1..99999999999999999999"],
-     "usage: qident verify",
-     "--N: range '1..99999999999999999999' has more than %d values" % sys.maxsize),
 ])
 def test_post_parse_usage_error_names_subcommand(
         tmp_path, monkeypatch, capsys, argv, usage, message):
