@@ -24,15 +24,16 @@ Verification records are line-delimited JSON, written in cell order as the
 cells finish and then a summary line.  The cells are generated as they run,
 each range read one value at a time, so no list of cells or of records is
 kept, a range may have any length, and an interrupted run keeps the
-records it wrote.  Each cell encodes its own record, so with --jobs the
-workers do the encoding and the parent only tallies verdicts and writes
-lines.  Each chunk after the first few is sized from the worker time of
-the chunk read before it, so cheap cells travel in large chunks and
-expensive ones alone (_chunk_size), and no chunk is so large that a
-worker gets fewer than 4.  The parent keeps at most 4 chunks of at most
-CHUNK_CELLS cells per worker in flight, so its memory does not grow with
-the grid either, and an error, such as a closed stdout, ends the pool's
-workers, and no other process, instead of waiting for their chunks.
+records it wrote.  Each cell writes its own record as JSON text straight
+from its sides' coefficient lists, so with --jobs the workers do the
+encoding and the parent only tallies verdicts and writes lines.  Each
+chunk after the first few is sized from the worker time of the chunk read
+before it, so cheap cells travel in large chunks and expensive ones alone
+(_chunk_size), and no chunk is so large that a worker gets fewer than 4.
+The parent keeps at most 4 chunks of at most CHUNK_CELLS cells per worker
+in flight, so its memory does not grow with the grid either, and an
+error, such as a closed stdout, ends the pool's workers, and no other
+process, instead of waiting for their chunks.
 Records written to a file via --output carry a measured elapsed_ms
 field; on stdout it is omitted so that identical reruns are
 byte-identical.
@@ -210,8 +211,9 @@ def _run_cell(cell, corrupt=False):
     """Compute one grid cell.  Top-level so it pickles for worker pools.
 
     cell = (identity, params-dict, timing-flag).  Returns (equal, line):
-    the verdict and the cell's record encoded as one JSON line in its final
-    form, so that a pool worker, not the parent, encodes it; or None for a
+    the verdict and the cell's record as one JSON line in its final form,
+    written as text straight from the sides' coefficient lists (to_json),
+    so that a pool worker, not the parent, encodes it; or None for a
     cell that is not checked: one outside the identity's hypothesis, or a
     degenerate one.  With corrupt the left-hand side is perturbed before
     the comparison, for --selftest-corrupt.  An ArithmeticError (two internal code paths
@@ -226,7 +228,6 @@ def _run_cell(cell, corrupt=False):
     if not ident.holds(*params.values()):
         return None
     start = time.perf_counter()
-    record = {"identity": identity, "params": params}
     try:
         # the closed form first: where it is degenerate, as a q-Saalschutz
         # denominator that vanishes, the series is never summed
@@ -241,24 +242,30 @@ def _run_cell(cell, corrupt=False):
         # a bad input, not a refutation: main reports it on stderr
         raise
     except (ArithmeticError, NotDivisible) as exc:
-        # an internal disagreement: a failed cell, not a crash
-        error = "%s: %s" % (type(exc).__name__, exc)
-        record.update(lhs=None, rhs=None, equal=False, error=error)
+        # an internal disagreement: a failed cell, not a crash; its message
+        # is the one field that may need escaping
+        equal, lhs_json, rhs_json = False, "null", "null"
+        tail = ',"error":' + json.dumps("%s: %s" % (type(exc).__name__, exc))
     else:
         rational = isinstance(lhs, RationalFunction)
         if corrupt:
             lhs = RationalFunction(lhs.num + lhs.den, lhs.den) if rational else lhs + ONE
         equal = lhs == rhs
-        if rational:
-            record.update(lhs=lhs.to_json_obj(), rhs=rhs.to_json_obj())
-        else:
-            # equal polynomials have one canonical form, so encode it once
-            pairs = lhs.to_pairs()
-            record.update(lhs=pairs, rhs=pairs if equal else rhs.to_pairs())
-        record["equal"] = equal
+        lhs_json = lhs.to_json()
+        # equal polynomials have one canonical form, so encode it once
+        rhs_json = lhs_json if equal and not rational else rhs.to_json()
+        tail = ""
     if timing:
-        record["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
-    return record["equal"], json.dumps(record, separators=(",", ":")) + "\n"
+        tail += ',"elapsed_ms":%d' % int((time.perf_counter() - start) * 1000)
+    # the compact text json.dumps writes for the record, keys in this order
+    return equal, '{"identity":"%s","params":{%s},"lhs":%s,"rhs":%s,"equal":%s%s}\n' % (
+        identity,
+        ",".join(['"%s":%d' % kv for kv in params.items()]),
+        lhs_json,
+        rhs_json,
+        "true" if equal else "false",
+        tail,
+    )
 
 
 # The worker time a pool chunk should take.  A task costs the parent's pool

@@ -87,7 +87,6 @@ sums.
 
 from __future__ import annotations
 
-import json
 from array import array
 from itertools import compress, count, repeat
 from operator import add, mul, neg, sub
@@ -247,6 +246,13 @@ class LaurentPoly:
         top = self._val + len(self._coeffs) - 1
         return [[top - i, str(c)] for i, c in enumerate(reversed(self._coeffs)) if c]
 
+    def to_json(self) -> str:
+        """The JSON text of to_pairs(), compact, written in one join."""
+        top = self._val + len(self._coeffs) - 1
+        return "[%s]" % ",".join(
+            [f'[{top - i},"{c}"]' for i, c in enumerate(reversed(self._coeffs)) if c]
+        )
+
     def render(self, style: str = "plain") -> str:
         """Deterministic rendering; exponents shown as powers of q with halves.
 
@@ -254,7 +260,7 @@ class LaurentPoly:
         "json" (the sorted exponent/coefficient pair list).
         """
         if style == "json":
-            return json.dumps(self.to_pairs(), separators=(",", ":"))
+            return self.to_json()
         if style not in ("plain", "latex"):
             raise ValueError("unknown render style: %r" % (style,))
         if not self._coeffs:
@@ -472,6 +478,10 @@ class RationalFunction:
 
     def to_json_obj(self):
         return {"num": self.num.to_pairs(), "den": self.den.to_pairs()}
+
+    def to_json(self) -> str:
+        """The JSON text of to_json_obj(), compact."""
+        return '{"num":%s,"den":%s}' % (self.num.to_json(), self.den.to_json())
 
     def __repr__(self):
         return "RationalFunction(%r, %r)" % (self.num, self.den)

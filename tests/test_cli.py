@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import collections
 import concurrent.futures
 import itertools
 import json
@@ -269,15 +270,21 @@ def test_equal_polynomial_sides_are_encoded_once(monkeypatch, capsys):
     from qidentities import ONE, LaurentPoly, theorem2_rhs
 
     encoded = []
-    to_pairs = LaurentPoly.to_pairs
+    to_json = LaurentPoly.to_json
     monkeypatch.setattr(
-        LaurentPoly, "to_pairs", lambda self: encoded.append(self) or to_pairs(self)
+        LaurentPoly, "to_json", lambda self: encoded.append(self) or to_json(self)
     )
     equal, line = cli._run_cell(("thm2", {"d1": 2, "d2": 3}, False))
     record = json.loads(line)
     assert equal is record["equal"] is True and len(encoded) == 1
     assert line.endswith("}\n") and line.count("\n") == 1
     assert record["lhs"] == record["rhs"]
+    # an unequal cell encodes each side on its own
+    encoded.clear()
+    equal, line = cli._run_cell(("thm2", {"d1": 2, "d2": 3}, False), corrupt=True)
+    assert equal is False and len(encoded) == 2
+    rhs = theorem2_rhs(2, 3)
+    assert json.loads(line)["rhs"] == rhs.to_pairs() == record["rhs"]
     # the negative control's first cell is unequal: each side is its own
     rc, out = run(
         capsys, "verify", "--identity", "thm2", "--d1", "2", "--d2", "3..4",
@@ -285,10 +292,84 @@ def test_equal_polynomial_sides_are_encoded_once(monkeypatch, capsys):
     )
     assert rc == 1
     (first, second), _ = parse_records(out)
-    rhs = theorem2_rhs(2, 3)
-    assert first["rhs"] == to_pairs(rhs) == record["rhs"]
-    assert first["lhs"] == to_pairs(rhs + ONE)
-    assert second["lhs"] == second["rhs"] == to_pairs(theorem2_rhs(2, 4))
+    assert first["rhs"] == rhs.to_pairs() == record["rhs"]
+    assert first["lhs"] == (rhs + ONE).to_pairs()
+    assert second["lhs"] == second["rhs"] == theorem2_rhs(2, 4).to_pairs()
+
+
+def dict_record_line(identity, params, corrupt=False, error=None, elapsed_ms=None):
+    """A cell's record built as a dict and run through json.dumps, as
+    verify wrote it before it wrote the text straight from to_json."""
+    import qidentities.cli as cli
+    from qidentities import ONE, RationalFunction
+
+    record = {"identity": identity, "params": params}
+    if error is not None:
+        record.update(lhs=None, rhs=None, equal=False, error=error)
+    else:
+        ident = cli.IDENTITIES[identity]
+        lhs, rhs = ident.lhs(*params.values()), ident.rhs(*params.values())
+        if isinstance(lhs, RationalFunction):
+            if corrupt:
+                lhs = RationalFunction(lhs.num + lhs.den, lhs.den)
+            record.update(lhs=lhs.to_json_obj(), rhs=rhs.to_json_obj())
+        else:
+            if corrupt:
+                lhs = lhs + ONE
+            record.update(lhs=lhs.to_pairs(), rhs=rhs.to_pairs())
+        record["equal"] = lhs == rhs
+    if elapsed_ms is not None:
+        record["elapsed_ms"] = elapsed_ms
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+RECORD_CELLS = [
+    ("thm1", {"d0": 5, "d1": 3}),
+    ("thm2", {"d1": 3, "d2": 4}),
+    ("prop3", {"D": 3, "d1": 4, "k0": 2}),
+    ("saalschutz", {"a": 1, "b": -3, "c": 2, "N": 3}),
+]
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["equal", "unequal"])
+@pytest.mark.parametrize("identity, params", RECORD_CELLS, ids=[c[0] for c in RECORD_CELLS])
+def test_record_line_is_the_dict_records_dump(identity, params, corrupt):
+    import qidentities.cli as cli
+
+    equal, line = cli._run_cell((identity, params, False), corrupt=corrupt)
+    assert equal is not corrupt
+    assert line == dict_record_line(identity, params, corrupt=corrupt)
+
+
+def test_failed_record_line_escapes_its_message(monkeypatch):
+    import qidentities.cli as cli
+
+    message = 'path (a) says "1", path (b) says \\x, at q\u2192\u00bd'
+
+    def disagree(d1, d2):
+        raise ArithmeticError(message)
+
+    monkeypatch.setattr(cli, "theorem2_lhs", disagree)
+    params = {"d1": 2, "d2": 3}
+    equal, line = cli._run_cell(("thm2", params, False))
+    assert equal is False
+    error = "ArithmeticError: " + message
+    assert line == dict_record_line("thm2", params, error=error)
+    assert line.isascii() and json.loads(line)["error"] == error
+
+
+@pytest.mark.parametrize("identity, params", RECORD_CELLS[1::2], ids=["thm2", "saalschutz"])
+def test_timed_record_line_is_the_dict_records_dump(monkeypatch, identity, params):
+    import types
+
+    import qidentities.cli as cli
+
+    clock = iter([100.0, 100.0421])
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    _, line = cli._run_cell((identity, params, True))
+    elapsed_ms = int((100.0421 - 100.0) * 1000)
+    assert line == dict_record_line(identity, params, elapsed_ms=elapsed_ms)
+    assert json.loads(line)["elapsed_ms"] == 42
 
 
 def test_verify_jobs_deterministic(capsys):
@@ -336,39 +417,51 @@ class ForkedPool(concurrent.futures.ProcessPoolExecutor):
 
 
 def test_verify_saalschutz_records_are_encoded_in_the_workers(tmp_path, monkeypatch, capsys):
-    # each worker encodes its cells' fraction records; the parent encodes
+    # each worker writes its cells' fraction records; the parent encodes
     # only the summary line, and stdout is the serial run's
     import types
 
     import qidentities.cli as cli
+    from qidentities import RationalFunction
 
-    log = tmp_path / "dumps.log"
+    log = tmp_path / "encode.log"
 
-    def dumps(*args, **kwargs):
-        with open(log, "a") as fh:
-            fh.write("%d\n" % os.getpid())
-        return json.dumps(*args, **kwargs)
+    def logged(kind, encode):
+        def wrapper(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write("%s %d\n" % (kind, os.getpid()))
+            return encode(*args, **kwargs)
+        return wrapper
 
     proxy = types.ModuleType("json")
-    proxy.__dict__.update(json.__dict__, dumps=dumps)
+    proxy.__dict__.update(json.__dict__, dumps=logged("dumps", json.dumps))
     monkeypatch.setattr(cli, "json", proxy)
+    monkeypatch.setattr(RationalFunction, "to_json", logged("record", RationalFunction.to_json))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkedPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     args = ["verify", "--identity", "saalschutz", "--a=-2..2", "--b=-2..2", "--c=-2..2",
             "--N", "1..2"]
-    rc1, out1 = run(capsys, *args, "--jobs", "1")
-    serial = log.read_text().split()
-    log.unlink()
-    rc2, out2 = run(capsys, *args, "--jobs", "2")
-    pool = log.read_text().split()
+
+    def encodings(jobs):
+        rc, out = run(capsys, *args, "--jobs", jobs)
+        lines = log.read_text().splitlines()
+        calls = collections.Counter(
+            (kind, int(pid) == os.getpid()) for kind, pid in map(str.split, lines)
+        )
+        log.unlink()
+        return rc, out, calls
+
+    rc1, out1, serial = encodings("1")
+    rc2, out2, pool = encodings("2")
     assert rc1 == rc2 == 0
     assert out1 == out2
     records, summary = parse_records(out1)
     assert summary == {"pass": 143, "fail": 0, "degenerate": 107}
     assert set(records[0]["lhs"]) == {"num", "den"}
-    parent = str(os.getpid())
-    assert serial == [parent] * 144
-    assert pool.count(parent) == 1 and len(pool) == 144
+    # one to_json per side of each of the 143 records, and one json.dumps,
+    # the summary's, in the parent
+    assert serial == {("record", True): 2 * 143, ("dumps", True): 1}
+    assert pool == {("record", False): 2 * 143, ("dumps", True): 1}
 
 
 def test_selftest_corrupt_with_a_real_pool_perturbs_a_cell_of_a_later_chunk(

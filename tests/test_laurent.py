@@ -1,5 +1,6 @@
 """Arithmetic-core tests: exact Laurent polynomials and unreduced fractions."""
 
+import json
 from math import isqrt
 
 import pytest
@@ -198,6 +199,28 @@ def test_to_pairs_decreasing_nonzero(p):
 def test_pairs_roundtrip():
     p = lp({5: 12345678901234567890, -3: -7})
     assert p.to_pairs() == [[5, "12345678901234567890"], [-3, "-7"]]
+
+
+# coefficients on both sides of the 64-bit boundaries, and far past them
+json_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1]).flatmap(
+        lambda c: st.sampled_from([c, -c])
+    ),
+    st.integers(-(2**200), 2**200),
+)
+# zero, one term anywhere, and sparse values over a wide span
+json_polys = st.one_of(
+    st.just(ZERO),
+    st.builds(LaurentPoly.monomial, json_coeffs, st.integers(-(10**9), 10**9)),
+    st.dictionaries(st.integers(-500, 500), json_coeffs, max_size=12).map(LaurentPoly),
+)
+
+
+@given(json_polys)
+def test_to_json_is_the_compact_dump_of_to_pairs(p):
+    assert p.to_json() == json.dumps(p.to_pairs(), separators=(",", ":"))
+    assert p.render("json") == p.to_json()
 
 
 # -- ring laws (property-based) -----------------------------------------------
@@ -704,3 +727,10 @@ def test_rf_is_unhashable():
 def test_rf_json_form():
     r = RationalFunction(lp({1: 1}), lp({0: 2}))
     assert r.to_json_obj() == {"num": [[1, "1"]], "den": [[0, "2"]]}
+    assert r.to_json() == '{"num":[[1,"1"]],"den":[[0,"2"]]}'
+
+
+@given(json_polys, json_polys.filter(lambda p: not p.is_zero()))
+def test_rf_to_json_is_the_compact_dump_of_to_json_obj(num, den):
+    r = RationalFunction(num, den)
+    assert r.to_json() == json.dumps(r.to_json_obj(), separators=(",", ":"))
