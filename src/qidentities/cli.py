@@ -26,14 +26,13 @@ each range read one value at a time, so no list of cells or of records is
 kept, a range may have any length, and an interrupted run keeps the
 records it wrote.  Each cell writes its own record as JSON text straight
 from its sides' coefficient lists, so with --jobs the workers do the
-encoding and the parent only tallies verdicts and writes lines.  Each
-chunk after the first few is sized from the worker time of the chunk read
-before it, so cheap cells travel in large chunks and expensive ones alone
-(_chunk_size), and no chunk is so large that a worker gets fewer than 4.
-The parent keeps at most 4 chunks of at most CHUNK_CELLS cells per worker
-in flight, so its memory does not grow with the grid either, and an
-error, such as a closed stdout, ends the pool's workers, and no other
-process, instead of waiting for their chunks.
+encoding and the parent only tallies verdicts and writes lines.  The
+chunks are sized from the grid's cell count alone (_pooled): 16 cells
+first, then each twice the one before, up to CHUNK_CELLS and to the size
+that still gives each worker 16 chunks.  The parent keeps at most 4
+chunks per worker in flight, so its memory does not grow with the grid
+either, and an error, such as a closed stdout, ends the pool's workers,
+and no other process, instead of waiting for their chunks.
 Records written to a file via --output carry a measured elapsed_ms
 field; on stdout it is omitted so that identical reruns are
 byte-identical.
@@ -268,68 +267,41 @@ def _run_cell(cell, corrupt=False):
     )
 
 
-# The worker time a pool chunk should take.  A task costs the parent's pool
-# threads a wake-up each, which on a host whose CPUs all run workers is
-# taken from a worker: 16-cell chunks of 150 us Saalschutz cells (2-3 ms
-# tasks) made the parent burn a quarter of the workers' CPU.  On that grid
-# at --jobs 2 (2 vCPU, Python 3.11.7) targets of 10 to 80 ms ran alike and
-# 5 ms kept almost half of that CPU, while 40 ms or more slowed a thm2 grid
-# whose last, costliest cells then came in few large chunks; the sweep is
-# in CHANGES.md.
-CHUNK_SECONDS = 0.02
 # The most cells in one chunk, so that at most 4 x workers x CHUNK_CELLS
-# cells are in flight however cheap they are.  Only nearly free cells reach
-# it: the 300,000 mostly degenerate cells of the CI's long --jobs 2 grid
-# ran in 2.5, 1.9 and 1.5 s with caps of 64, 256 and 1024 (5.0 s in 16-cell
-# chunks); 256 takes most of that gain with a quarter of 1024's cells in
-# flight.
+# cells are in flight however cheap they are.  Only a grid of 16 x workers x
+# CHUNK_CELLS cells or more reaches it: the 300,000 mostly degenerate cells
+# of the CI's long --jobs 2 grid ran in 2.5, 1.9 and 1.5 s with caps of 64,
+# 256 and 1024 (5.0 s in 16-cell chunks); 256 takes most of that gain with
+# a quarter of 1024's cells in flight.
 CHUNK_CELLS = 256
 
 
 def _run_chunk(cells):
-    """_run_cell over a list of cells: one task for a pool worker.  Returns
-    (seconds, results): the time the worker spent on the cells, not
-    counting the time the chunk queued, and their results in order."""
-    start = time.perf_counter()
-    results = [_run_cell(cell) for cell in cells]
-    return time.perf_counter() - start, results
-
-
-def _chunk_size(size, seconds, limit):
-    """The size of the next chunk after one of `size` cells that took
-    `seconds` of worker time: CHUNK_SECONDS of cells at that rate, but at
-    most twice `size` (cells outside the hypothesis cost nothing and come
-    in runs, which must not lift the size to its cap in one step), at
-    least 1 and at most `limit`."""
-    if 2 * seconds <= CHUNK_SECONDS:
-        # also seconds == 0: the rate says nothing beyond "cheap"
-        grown = 2 * size
-    else:
-        grown = int(CHUNK_SECONDS * size / seconds)
-    return max(1, min(grown, limit))
+    """_run_cell over a list of cells, in order: one task for a pool worker."""
+    return [_run_cell(cell) for cell in cells]
 
 
 def _pooled(pool, cells, count, workers):
     """_run_cell of each of the `count` cells, in cell order, run by the
-    pool of `workers` workers in chunks.  Each chunk is sized by
-    _chunk_size from the chunk read last; those submitted before any was
-    read hold min(16, limit) cells.  The limit is CHUNK_CELLS, or fewer on
-    a grid too small to give each worker 4 chunks of it.  At most 4 chunks
-    per worker are submitted and not yet read, so neither the queued cells
-    nor the finished results grow with the grid."""
-    limit = min(CHUNK_CELLS, -(-count // (4 * workers)))
+    pool of `workers` workers in chunks sized from the count alone.  The
+    first chunk holds min(16, limit) cells, so the first record of a long
+    grid comes after 16 cells, and each later one twice the one before, up
+    to the limit: CHUNK_CELLS, or fewer on a grid too small to give each
+    worker 16 chunks of it, so that costly cells late in a grid are still
+    spread over the workers.  At most 4 chunks per worker are submitted and
+    not yet read, so neither the queued cells nor the finished results grow
+    with the grid."""
+    limit = min(CHUNK_CELLS, -(-count // (16 * workers)))
     size = min(16, limit)
     window = 4 * workers
     pending = collections.deque()
     while chunk := list(itertools.islice(cells, size)):
-        pending.append((len(chunk), pool.submit(_run_chunk, chunk)))
+        pending.append(pool.submit(_run_chunk, chunk))
+        size = min(2 * size, limit)
         if len(pending) == window:
-            n, future = pending.popleft()
-            seconds, results = _result(pool, future)
-            size = _chunk_size(n, seconds, limit)
-            yield from results
-    for _, future in pending:
-        yield from _result(pool, future)[1]
+            yield from _result(pool, pending.popleft())
+    for future in pending:
+        yield from _result(pool, future)
 
 
 def _result(pool, future):
@@ -366,6 +338,13 @@ def _close_pool(pool, others, exc_type, exc, tb):
         for worker in multiprocessing.active_children():
             if worker not in others:
                 worker.terminate()
+        # a worker ended while sending a result leaves the pool's manager
+        # thread waiting for the rest of it, and the shutdown waiting for
+        # that thread, as long as a write end of the result pipe is open;
+        # this process holds the last one, and never writes to it
+        results = getattr(pool, "_result_queue", None)
+        if results is not None:
+            results._writer.close()
     pool.shutdown(cancel_futures=True)
 
 

@@ -869,8 +869,8 @@ def test_verify_config_bad_value_under_an_explicit_flag_is_unused(tmp_path, caps
 def test_verify_interrupted_run_keeps_finished_records(
         tmp_path, monkeypatch, capsys, jobs):
     # the 20th cell raises: a serial run keeps the 19 records before it, a
-    # pool the 18 of the six 3-cell chunks before the one that raised (20
-    # cells at 2 workers give 3-cell chunks, 4 per worker)
+    # pool the 18 of the six 3-cell chunks before the one that raised (96
+    # cells at 2 workers give 3-cell chunks, 16 per worker)
     import qidentities.cli as cli
 
     original = cli.theorem2_lhs
@@ -887,12 +887,12 @@ def test_verify_interrupted_run_keeps_finished_records(
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     target = tmp_path / "report.jsonl"
     with pytest.raises(RuntimeError):
-        main(["verify", "--identity", "thm2", "--d1", "1..4", "--d2", "1..5",
+        main(["verify", "--identity", "thm2", "--d1", "1..8", "--d2", "1..12",
               "--jobs", str(jobs), "--output", str(target)])
     lines = target.read_text().splitlines()
     kept = {1: 19, 2: 18}[jobs]
     assert [json.loads(line)["params"] for line in lines] == [
-        {"d1": d1, "d2": d2} for d1 in range(1, 5) for d2 in range(1, 6)
+        {"d1": d1, "d2": d2} for d1 in range(1, 9) for d2 in range(1, 13)
     ][:kept]
     assert all(json.loads(line)["equal"] is True for line in lines)
 
@@ -1282,7 +1282,7 @@ SAALSCHUTZ_GRID = ["verify", "--identity", "saalschutz", "--a=-6..6", "--b=-6..6
     # the first 16-cell chunk takes well under a second, the next ones
     # minutes: the run must end the workers' chunks, not wait for them
     ["verify", "--identity", "saalschutz", "--a", "1", "--b", "1", "--c", "1",
-     "--N", "1..64", "--jobs", "2"],
+     "--N", "1..1024", "--jobs", "2"],
 ], ids=["verify-serial", "verify-pool", "explain", "verify-pool-running-chunks"])
 def test_closed_stdout_ends_the_run_quietly(argv):
     # each command writes far more than a pipe holds, so the reader's close
@@ -1388,14 +1388,14 @@ def test_dead_worker_is_one_line_not_a_failed_cell(monkeypatch, capsys):
     monkeypatch.setitem(cli.IDENTITIES, "thm2", thm2._replace(lhs=lhs))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    rc = main(["verify", "--identity", "thm2", "--d1", "1..3", "--d2", "1..3", "--jobs", "2"])
+    rc = main(["verify", "--identity", "thm2", "--d1", "1..6", "--d2", "1..6", "--jobs", "2"])
     captured = capsys.readouterr()
     assert rc == 2
     assert re.fullmatch(r"BrokenProcessPool: .*\n", captured.err), captured.err
-    # the 9 cells run in 2-cell chunks: only chunks that finished before
+    # the 36 cells run in 2-cell chunks: only chunks that finished before
     # the one that died, those of cells before (2, 2), may have written
     # their records, in cell order, and there is no summary line
-    before = [{"d1": 1, "d2": 1}, {"d1": 1, "d2": 2}, {"d1": 1, "d2": 3}, {"d1": 2, "d2": 1}]
+    before = [{"d1": 1, "d2": d2} for d2 in range(1, 7)] + [{"d1": 2, "d2": 1}]
     params = [json.loads(line)["params"] for line in captured.out.splitlines()]
     assert params == before[:len(params)] and len(params) % 2 == 0
     assert cancelled[0] is True
@@ -1426,20 +1426,47 @@ def test_dead_pool_manager_thread_is_one_line_not_a_hang():
     assert re.fullmatch(r"BrokenProcessPool: .*", err.splitlines()[-1]), err
 
 
+def test_worker_ended_while_sending_a_result_does_not_hang_the_close():
+    # a worker ended after the length header of a result and before its
+    # bytes, as a closed stdout can end one, leaves the manager thread
+    # reading the rest; the close after an error must still return
+    script = "\n".join([
+        "import multiprocessing, os, struct, time",
+        "from concurrent.futures import ProcessPoolExecutor",
+        "from qidentities import cli",
+        "sent = multiprocessing.get_context('fork').Event()",
+        "def half_a_result():",
+        "    results = multiprocessing.current_process()._args[1]",
+        "    os.write(results._writer.fileno(), struct.pack('!i', 1 << 20))",
+        "    sent.set()",
+        "    time.sleep(60)",
+        "pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context('fork'))",
+        "pool.submit(half_a_result)",
+        "assert sent.wait(20)",
+        "cli._close_pool(pool, set(), BrokenPipeError, BrokenPipeError(), None)",
+        "print('closed')",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, start_new_session=True, text=True,
+    )
+    out, err = _communicate_or_kill(proc, timeout=30)
+    assert (proc.returncode, out, err) == (0, "closed\n", "")
+
+
 @pytest.mark.parametrize("cells, jobs, sizes", [
-    (9, 2, [2, 2, 2, 2, 1]),
-    (20, 3, [2] * 10),
-    (100, 2, [13] * 7 + [9]),
-    (127, 2, [16] * 7 + [15]),
-    (300, 2, [16] * 8 + [32] * 5 + [12]),
-    (3000, 2, [16] * 8 + [32] * 8 + [64] * 8 + [128] * 8 + [256] * 4 + [56]),
+    (9, 2, [1] * 9),
+    (20, 3, [1] * 20),
+    (100, 2, [4] * 25),
+    (127, 2, [4] * 31 + [3]),
+    (300, 2, [10] * 30),
+    (3000, 2, [16, 32, 64] + [94] * 30 + [68]),
 ])
 def test_verify_small_grid_is_spread_over_the_workers(monkeypatch, capsys, cells, jobs, sizes):
-    # the chunks sent before any is read hold min(16, ceil(cells / (4 *
-    # workers))) cells, so a small grid still gives each worker 4 chunks;
-    # later chunks of free cells double, up to that limit and CHUNK_CELLS
-    import types
-
+    # the chunks hold min(16, limit) cells first and then twice the one
+    # before, up to limit = ceil(cells / (16 * workers)), so a small grid
+    # still gives each worker 16 chunks
     import qidentities.cli as cli
 
     submitted = []
@@ -1451,8 +1478,6 @@ def test_verify_small_grid_is_spread_over_the_workers(monkeypatch, capsys, cells
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-    # a worker clock that stands still: every chunk took 0 s
-    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
     # N < 0 lies outside the hypothesis, so the cells cost nothing to run
     rc, out = run(capsys, "verify", "--identity", "saalschutz", "--a", "1", "--b", "1",
                   "--c", "1", "--N=-%d..-1" % cells, "--jobs", str(jobs))
@@ -1460,45 +1485,24 @@ def test_verify_small_grid_is_spread_over_the_workers(monkeypatch, capsys, cells
     assert submitted == sizes
 
 
-@pytest.mark.parametrize("size, seconds, limit, expected", [
-    (16, 0.0, 256, 32),       # no measurable time: doubles
-    (16, 0.0, 20, 20),        # ... up to the grid's limit
-    (200, 0.0, 256, 256),     # ... and to the cap it is given
-    (16, 0.001, 256, 32),     # a rate of 320 cells per CHUNK_SECONDS: at most x2
-    (16, 0.01, 256, 32),      # exactly CHUNK_SECONDS / 2: still x2
-    (16, 0.016, 256, 20),     # 1 ms a cell: 20 cells
-    (16, 0.02, 256, 16),      # on target: unchanged
-    (16, 5.0, 256, 1),        # 300 ms a cell: at once down to 1
-    (1, 0.3, 256, 1),         # never below 1
-    (256, 0.0, 1, 1),         # a limit of 1 holds
+@pytest.mark.parametrize("cells, workers, sizes", [
+    (9, 2, [1] * 9),
+    (3000, 3, [16, 32] + [63] * 46 + [54]),
+    (5000, 2, [16, 32, 64, 128] + [157] * 30 + [50]),
+    (20000, 2, [16, 32, 64, 128] + [256] * 77 + [48]),
 ])
-def test_chunk_size_rule(size, seconds, limit, expected):
-    import qidentities.cli as cli
-
-    assert cli.CHUNK_SECONDS == 0.02
-    assert cli._chunk_size(size, seconds, limit) == expected
-
-
-def test_pooled_chunks_follow_the_worker_clock(monkeypatch):
-    # cheap cells grow the chunks to CHUNK_CELLS, expensive ones shrink
-    # them to 1, the cells come back in order, and no more than 4 chunks
+def test_pooled_chunks_follow_the_cell_count(monkeypatch, cells, workers, sizes):
+    # the chunks double from 16 up to min(CHUNK_CELLS, ceil(cells / (16 *
+    # workers))), the cells come back in order, and no more than 4 chunks
     # per worker are ever submitted and unread
-    import types
-
     import qidentities.cli as cli
 
-    clock = [0.0]
-    sizes, unread = [], []
-
-    def run_cell(cell, corrupt=False):
-        # 10 us a cell for the first 2,000 cells, then 1 s a cell
-        clock[0] += 1e-5 if cell < 2000 else 1.0
-        return cell
+    submitted, unread = [], []
 
     class CountingPool(SerialPool):
         def submit(self, fn, chunk):
             future = super().submit(fn, chunk)
-            sizes.append(len(chunk))
+            submitted.append(len(chunk))
             unread.append(future)
             read = future.result
 
@@ -1507,29 +1511,19 @@ def test_pooled_chunks_follow_the_worker_clock(monkeypatch):
                 return read(timeout)
 
             future.result = result
-            assert len(unread) <= 8
+            assert len(unread) <= 4 * workers
             return future
 
-    monkeypatch.setattr(cli, "_run_cell", run_cell)
-    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
-    cells = 5000
-    results = list(cli._pooled(CountingPool(2), iter(range(cells)), cells, 2))
+    monkeypatch.setattr(cli, "_run_cell", lambda cell: cell)
+    results = list(cli._pooled(CountingPool(workers), iter(range(cells)), cells, workers))
     assert results == list(range(cells))
     assert unread == []
-    assert sizes[:8] == [16] * 8
-    assert max(sizes) == cli.CHUNK_CELLS
-    # chunk k holds cell 2000, the first slow one; its reading sizes chunk
-    # k + 8, after which every chunk holds a single cell
-    k = next(i for i, n in enumerate(itertools.accumulate(sizes)) if n > 2000)
-    assert sizes[k] == cli.CHUNK_CELLS
-    assert len(sizes) > k + 8
-    assert sizes[k + 8:] == [1] * (len(sizes) - k - 8)
+    assert submitted == sizes
 
 
 def test_verify_growing_chunks_with_a_real_pool_same_stdout(monkeypatch, capsys):
-    # 729 cheap Saalschutz cells, whose chunks grow past 16 cells on any
-    # host but a stalled one: stdout must still be the serial run's, byte
-    # for byte
+    # 729 cheap Saalschutz cells, which go in chunks of 16 and then 23
+    # cells: stdout must still be the serial run's, byte for byte
     import qidentities.cli as cli
 
     sizes = []
@@ -1547,7 +1541,7 @@ def test_verify_growing_chunks_with_a_real_pool_same_stdout(monkeypatch, capsys)
     rc2, out2 = run(capsys, *args, "--jobs", "2")
     assert rc1 == rc2 == 0
     assert out1 == out2
-    assert sum(sizes) == 729
+    assert sizes == [16] + [23] * 31
 
 
 def test_error_at_jobs_2_ends_only_the_pools_workers(monkeypatch, capsys):

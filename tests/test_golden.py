@@ -25,6 +25,9 @@ GOLDEN = {
         (0, "c0f83e27921d12763303edb86fa91afe398c5bbb383d8311eb1630cd6652f146"),
     "verify --identity saalschutz --a=-3..3 --b=-3..3 --c=-3..3 --N=-1..3":
         (0, "4bfb492d80635a477c6526568cbc8cb8ce594e75f40f07c2574b212c8ccea1bc"),
+    # longer series, whose cells differ most in cost
+    "verify --identity saalschutz --a=-3..3 --b=-2..2 --c=-3..3 --N=4..7":
+        (0, "0dfb1b0a4045eb0d50fd778d5835a0e40a1de5cbb7e52be4e74d39b9bfcdd856"),
     # 12 of its 33 Kronecker products have mixed-sign operands that are
     # both zero at every odd offset: biased slots at stride 2
     "verify --identity saalschutz --a=-6 --b=-6..-4 --c=4..6 --N=3":
