@@ -3,7 +3,10 @@
 Every identity the tool checks is one entry of IDENTITIES: its parameter
 names (flag, grid-axis and JSON-key order), its hypothesis, both sides, and
 the summands that explain lists.  eval, verify and explain all dispatch
-through that registry, so adding an identity is one entry.
+through that registry and take every identity in it, each with one flag
+per parameter of any identity, so adding an identity is one entry.  A side
+or summand is a LaurentPoly, or for a series an unreduced RationalFunction,
+and both render in every --format style.
 
 Exit codes: 0 = no cell failed, 1 = at least one cell failed (a mismatch
 or an internal disagreement; with --selftest-corrupt, the perturbed first
@@ -63,9 +66,9 @@ from typing import Callable, NamedTuple
 
 from .closed_forms import SURFACE_TAGS, nlog_value, prop3_rhs, theorem1_rhs, theorem2_rhs
 from .errors import Degenerate, InvalidHypothesis, NotDivisible, QIdentitiesError
-from .hypergeom import SaalschutzInstance, phi_evaluate, saalschutz_rhs
+from .hypergeom import SaalschutzInstance, phi_evaluate, saalschutz_rhs, series_terms
 from .laurent import ONE, LaurentPoly, RationalFunction
-from .qcombo import q_binomial, q_int, qf_expand
+from .qcombo import q_binomial, q_int, qf_expand, qf_to_rational
 from .sums import (
     FSumSpec,
     enumerate_indices,
@@ -85,14 +88,14 @@ class Identity(NamedTuple):
     """One registry entry.  holds, lhs, rhs and terms take the parameter
     values in params order.  holds is the hypothesis, checked by each grid
     cell before it computes either side and used to reject eval of either
-    side outside it; terms yields explain's (label, summand) pairs, or is
-    None when explain does not support the identity."""
+    side outside it; terms yields explain's (label, summand) pairs, whose
+    summands add up to the left-hand side."""
 
     params: tuple
     holds: Callable
     lhs: Callable
     rhs: Callable
-    terms: Callable | None = None
+    terms: Callable
 
 
 def _prop3_terms(D, d1, k0):
@@ -100,6 +103,12 @@ def _prop3_terms(D, d1, k0):
     spec = FSumSpec(D, d1, k0)
     for idx in enumerate_indices(spec.d1, spec.k0):
         yield idx.to_json_obj(), f_term(spec.D, idx)
+
+
+def _saalschutz_terms(a, b, c, N):
+    series = SaalschutzInstance(a, b, c, N).lhs_series()
+    for k, term in enumerate(series_terms(series)):
+        yield {"k": k}, qf_to_rational(term)
 
 
 # The entries look the library functions up in this module's globals at
@@ -132,6 +141,7 @@ IDENTITIES = {
         holds=lambda a, b, c, N: N >= 0,
         lhs=lambda a, b, c, N: phi_evaluate(SaalschutzInstance(a, b, c, N).lhs_series()),
         rhs=lambda a, b, c, N: saalschutz_rhs(SaalschutzInstance(a, b, c, N)),
+        terms=_saalschutz_terms,
     ),
 }
 
@@ -431,11 +441,13 @@ def _cmd_explain(args, parser) -> int:
     then their total."""
     ident = IDENTITIES[args.identity]
     values = _params(args, parser, ident.params, "--identity " + args.identity)
-    total = LaurentPoly()
+    total = None
     for label, term in ident.terms(*values):
-        total = total + term
+        # the first summand starts the total, so a series' fractions add up
+        # as phi_evaluate adds them; an empty sum is the zero polynomial
+        total = term if total is None else total + term
         print("%s\t%s" % (json.dumps(label, separators=(",", ":")), term.render("plain")))
-    print("total\t%s" % total.render("plain"))
+    print("total\t%s" % (LaurentPoly() if total is None else total).render("plain"))
     return 0
 
 
@@ -453,22 +465,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact evaluation and verification of q-binomial identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    with_terms = [name for name, ident in IDENTITIES.items() if ident.terms]
-    term_params = [*dict.fromkeys(p for n in with_terms for p in IDENTITIES[n].params)]
+    # the parameters of every identity, the flags of all three subcommands
+    identity_params = [*dict.fromkeys(p for ident in IDENTITIES.values() for p in ident.params)]
 
     p_eval = sub.add_parser("eval", help="evaluate one quantity exactly")
     p_eval.add_argument("--kind", required=True, choices=[*_KINDS, "lhs", "rhs"])
-    p_eval.add_argument("--identity", choices=with_terms, default=None)
+    p_eval.add_argument("--identity", choices=list(IDENTITIES), default=None)
     p_eval.add_argument("--format", choices=sorted(_STYLE), default="text")
     kind_params = (p for names, _ in _KINDS.values() for p in names if p != "surface")
-    eval_params = [*dict.fromkeys([*kind_params, *term_params])]
+    eval_params = [*dict.fromkeys([*kind_params, *identity_params])]
     _add_param_flags(p_eval, eval_params)
     p_eval.add_argument("--surface", choices=SURFACE_TAGS, default=None)
 
     p_verify = sub.add_parser("verify", help="verify an identity over a parameter grid")
     p_verify.add_argument("--identity", required=True, choices=list(IDENTITIES))
-    verify_params = [*dict.fromkeys(p for ident in IDENTITIES.values() for p in ident.params)]
-    for name in verify_params:
+    for name in identity_params:
         p_verify.add_argument("--%s" % name, type=_parse_range, default=None, metavar="A..B")
     p_verify.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p_verify.add_argument("--output", default=None, metavar="FILE")
@@ -480,16 +491,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_explain = sub.add_parser("explain", help="list each summand of an identity LHS")
-    p_explain.add_argument("--identity", required=True, choices=with_terms)
-    _add_param_flags(p_explain, term_params)
+    p_explain.add_argument("--identity", required=True, choices=list(IDENTITIES))
+    _add_param_flags(p_explain, identity_params)
 
     # post-parse usage errors are reported against the subcommand's parser;
     # param_flags are the flags _params checks for one not read
     p_eval.set_defaults(
         run=_cmd_eval, subparser=p_eval, param_flags=["identity", *eval_params, "surface"]
     )
-    p_verify.set_defaults(run=_cmd_verify, subparser=p_verify, param_flags=verify_params)
-    p_explain.set_defaults(run=_cmd_explain, subparser=p_explain, param_flags=term_params)
+    p_verify.set_defaults(run=_cmd_verify, subparser=p_verify, param_flags=identity_params)
+    p_explain.set_defaults(run=_cmd_explain, subparser=p_explain, param_flags=identity_params)
     return parser
 
 

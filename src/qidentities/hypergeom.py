@@ -3,6 +3,9 @@
 Series parameters are restricted to monomials in x = q^(1/2): an upper or
 lower parameter x**t is recorded by its x-exponent t, and the argument z
 is likewise a monomial x**z_exp.  A pure power q^n has x-exponent 2n.
+
+series_terms is the one builder of a series' terms, each in factored form:
+phi_evaluate sums them, and the CLI's explain lists them.
 """
 
 from __future__ import annotations
@@ -42,17 +45,17 @@ def _termination_order(upper) -> int:
     return min(orders)
 
 
-def phi_evaluate(series: PhiSeries) -> RationalFunction:
-    """Exact value of a terminating series as an unreduced fraction.
+def series_terms(series: PhiSeries):
+    """The terms of a terminating series in factored form, k = 0 up to its
+    termination order: term 0 is 1, and each later term is the one before
+    times the factored term ratio, one _product call per step (four linear
+    factors over three here), so each step is O(1) factored work.
 
-    Successive terms are built from the factored term ratio, one _product
-    call per step (four linear factors over three here), so each step is
-    O(1) factored work plus one fraction accumulation.  Raises
-    NonTerminating if no upper parameter terminates the series, and
-    Degenerate if a lower-parameter Pochhammer symbol vanishes in range,
-    found by range membership as q_pochhammer finds it, without building
-    the symbol; otherwise a series longer than sys.maxsize terms raises
-    OverflowError.
+    On the first next(), before any term: NonTerminating if no upper
+    parameter terminates the series, and Degenerate if a lower-parameter
+    Pochhammer symbol vanishes in range, found by range membership as
+    q_pochhammer finds it, without building the symbol; otherwise a series
+    longer than sys.maxsize terms raises OverflowError.
     """
     n_max = _termination_order(series.upper)
     for t in series.lower:
@@ -62,8 +65,8 @@ def phi_evaluate(series: PhiSeries) -> RationalFunction:
             )
     if n_max > sys.maxsize:
         raise OverflowError("series of %d terms is too long to sum" % n_max)
-    total = RationalFunction(ONE)
     term = QFactored()
+    yield term
     # below n_max no factor vanishes: n_max is the least termination order,
     # and the lower parameters were checked above; (q; q)_ell has t = 2
     for ell in range(n_max):
@@ -73,6 +76,19 @@ def phi_evaluate(series: PhiSeries) -> RationalFunction:
             den=[t + 2 * ell for t in series.lower + (2,)],
         )
         term = qf_mul(term, ratio)
+        yield term
+
+
+def phi_evaluate(series: PhiSeries) -> RationalFunction:
+    """Exact value of a terminating series as an unreduced fraction: the
+    sum of its series_terms, each split into a fraction by qf_to_rational
+    and added with one fraction accumulation.  Raises what series_terms
+    raises.
+    """
+    terms = series_terms(series)
+    next(terms)  # term 0 is 1, the sum's start, never expanded
+    total = RationalFunction(ONE)
+    for term in terms:
         total = total + qf_to_rational(term)
     return total
 

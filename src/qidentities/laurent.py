@@ -483,5 +483,13 @@ class RationalFunction:
         """The JSON text of to_json_obj(), compact."""
         return '{"num":%s,"den":%s}' % (self.num.to_json(), self.den.to_json())
 
+    def render(self, style: str = "plain") -> str:
+        """The unreduced fraction in a LaurentPoly.render style: "json" is
+        to_json(), "plain" is (num)/(den) and "latex" is \\frac{num}{den}."""
+        if style == "json":
+            return self.to_json()
+        num, den = self.num.render(style), self.den.render(style)
+        return ("\\frac{%s}{%s}" if style == "latex" else "(%s)/(%s)") % (num, den)
+
     def __repr__(self):
         return "RationalFunction(%r, %r)" % (self.num, self.den)

@@ -966,6 +966,34 @@ def test_explain_total_matches_library_value(capsys):
     assert total == theorem2_lhs(3, 2).render("plain")
 
 
+SAALSCHUTZ_POINT = ["--identity", "saalschutz", "--a", "1", "--b", "3", "--c", "5", "--N", "2"]
+
+
+def test_explain_saalschutz_lists_the_series_terms(capsys):
+    # each term k = 0..N is a fraction, and they add up to eval's lhs text
+    rc, out = run(capsys, "explain", *SAALSCHUTZ_POINT)
+    assert rc == 0
+    lines = out.splitlines()
+    assert [json.loads(line.split("\t")[0]) for line in lines[:-1]] == [{"k": k} for k in range(3)]
+    assert lines[0] == '{"k":0}\t(1)/(1)'
+    rc, lhs = run(capsys, "eval", "--kind", "lhs", *SAALSCHUTZ_POINT)
+    assert (rc, lines[-1]) == (0, "total\t" + lhs.rstrip("\n"))
+
+
+@pytest.mark.parametrize("command", [
+    ["explain"], ["eval", "--kind", "lhs"], ["eval", "--kind", "rhs"],
+], ids=["explain", "eval-lhs", "eval-rhs"])
+@pytest.mark.parametrize("params, error", [
+    (["--a", "1", "--b", "1", "--c=-2", "--N", "2"], "Degenerate"),
+    (["--a", "1", "--b", "3", "--c", "5", "--N=-1"], "(InvalidHypothesis|ValueError)"),
+], ids=["degenerate", "negative-N"])
+def test_saalschutz_cell_not_checked_is_one_line(capsys, command, params, error):
+    assert main([*command, "--identity", "saalschutz", *params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(error + r": .+\n", captured.err), captured.err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["eval", "--kind", "f", "--D", "4", "--d1", "-1", "--k0", "1"],
      "ValueError: d1 and k0 must be nonnegative\n"),
@@ -1151,9 +1179,9 @@ def test_verify_long_grid_at_jobs_2_under_a_memory_cap():
     # explain takes only the parameters of the identities it explains
     (["explain", "--identity", "thm2", "--d1", "2", "--d2", "1",
       "--alpha", "7", "--surface", "F0_04"], "--alpha 7 --surface F0_04"),
-    # no eval kind reads --N
-    (["eval", "--kind", "qbinom", "--n", "4", "--k", "2", "--N", "9"], "--N 9"),
-], ids=["explain-alpha-surface", "eval-N"])
+    # only verify runs a pool
+    (["eval", "--kind", "qbinom", "--n", "4", "--k", "2", "--jobs", "2"], "--jobs 2"),
+], ids=["explain-alpha-surface", "eval-jobs"])
 def test_flag_the_subcommand_does_not_read_is_usage_error(capsys, argv, flags):
     with pytest.raises(SystemExit) as info:
         main(argv)
@@ -1175,9 +1203,12 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(capsys, argv, flags):
      "qident eval: error: --kind lhs --identity thm1 does not read --d2\n"),
     (["eval", "--kind", "qint", "--alpha", "1", "--identity", "thm1"],
      "qident eval: error: --kind qint does not read --identity\n"),
+    (["eval", "--kind", "qbinom", "--n", "4", "--k", "2", "--N", "9"],
+     "qident eval: error: --kind qbinom does not read --N\n"),
     (["verify", "--identity", "thm2", "--d1", "1..2", "--d2", "1", "--a", "3", "--N", "2"],
      "qident verify: error: --identity thm2 does not read --a, --N\n"),
-], ids=["explain", "eval-kind", "eval-identity", "eval-identity-flag", "verify"])
+], ids=["explain", "eval-kind", "eval-identity", "eval-identity-flag", "eval-kind-N",
+        "verify"])
 def test_flag_the_choice_does_not_read_is_usage_error(capsys, argv, message):
     # a flag of the subcommand that the chosen --identity or --kind ignores
     with pytest.raises(SystemExit) as info:
@@ -1203,12 +1234,12 @@ def test_verify_config_range_the_identity_does_not_read_is_usage_error(tmp_path,
 
 def test_unrecognized_argument_gets_subcommand_usage(capsys):
     with pytest.raises(SystemExit) as info:
-        main(["eval", "--kind", "qbinom", "--n", "4", "--k", "2", "--N", "9"])
+        main(["eval", "--kind", "qbinom", "--n", "4", "--k", "2", "--jobs", "2"])
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: qident eval [-h] --kind")
-    assert captured.err.endswith("qident eval: error: unrecognized arguments: --N 9\n")
+    assert captured.err.endswith("qident eval: error: unrecognized arguments: --jobs 2\n")
 
 
 def _printed_after_import(expr):
@@ -1453,6 +1484,17 @@ def test_worker_ended_while_sending_a_result_does_not_hang_the_close():
     )
     out, err = _communicate_or_kill(proc, timeout=30)
     assert (proc.returncode, out, err) == (0, "closed\n", "")
+
+
+def test_pool_internals_read_by_the_pool_fixes_exist():
+    # _result reads the pool's manager thread and _close_pool the write end
+    # of its result pipe, both private and read through getattr(..., None):
+    # a Python that renames either turns those fixes off without an error,
+    # and the two tests above then fail only by their 30 s timeouts
+    with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(abs, -1).result(timeout=30) == 1
+        assert getattr(pool, "_executor_manager_thread", None) is not None
+        assert getattr(getattr(pool, "_result_queue", None), "_writer", None) is not None
 
 
 @pytest.mark.parametrize("cells, jobs, sizes", [

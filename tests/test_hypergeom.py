@@ -16,6 +16,7 @@ from qidentities import (
     SaalschutzInstance,
     is_saalschutzian,
     phi_evaluate,
+    q_pochhammer,
     qf_div,
     qf_mul,
     qf_to_rational,
@@ -23,6 +24,7 @@ from qidentities import (
     verify_saalschutz,
 )
 from qidentities import hypergeom
+from qidentities.hypergeom import series_terms
 from test_qcombo import ref_pochhammer_vanishes
 
 RF_ONE = RationalFunction(ONE)
@@ -214,6 +216,22 @@ def test_phi_evaluate_huge_order_overflows_at_once(monkeypatch):
         phi_evaluate(PhiSeries(upper=(1, 3, -2 * huge), lower=(5, 7), z_exp=2))
     with pytest.raises(Degenerate):
         phi_evaluate(PhiSeries(upper=(1, 3, -2 * huge), lower=(5, -2), z_exp=2))
+
+
+def test_series_terms_are_the_pochhammer_quotients():
+    # term k = (a1, a2, a3; q)_k z^k / (q, b1, b2; q)_k, from the definition;
+    # the second series ends at its even upper parameter q^(-2)
+    for upper, lower, z_exp in [((1, 4, -6), (5, 8), 2), ((-3, 2, -4), (7, -1), -1)]:
+        series = PhiSeries(upper, lower, z_exp)
+        terms = list(series_terms(series))
+        assert len(terms) == hypergeom._termination_order(upper) + 1
+        for k, term in enumerate(terms):
+            expected = QFactored(1, k * z_exp)
+            for t in upper:
+                expected = qf_mul(expected, q_pochhammer(t, k))
+            for t in lower + (2,):
+                expected = qf_div(expected, q_pochhammer(t, k))
+            assert term == expected, (series, k)
 
 
 def test_instance_validation_and_json():

@@ -730,6 +730,15 @@ def test_rf_json_form():
     assert r.to_json() == '{"num":[[1,"1"]],"den":[[0,"2"]]}'
 
 
+def test_rf_render_styles():
+    r = RationalFunction(lp({2: 1, 0: -1}), lp({1: 2}))
+    assert r.render() == "(q - 1)/(2*q^(1/2))"
+    assert r.render("latex") == "\\frac{q - 1}{2q^{1/2}}"
+    assert r.render("json") == r.to_json()
+    with pytest.raises(ValueError):
+        r.render("html")
+
+
 @given(json_polys, json_polys.filter(lambda p: not p.is_zero()))
 def test_rf_to_json_is_the_compact_dump_of_to_json_obj(num, den):
     r = RationalFunction(num, den)

@@ -1,11 +1,14 @@
 """The CLI's identity registry: one entry per identity drives eval, verify
 and explain."""
 
+import functools
+import itertools
 import json
+import operator
 
 import pytest
 
-from qidentities import InvalidHypothesis, LaurentPoly
+from qidentities import Degenerate, InvalidHypothesis
 from qidentities.cli import IDENTITIES, build_parser, main
 from qidentities.sums import theorem1_terms, theorem2_terms
 
@@ -33,11 +36,8 @@ def identity_choices(command):
 
 
 def test_identity_choices_come_from_registry():
-    with_terms = [name for name, ident in IDENTITIES.items() if ident.terms]
-    assert identity_choices("verify") == list(IDENTITIES)
-    assert identity_choices("eval") == with_terms
-    assert identity_choices("explain") == with_terms
-    assert with_terms == ["thm1", "thm2", "prop3"]
+    for command in ("eval", "verify", "explain"):
+        assert identity_choices(command) == list(IDENTITIES)
 
 
 @pytest.mark.parametrize("name", list(IDENTITIES))
@@ -58,13 +58,54 @@ def test_every_entry_passes_a_tiny_grid(capsys, name):
         assert ident.holds(*record["params"].values())
 
 
-@pytest.mark.parametrize("name", [n for n, i in IDENTITIES.items() if i.terms])
+@pytest.mark.parametrize("name", list(IDENTITIES))
 def test_terms_total_equals_lhs(name):
     ident = IDENTITIES[name]
     point = POINTS[name]
     assert ident.holds(*point)
-    total = sum((term for _, term in ident.terms(*point)), LaurentPoly())
+    # the summands are polynomials, or fractions for a series
+    total = functools.reduce(operator.add, (term for _, term in ident.terms(*point)))
     assert total == ident.lhs(*point) == ident.rhs(*point)
+
+
+# per identity, the span of every parameter in a box around its hypothesis
+HYPOTHESIS_BOXES = {
+    "thm1": range(-1, 5),
+    "thm2": range(-1, 5),
+    "prop3": range(-1, 4),
+    "saalschutz": range(-2, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(IDENTITIES))
+def test_holds_is_the_closed_form_hypothesis(name):
+    # holds restates the hypothesis the closed form checks itself; the two
+    # must agree on every point of the box, a degenerate one counting as
+    # inside (a q-Saalschutz N < 0 is a ValueError of its instance)
+    ident = IDENTITIES[name]
+    refused = ValueError if name == "saalschutz" else InvalidHypothesis
+    for point in itertools.product(HYPOTHESIS_BOXES[name], repeat=len(ident.params)):
+        try:
+            ident.rhs(*point)
+        except Degenerate:
+            pass
+        except refused:
+            assert not ident.holds(*point), point
+            continue
+        assert ident.holds(*point), point
+
+
+@pytest.mark.parametrize("name", list(IDENTITIES))
+def test_eval_json_is_the_verify_record_text(capsys, name):
+    # eval --format json and verify encode a side with one encoder
+    flags = ["--%s=%d" % p for p in zip(IDENTITIES[name].params, POINTS[name])]
+    sides = []
+    for kind in ("lhs", "rhs"):
+        assert main(["eval", "--kind", kind, "--identity", name, "--format", "json", *flags]) == 0
+        sides.append(capsys.readouterr().out.rstrip("\n"))
+    assert main(["verify", "--identity", name, *flags]) == 0
+    record = capsys.readouterr().out.splitlines()[0]
+    assert ',"lhs":%s,"rhs":%s,"equal":true}' % tuple(sides) in record
 
 
 @pytest.mark.parametrize("argv", [
