@@ -15,13 +15,14 @@ domain error, a worker process or pool thread that died, or from run() a
 failed write (such as a full disk), and from run() 141 = the reader
 closed stdout.
 A usage error found after parsing, such as an --output file that cannot
-be opened, a flag the subcommand does not take, a parameter flag that the
-chosen --kind or --identity does not read, or a --config file that names
-one flag twice, prints the subcommand's own usage line; a domain error, a
-library ValueError, an OverflowError (a huge exponent), a MemoryError (an
-exponent or count too large to expand in memory) or a BrokenProcessPool (a
-worker process or the pool's manager thread died) prints one line on
-stderr.
+be opened, a flag the subcommand does not take (a flag is read only as
+spelled, never from a prefix such as --al for --alpha), a parameter flag
+that the chosen --kind or --identity does not read, or a --config file
+that names one flag twice, prints the subcommand's own usage line; a
+domain error, a library ValueError, an OverflowError (a huge exponent), a
+MemoryError (an exponent or count too large to expand in memory) or a
+BrokenProcessPool (a worker process or the pool's manager thread died)
+prints one line on stderr.
 
 Verification records are line-delimited JSON, written in cell order as the
 cells finish and then a summary line.  The cells are generated as they run,
@@ -460,15 +461,18 @@ def _add_param_flags(p, names):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a flag is read only as spelled, never as a
+    # prefix, so adding a flag cannot change what a command line means
     parser = argparse.ArgumentParser(
         prog="qident",
         description="Exact evaluation and verification of q-binomial identities.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # the parameters of every identity, the flags of all three subcommands
     identity_params = [*dict.fromkeys(p for ident in IDENTITIES.values() for p in ident.params)]
 
-    p_eval = sub.add_parser("eval", help="evaluate one quantity exactly")
+    p_eval = sub.add_parser("eval", help="evaluate one quantity exactly", allow_abbrev=False)
     p_eval.add_argument("--kind", required=True, choices=[*_KINDS, "lhs", "rhs"])
     p_eval.add_argument("--identity", choices=list(IDENTITIES), default=None)
     p_eval.add_argument("--format", choices=sorted(_STYLE), default="text")
@@ -477,7 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_eval, eval_params)
     p_eval.add_argument("--surface", choices=SURFACE_TAGS, default=None)
 
-    p_verify = sub.add_parser("verify", help="verify an identity over a parameter grid")
+    p_verify = sub.add_parser(
+        "verify", help="verify an identity over a parameter grid", allow_abbrev=False
+    )
     p_verify.add_argument("--identity", required=True, choices=list(IDENTITIES))
     for name in identity_params:
         p_verify.add_argument("--%s" % name, type=_parse_range, default=None, metavar="A..B")
@@ -490,7 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="perturb one side of the first non-degenerate cell; the run must then fail",
     )
 
-    p_explain = sub.add_parser("explain", help="list each summand of an identity LHS")
+    p_explain = sub.add_parser(
+        "explain", help="list each summand of an identity LHS", allow_abbrev=False
+    )
     p_explain.add_argument("--identity", required=True, choices=list(IDENTITIES))
     _add_param_flags(p_explain, identity_params)
 

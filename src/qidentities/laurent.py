@@ -16,79 +16,104 @@ equality is list equality, and a sum is one aligned slice addition
 followed by trimming the zeros that cancellation leaves at either end.  A
 stored list is never changed, so two values may share one.
 
-Multiplication has two kernels, chosen by the number of nonzero term
-products.  Below KRONECKER_MIN_PRODUCTS a schoolbook loop forms the term
-products of the nonzero entries one at a time; a one-term operand scales
-the other's list in one pass.  From there on Kronecker
-substitution (Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", J. Symb. Comput. 2009) writes each coefficient
-list into one Python int, a k-byte slot per exponent, and a single
-big-integer multiply does all term products in C.
+Multiplication has two kernels.  Below KRONECKER_MIN_PRODUCTS nonzero
+term products, __mul__ uses a schoolbook loop that forms the term products
+of the nonzero entries one at a time; a one-term operand scales the
+other's list in one pass.  From there on, and for every sum of products a
+caller hands over whole (sum_of_products, which sums.py uses for each
+refined sum, each index's chain of q-binomials and each left-hand side),
+Kronecker substitution (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symb. Comput. 2009) writes each
+coefficient list into one Python int, a k-byte slot per exponent.  With
+X = 2^(8k), that int is the list's polynomial evaluated at X.  Evaluation
+is a ring homomorphism, so the product of the ints of a term's factors,
+big-integer multiplies in C, is the int of their product, and each
+term's product shifted left by its valuation offset in slots and added
+gives the int of the sum.  Nothing is unpacked between the multiplies and
+the additions; the sum is unpacked once.  __mul__ above the threshold is
+the sum of one two-factor term.
 
-The slots are unsigned when both coefficient lists are sign-uniform (all
-entries >= 0, or all <= 0), as in every product of q-binomials (each
-q-binomial's coefficients share one sign), and two's complement
-otherwise.  An unsigned slot holds a coefficient's absolute value: a
-nonpositive operand is negated when it is packed, and the output is
-negated when the two signs differ.  For k <= 8 a slot is a machine word:
-array(fmt, coeffs).tobytes() read as one int, with fmt the unsigned array
-type, is sum c_i 2^(8k i), and the product's bytes read back as the same
-array are the output coefficients.  With fmt the signed array type, the
-same int U holds each coefficient c as c mod 2^(8k).  Let B be the int
-with the bias 2^(8k-1) in every slot.  XOR with B flips each slot's top
-bit, which adds the bias modulo 2^(8k); since c + 2^(8k-1) already lies in
-[0, 2^(8k)), U ^ B holds exactly c + 2^(8k-1) per slot, and (U ^ B) - B is
-sum c_i 2^(8k i).  Unpacking runs the same steps backward: the product P
-plus its B, XOR B, written out as bytes and read back as the signed array.
-Slots wider than 8 bytes take the same steps with int.to_bytes and
-int.from_bytes per coefficient.
+The slots are unsigned when every factor is sign-uniform (all entries
+>= 0, or all <= 0), as is every q-binomial (its coefficients share one
+sign), and two's complement otherwise.  An unsigned slot holds a
+coefficient's absolute value: a nonpositive factor is negated when it is
+packed, so a term's packed product is the absolute value of its product,
+whose sign is the parity of its nonpositive factors.  When the terms
+share one sign the sum is read back from unsigned slots and negated if
+that sign is negative; when they differ, each term's product takes its
+sign before it is added, and the sum is read back from biased slots.
+For k <= 8 a slot is a machine word: array(fmt, coeffs).tobytes() read as
+one int, with fmt the unsigned array type, is sum c_i 2^(8k i), and the
+sum's bytes read back as the same array are the output coefficients.
+With fmt the signed array type, the same int U holds each coefficient c
+as c mod 2^(8k).  Let B be the int with the bias 2^(8k-1) in every slot.
+XOR with B flips each slot's top bit, which adds the bias modulo 2^(8k);
+since c + 2^(8k-1) already lies in [0, 2^(8k)), U ^ B holds exactly
+c + 2^(8k-1) per slot, and (U ^ B) - B is sum c_i 2^(8k i).  Unpacking
+runs the same steps backward: the sum S plus its B, XOR B, written out as
+bytes and read back as the signed array.  Slots wider than 8 bytes take
+the same steps with int.to_bytes and int.from_bytes per coefficient.
 
 Every q-binomial is a polynomial in q = x^2, so its list is zero at every
 odd offset from its valuation, and so is any product of q-binomials.  When
-both lists have that stride of 2, a = x^v A(x^2) and b = x^w B(x^2), only
-their even entries, the coefficients of A and B, are packed; one
-big-integer multiply gives A B, whose slots are the even offsets of the
-output, and its odd offsets are zero.  A and B have the coefficients of a
-and b, so the bound and k are computed as for stride 1.
+every factor has that stride of 2, f = x^v F(x^2), and every term's
+valuation has one parity, only the even entries, the coefficients of the
+F, are packed: the terms' offsets from the lowest valuation are even, a
+shift by half of one in slots aligns them, the unpacked slots are the even
+offsets of the sum, and its odd offsets are zero.  The F have the
+coefficients of the f, so the bound and k are computed as for stride 1.
 
 A value computes its Kronecker memo, _kron, the first time it is a
-Kronecker operand: its smallest and largest coefficient, its stride, and
-one packed int per (slot width, stride, signed) it is packed at.  So a
-cached q-binomial or refined sum is packed once per slot layout however
-often it is multiplied: on verify thm2 --d1 1..10 --d2 1..10, 2,910 of the
-3,716 operand packs are found in a memo.  _new and __init__ leave the slot
-unset, so a value that never reaches the Kronecker kernel, like most of
-the small values of the hypergeometric series, pays nothing for it.  The
-memo takes no part in equality, hashing, pickling or copying.
+Kronecker factor: its smallest and largest coefficient, its stride, its
+nonzero count and largest magnitude, and one packed int per (slot width,
+stride, signed) it is packed at.  So a cached q-binomial or refined sum is
+packed once per slot layout however often it is a factor: on verify thm2
+--d1 1..10 --d2 1..10, 3,553 of the 4,238 factor packs are found in a
+memo.  _new and __init__ leave the slot unset, so a value that never
+reaches the Kronecker kernel, like most of the small values of the
+hypergeometric series, pays nothing for it.  The memo takes no part in
+equality, hashing, pickling or copying.
 
-Exactness does not depend on coefficient size.  Every output coefficient
-is a sum of at most min(nonzeros of a, nonzeros of b) products, so its
-absolute value is at most bound = max|a| * max|b| * that minimum, with
-max|a| and max|b| taken from the memo's smallest and largest coefficient.
-With unsigned slots every output coefficient is a sum of nonnegative
-products, so it lies in [0, bound], and k is the smallest width with
-bound < 2^(8k); every slot of the product holds its coefficient with no
-carry into the next, and the product is below 2^(8kn) for its n slots.
-With signed slots k is the smallest width with bound < 2^(8k-1), one bit
-more.  Adding B to the product then leaves every slot at p_i + 2^(8k-1),
-which lies in [0, 2^(8k)): no slot carries into or borrows from the next,
-and the slots read back the exact coefficients.  So k =
-ceil((bound.bit_length() + signed) / 8), rounded up to 1, 2, 4 or 8 bytes
-where possible, so packing and unpacking can use machine words.
+Exactness does not depend on coefficient size.  The packed ints, their
+products and their sum are exact ints, and the products' coefficients
+are never read, so only the sum's coefficients need to fit their slots.
+Their bound is folded along each term's chain: before the first factor
+the chain is 1, with top = 1 its largest magnitude and 1 nonzero.  Times a
+factor f with n nonzeros, each coefficient is a sum of at most
+min(nonzeros, n) products, each at most top * max|f|, so top becomes
+top * max|f| * min(nonzeros, n), and the chain then has at most
+min(nonzeros * n, its span) nonzeros.  Every coefficient of the sum is at
+most bound = the sum of the terms' tops, max|f| taken from the memo's
+smallest and largest coefficient.  For one product of a and b that is
+max|a| * max|b| * min(nonzeros of a, nonzeros of b).  With unsigned slots
+and terms of one sign every unpacked coefficient lies in [0, bound], and k
+is the smallest width with bound < 2^(8k); every slot of the sum holds its
+coefficient with no carry into the next, and the sum is below 2^(8kn) for
+its n slots.  With signed slots k is the smallest width with
+bound < 2^(8k-1), one bit more.  Adding B to the sum then leaves every
+slot at s_i + 2^(8k-1), which lies in [0, 2^(8k)): no slot carries into
+or borrows from the next, and the slots read back the exact coefficients.
+Every factor's coefficients are at most bound too, so they fit the same
+slots when packed.  So k = ceil((bound.bit_length() + signed) / 8),
+rounded up to 1, 2, 4 or 8 bytes where possible, so packing and unpacking
+can use machine words.
 
-The dense layout costs memory and time in the exponent span, so a product
-whose span has more than half as many exponents as it has nonzero term
-products stays on the schoolbook loop, as do products below the
-threshold, where the schoolbook loop is faster.  Below it fall most
+The dense layout costs memory and time in the exponent span, so __mul__
+keeps a product whose span has more than half as many exponents as it has
+nonzero term products on the schoolbook loop, as it does products below
+the threshold, where the schoolbook loop is faster.  Below it fall most
 cross-multiplications of RationalFunction sums and comparisons in the
-hypergeometric series, and many of the q-binomial products in the refined
-sums.
+hypergeometric series.  sum_of_products takes whatever it is given: the
+chains and sums of q-binomials sums.py hands it are dense, and one pack
+per factor and one unpack per sum cost less than the multiply and the
+addition per pair they replace.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import compress, count, repeat
+from math import inf
 from operator import add, mul, neg, sub
 from sys import byteorder as _ORDER
 
@@ -109,7 +134,7 @@ class LaurentPoly:
     """
 
     # _kron, the Kronecker memo, is set only when a value first enters
-    # _kronecker_mul (see _kron_memo)
+    # sum_of_products (see _kron_memo)
     __slots__ = ("_val", "_coeffs", "_kron")
 
     def __init__(self, terms=None):
@@ -191,10 +216,13 @@ class LaurentPoly:
         na = len(a) - a.count(0)
         nb = len(b) - b.count(0)
         products = na * nb
-        # the product of two nonzero polynomials has nonzero end
-        # coefficients, so either kernel's list is already canonical
         if products >= KRONECKER_MIN_PRODUCTS and 2 * (len(a) + len(b) - 1) <= products:
-            return _new(self._val + other._val, _kronecker_mul(self, other, na, nb))
+            # the counts made here seed a memo the kernel has yet to make
+            _kron_memo(self, na)
+            _kron_memo(other, nb)
+            return sum_of_products([(self, other)])
+        # the product of two nonzero polynomials has nonzero end
+        # coefficients, so the schoolbook list is already canonical
         return _new(self._val + other._val, _schoolbook_mul(a, b, na, nb))
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -338,90 +366,153 @@ def _schoolbook_mul(a: list, b: list, na: int, nb: int) -> list:
     return out
 
 
-def _kronecker_mul(p: LaurentPoly, q: LaurentPoly, na: int, nb: int) -> list:
-    """Product of the coefficient lists a of p and b of q, two nonzero
-    values (lowest exponent first, with na and nb nonzero entries), by
-    Kronecker substitution.
+def sum_of_products(terms) -> LaurentPoly:
+    """sum over terms of the product of each term's factors, by one
+    Kronecker substitution: terms is a list of tuples of nonzero values
+    (an empty tuple is 1, an empty list sums to 0).
 
-    Returns the len(a) + len(b) - 1 product coefficients; see the module
-    docstring for why the slot width k makes them exact.  The slots are
-    unsigned when both operands are sign-uniform and biased two's
-    complement otherwise; when both operands are zero at every odd offset,
-    only their even entries are packed (_packed).
+    Each factor is packed once per slot layout (_packed), each term's
+    packs are multiplied into one int, each product is shifted by its
+    term's valuation offset in slots and added, and the sum is unpacked
+    once.  The slot width k comes from a bound on every coefficient of the
+    sum; see the module docstring for why it makes them exact.  The slots
+    are unsigned when every factor is sign-uniform and biased two's
+    complement otherwise; the sum is read back from biased slots too when
+    its terms differ in sign.  When every factor is zero at every odd
+    offset and every term's valuation has one parity, only even entries
+    are packed.  A lone term of one factor or none is that factor, or ONE,
+    returned as it is.
     """
-    a, b = p._coeffs, q._coeffs
-    n = len(a) + len(b) - 1
-    a_low, a_high, a_stride, _ = _kron_memo(p)
-    b_low, b_high, b_stride, _ = _kron_memo(q)
-    bound = max(a_high, -a_low) * max(b_high, -b_low) * min(na, nb)
-    signed = a_low < 0 < a_high or b_low < 0 < b_high
+    if len(terms) == 1 and len(terms[0]) < 2:
+        return terms[0][0] if terms[0] else ONE
+    bound = 0
+    low, high_exp = inf, -inf  # the sum's lowest exponent; its top one + 1
+    odd = packed_signed = False  # a factor of stride 1; a mixed-sign factor
+    signs = parities = 0  # bit 1 (2): a term of sign + (-); of even (odd) valuation
+    shapes = []  # per term: (valuation, negated)
+    for term in terms:
+        val = 0
+        span = top = nonzeros = 1
+        negated = False
+        for f in term:
+            f_low, f_high, f_stride, _, count, magnitude = _kron_memo(f)
+            # each coefficient of the chain so far times f is a sum of at
+            # most min(nonzeros, count) products, each at most top * max|f|
+            top *= magnitude * (count if count < nonzeros else nonzeros)
+            val += f._val
+            span += len(f._coeffs) - 1
+            nonzeros = nonzeros * count if nonzeros * count < span else span
+            if f_stride == 1:
+                odd = True
+            if f_low < 0:
+                if f_high > 0:
+                    packed_signed = True
+                else:
+                    negated = not negated
+        bound += top
+        signs |= 2 if negated else 1
+        parities |= 2 if val & 1 else 1
+        if val < low:
+            low = val
+        if val + span > high_exp:
+            high_exp = val + span
+        shapes.append((val, negated))
+    if not shapes:
+        return ZERO
+    signed = packed_signed or signs == 3
+    stride = 1 if odd or parities == 3 else 2
     k = (bound.bit_length() + signed + 7) // 8
-    fmt = None
+    fmt = pack_fmt = None
     if k <= 8:
-        # the array type of 1, 2, 4 or 8 bytes holding k; k becomes its size
-        fmt = ("bhiq" if signed else "BHIQ")[(k - 1).bit_length()]
-        k = array(fmt).itemsize
-    stride = min(a_stride, b_stride)
-    product = _packed(p, k, stride, signed, fmt) * _packed(q, k, stride, signed, fmt)
-    slots = (n - 1) // stride + 1
+        # the array types of 1, 2, 4 or 8 bytes holding k; k becomes their size
+        index = (k - 1).bit_length()
+        fmt = ("bhiq" if signed else "BHIQ")[index]
+        pack_fmt = ("bhiq" if packed_signed else "BHIQ")[index]
+        k = _WORD_BYTES[index]
+    # unsigned packs hold absolute values: a term's product takes its sign
+    # here when the terms differ in sign, and the sum's at the end otherwise
+    flip = signed and not packed_signed
+    total = 0
+    layout = (k, stride, packed_signed)
+    for term, (val, negated) in zip(terms, shapes):
+        product = 1
+        for f in term:
+            packed = f._kron[3].get(layout)
+            if packed is None:
+                packed = _packed(f, k, stride, packed_signed, pack_fmt)
+            product *= packed
+        if flip and negated:
+            product = -product
+        total += product << (8 * k * ((val - low) // stride))
+    length = high_exp - low  # exponents from low to the top of the sum
+    slots = (length - 1) // stride + 1
     if signed:
         bias = _bias(k, slots)
-        product = (product + bias) ^ bias
-    data = product.to_bytes(k * slots, _ORDER)
+        total = (total + bias) ^ bias
+    data = total.to_bytes(k * slots, _ORDER)
     if fmt:
         out = array(fmt, data).tolist()
     else:
         out = [int.from_bytes(data[i : i + k], _ORDER, signed=signed)
                for i in range(0, k * slots, k)]
-    if not signed and (a_high <= 0) is not (b_high <= 0):
+    if signs == 2 and not signed:
         out = list(map(neg, out))
-    if stride == 1:
-        return out
-    # the product of two polynomials in x^2 is one too
-    full = [0] * n
-    full[::2] = out
-    return full
+    if stride == 2:
+        # a sum of products of polynomials in x^2 is one too
+        full = [0] * length
+        full[::2] = out
+        out = full
+    return _from_coeffs(low, out)
 
 
-def _kron_memo(p: LaurentPoly) -> tuple:
-    """p's Kronecker memo (low, high, stride, packs), made on p's first
-    Kronecker multiply: its smallest and largest coefficient, 2 if every
-    odd offset of its list is zero (a polynomial in x^2 times a monomial)
-    and 1 otherwise, and a dict {(k, stride, signed): packed int} that
-    _packed fills."""
+# the sizes of the array types "BHIQ" (and "bhiq"): 1, 2, 4 and 8 bytes
+_WORD_BYTES = [array(t).itemsize for t in "BHIQ"]
+
+
+def _kron_memo(p: LaurentPoly, nonzeros=None) -> tuple:
+    """p's Kronecker memo (low, high, stride, packs, nonzeros, magnitude),
+    made when p is first a Kronecker factor: its smallest and largest
+    coefficient, 2 if every odd offset of its list is zero (a polynomial
+    in x^2 times a monomial) and 1 otherwise, a dict {(k, stride, signed):
+    packed int} that _packed fills, its count of nonzero coefficients
+    (counted here unless the caller has counted them) and its largest
+    absolute value."""
     try:
         return p._kron
     except AttributeError:
         c = p._coeffs
-        memo = p._kron = (min(c), max(c), 1 if any(c[1::2]) else 2, {})
+        low, high = min(c), max(c)
+        if nonzeros is None:
+            nonzeros = len(c) - c.count(0)
+        memo = p._kron = (low, high, 1 if any(c[1::2]) else 2, {},
+                          nonzeros, high if high > -low else -low)
         return memo
 
 
 def _packed(p: LaurentPoly, k: int, stride: int, signed: bool, fmt) -> int:
     """sum of c_i * 2^(8ki) over p's coefficients c_i at offsets 0, stride,
-    2 stride, ...: their k-byte slots read as one int, packed once per
-    (k, stride, signed) and kept in p's memo.
+    2 stride, ...: their k-byte slots read as one int, kept in p's memo
+    under (k, stride, signed), where sum_of_products looks for it before
+    it calls this, so p is packed once per layout.
 
     Unsigned slots hold the absolute values of a sign-uniform p's
     coefficients.  Signed slots hold two's complement, read as one
     unsigned int with each slot's bias added by XOR and then subtracted.
     fmt is the array type for a machine-word k, else None.
     """
-    _, high, _, packs = p._kron
-    packed = packs.get((k, stride, signed))
-    if packed is None:
-        coeffs = p._coeffs if stride == 1 else p._coeffs[::stride]
-        if high <= 0 and not signed:
-            coeffs = list(map(neg, coeffs))
-        if fmt:
-            data = array(fmt, coeffs).tobytes()
-        else:
-            data = b"".join([c.to_bytes(k, _ORDER, signed=signed) for c in coeffs])
-        packed = int.from_bytes(data, _ORDER)
-        if signed:
-            bias = _bias(k, len(coeffs))
-            packed = (packed ^ bias) - bias
-        packs[k, stride, signed] = packed
+    _, high, _, packs, _, _ = p._kron
+    coeffs = p._coeffs if stride == 1 else p._coeffs[::stride]
+    if high <= 0 and not signed:
+        coeffs = list(map(neg, coeffs))
+    if fmt:
+        data = array(fmt, coeffs).tobytes()
+    else:
+        data = b"".join([c.to_bytes(k, _ORDER, signed=signed) for c in coeffs])
+    packed = int.from_bytes(data, _ORDER)
+    if signed:
+        bias = _bias(k, len(coeffs))
+        packed = (packed ^ bias) - bias
+    packs[k, stride, signed] = packed
     return packed
 
 

@@ -14,8 +14,16 @@ k = sum k_i (for Proposition 3, 1 at k = k0 alone); an index whose k is
 not a key is left out.  _two_path_sum sums it by k, as Proposition 3
 does: f(D, d, k) trailing[k] over the nonzero trailing[k], each f checked
 by the direct transcription against the recursion (they share only the
-q-binomial caches).  f_recursive memoizes every refined sum it reaches,
-in one bounded LRU over (D, d1, k0), so every later call reuses them.
+q-binomial caches and the multiply kernel).  f_recursive memoizes every
+refined sum it reaches, in one bounded LRU over (D, d1, k0), so every
+later call reuses them.
+
+Products are formed as sums of products (laurent.sum_of_products, one
+Kronecker pack per factor and one unpack per sum): f_term's chain of
+q-binomials other than 1, each level of the recursion's
+(tail, q-binomial) pairs, and _two_path_sum's (f, trailing) pairs.
+f_enumerated adds its f_term values pairwise, so that each index's term
+stays one f_term call.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InvalidHypothesis
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly, sum_of_products
 from .qcombo import q_binomial, q_binomial_signed
 
 
@@ -131,13 +139,14 @@ def f_term(D: int, idx: PartitionedIndex) -> LaurentPoly:
     """One summand of the refined sum: the product over i of
     qbinom(D - 2*sum_{j<i} (n_j - n_i) k_j, k_i), which is ONE for the
     empty index; a factor of 1 is not multiplied in, and a factor of 0
-    makes the term 0 before any multiply.
+    makes the term 0 before any multiply.  The other factors are one
+    chain for sum_of_products, unpacked once.
 
     The binomials use the generic-ratio (signed) extension so the refined
     sum matches its closed form for every positive D; on nonnegative tops
     this is the ordinary convention, which is all the theorem left-hand
     sides ever exercise."""
-    total = ONE  # the empty product, before the first factor
+    factors = []  # the factors other than 1
     weighted = 0  # sum of n_j k_j over previous factors
     count = 0  # sum of k_j over previous factors
     for n, k in zip(idx.parts, idx.mults):
@@ -145,10 +154,11 @@ def f_term(D: int, idx: PartitionedIndex) -> LaurentPoly:
         # Laurent polynomials have no zero divisors: only a zero factor gives 0
         if factor.is_zero():
             return ZERO
-        total = factor if total is ONE else total if factor is ONE else total * factor
+        if factor is not ONE:
+            factors.append(factor)
         weighted += n * k
         count += k
-    return total
+    return sum_of_products([tuple(factors)])
 
 
 def f_enumerated(spec: FSumSpec) -> LaurentPoly:
@@ -175,10 +185,11 @@ def f_recursive(spec: FSumSpec) -> LaurentPoly:
 
 @lru_cache(maxsize=REFINED_CACHE_SIZE)
 def _refined(D, d1, k0):
-    """f(D, d1, k0) by f_recursive's recursion, through this cache."""
+    """f(D, d1, k0) by f_recursive's recursion, through this cache: its
+    (tail, q-binomial) products are one sum_of_products."""
     if d1 == 0 == k0:
         return ONE
-    total = ZERO
+    terms = []
     for k in range(1, k0 + 1):
         for n in range(1, d1 // k0 + 1):
             tail = _refined(D, d1 - n * k0, k0 - k)
@@ -187,9 +198,9 @@ def _refined(D, d1, k0):
             binom = q_binomial_signed(D - 2 * d1 + 2 * n * k0, k)
             if binom.is_zero():
                 continue
-            # a 1 (the empty-product tail f(D, 0, 0) or qbinom(m, m)) needs no multiply
-            total = total + (binom if tail is ONE else tail if binom is ONE else tail * binom)
-    return total
+            # a 1 (the empty-product tail f(D, 0, 0) or qbinom(m, m)) is no factor
+            terms.append(tuple(f for f in (tail, binom) if f is not ONE))
+    return sum_of_products(terms)
 
 
 def _summands(D, d, trailing):
@@ -210,9 +221,10 @@ def _summands(D, d, trailing):
 
 def _two_path_sum(D, d, trailing, where):
     """sum_k f(D, d, k) * trailing[k] over the nonzero trailing[k], each f
-    by path (a), f_enumerated, and by path (b), f_recursive; raises
-    ArithmeticError naming where if the two differ on any slice."""
-    total = ZERO
+    by path (a), f_enumerated, and by path (b), f_recursive, as one
+    sum_of_products; raises ArithmeticError naming where if the two differ
+    on any slice."""
+    terms = []
     for k, binom in trailing.items():
         if binom.is_zero():
             continue
@@ -222,8 +234,8 @@ def _two_path_sum(D, d, trailing, where):
             raise ArithmeticError("internal disagreement in " + where)
         if refined.is_zero():
             continue
-        total = total + (refined if binom is ONE else refined * binom)
-    return total
+        terms.append((refined,) if binom is ONE else (refined, binom))
+    return sum_of_products(terms)
 
 
 def _theorem1(d0, d1):

@@ -1242,6 +1242,25 @@ def test_unrecognized_argument_gets_subcommand_usage(capsys):
     assert captured.err.endswith("qident eval: error: unrecognized arguments: --jobs 2\n")
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["eval", "--kind", "qint", "--al", "3"], "--al 3"),
+    (["verify", "--identity", "thm2", "--d1", "1", "--d2", "1", "--sel"], "--sel"),
+    (["explain", "--identity", "thm2", "--d1", "3", "--d2", "2", "--iden", "thm1"], "--iden thm1"),
+], ids=["eval-alpha", "verify-selftest-corrupt", "explain-identity"])
+def test_flag_prefix_is_not_read_as_the_flag(capsys, argv, prefix):
+    # a unique prefix of a flag (--alpha, --selftest-corrupt, --identity)
+    # is no spelling of it: one usage message, nothing run
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qident %s [-h]" % argv[0])
+    assert captured.err.count("usage:") == 1
+    assert captured.err.endswith(
+        "qident %s: error: unrecognized arguments: %s\n" % (argv[0], prefix))
+
+
 def _printed_after_import(expr):
     """What a fresh interpreter prints for expr once it imported qidentities.cli."""
     code = "import sys, qidentities.cli; print(%s)" % expr

@@ -23,6 +23,14 @@ GOLDEN = {
         (0, "1d2444d5e7c70163866c158fb9f25d0e67934911e292af876adc8c8006012637"),
     "verify --identity prop3 --D 0..9 --d1 0..5 --k0 0..5":
         (0, "c0f83e27921d12763303edb86fa91afe398c5bbb383d8311eb1630cd6652f146"),
+    # the deep theorem cells: sums of up to 16 products, and chains of up
+    # to 6 factors
+    "verify --identity thm2 --d1 22..24 --d2 8..10":
+        (0, "563c79910218992cec96c2ea510ec73662e5920129d92c9abd08b7b5b5eb9bd7"),
+    # small D: negative tops several levels deep, so 28 of its sums of
+    # products add terms of both signs, read back from biased slots
+    "verify --identity prop3 --D 1..4 --d1 6..8 --k0 1..8":
+        (0, "604e4269d97348c1d58ad64a80cf909b7dc76b01f18ce51613d25c4a1eafb5d3"),
     "verify --identity saalschutz --a=-3..3 --b=-3..3 --c=-3..3 --N=-1..3":
         (0, "4bfb492d80635a477c6526568cbc8cb8ce594e75f40f07c2574b212c8ccea1bc"),
     # longer series, whose cells differ most in cost

@@ -15,7 +15,7 @@ from qidentities import (
     ZERO,
 )
 from qidentities import laurent
-from qidentities.laurent import KRONECKER_MIN_PRODUCTS, _kronecker_mul
+from qidentities.laurent import KRONECKER_MIN_PRODUCTS, sum_of_products
 
 
 def lp(terms):
@@ -346,25 +346,25 @@ def check_product(a, b):
     expected = convolve(a, b)
     assert a * b == expected
     assert b * a == expected
-    kron = _kronecker_mul(a, b, len(a.terms), len(b.terms))
+    kron = sum_of_products([(a, b)])
     # canonical: one slot per exponent of the span, nonzero at both ends
-    assert len(kron) == a.degree() - a.valuation() + b.degree() - b.valuation() + 1
-    assert kron[0] and kron[-1]
-    low = a.valuation() + b.valuation()
-    assert LaurentPoly({low + i: c for i, c in enumerate(kron)}) == expected
+    assert kron._val == a.valuation() + b.valuation()
+    assert len(kron._coeffs) == a.degree() - a.valuation() + b.degree() - b.valuation() + 1
+    assert kron._coeffs[0] and kron._coeffs[-1]
+    assert kron == expected
 
 
 def test_kronecker_selection(monkeypatch):
     calls = []
 
-    def spy(p, q, na, nb):
-        # the nonzero counts passed in are those of the operand lists
+    def spy(terms):
+        # a product is one term of its two operands
+        (p, q), = terms
         a, b = p._coeffs, q._coeffs
-        assert (na, nb) == (len(a) - a.count(0), len(b) - b.count(0))
-        calls.append(na * nb)
-        return _kronecker_mul(p, q, na, nb)
+        calls.append((len(a) - a.count(0)) * (len(b) - b.count(0)))
+        return sum_of_products(terms)
 
-    monkeypatch.setattr(laurent, "_kronecker_mul", spy)
+    monkeypatch.setattr(laurent, "sum_of_products", spy)
 
     def alternating(lo, hi, step=1):
         return lp({e: (e + 99) * (1 if e % 2 else -1) for e in range(lo, hi, step)})
@@ -669,6 +669,217 @@ def test_mixed_sign_stride2_product_takes_the_signed_path(monkeypatch):
     assert a * b == convolve(a, b)
     assert a._kron[:3] == (-20, 19, 2) and b._kron[:3] == (0, 20, 2)
     assert memo_keys(a) == memo_keys(b) == {(2, 2, True)}
+
+
+# -- sums of products: one Kronecker pack and unpack per sum --------------------
+
+
+def oracle_sum(terms):
+    """Schoolbook oracle for sum_of_products: each term's factors folded by
+    convolve, the terms added as coefficient dicts."""
+    out = {}
+    for term in terms:
+        product = ONE
+        for f in term:
+            product = convolve(product, f)
+        for e, c in product.terms.items():
+            out[e] = out.get(e, 0) + c
+    return LaurentPoly(out)
+
+
+def check_sum(terms):
+    """sum_of_products on cold copies equals the oracle, canonical, and so
+    does a second call, which reuses every pack."""
+    terms = [tuple(cold(f) for f in term) for term in terms]
+    expected = oracle_sum(terms)
+    for _ in range(2):
+        got = sum_of_products(terms)
+        assert got == expected
+        assert_canonical(got)
+    return expected
+
+
+@st.composite
+def kernel_factor(draw, signs):
+    """A nonzero factor of 1 to 8 terms: x^v times a polynomial in x^2, or
+    one with odd offsets too; coefficients nonnegative, nonpositive or of
+    both signs per `signs`, small, word-sized or wider than 8 bytes."""
+    size = draw(st.integers(min_value=1, max_value=8))
+    step = draw(st.sampled_from([1, 2]))
+    low = draw(st.integers(min_value=-15, max_value=15))
+    offsets = draw(st.lists(st.integers(min_value=0, max_value=10), min_size=size,
+                            max_size=size, unique=True))
+    top = draw(st.sampled_from([9, 2**20, 2**40, 2**70]))
+    cs = draw(st.lists(st.integers(min_value=1, max_value=top), min_size=size, max_size=size))
+    sign = signs if signs != "per factor" else draw(st.sampled_from(["+", "-", "mixed"]))
+    if sign == "-":
+        cs = [-c for c in cs]
+    elif sign == "mixed":
+        cs = [c * draw(st.sampled_from([1, -1])) for c in cs]
+    return lp({low + step * j: c for j, c in zip(offsets, cs)})
+
+
+kernel_terms = st.sampled_from(["+", "-", "mixed", "per factor"]).flatmap(
+    lambda signs: st.lists(
+        st.lists(kernel_factor(signs), min_size=1, max_size=6).map(tuple),
+        min_size=1, max_size=8,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_terms)
+def test_sum_of_products_matches_schoolbook(terms):
+    # 1-6 factors per term and 1-8 terms per sum: nonnegative, nonpositive
+    # or mixed-sign operands, strides 1 and 2 mixed in one sum, and term
+    # valuations of both parities
+    check_sum(terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_terms, st.integers(min_value=-9, max_value=9))
+def test_sum_of_products_flipped_terms(terms, shift):
+    # negating some terms makes the sum mixed-sign even when every factor is
+    # sign-uniform; a shifted copy moves a term's valuation by either parity
+    flipped = [(-term[0],) + term[1:] if i % 2 else term for i, term in enumerate(terms)]
+    flipped.append((lp({shift: 1}),) + terms[0])
+    check_sum(flipped)
+
+
+def test_sum_of_products_cancels_to_canonical_zero():
+    a = lp({2 * e: e + 1 for e in range(-5, 15)})
+    b = lp({2 * e + 1: 3 for e in range(12)})
+    c = lp({e: (-1) ** (e % 2) * (e + 5) for e in range(-4, 20)})
+    for terms in ([(a, b), (-a, b)],
+                  [(a, b), (c,), (-(a * b + c),)],
+                  [(a, b, c), (-a, c, b)]):
+        total = sum_of_products(terms)
+        assert total == ZERO and total._coeffs == [] and total._val == 0
+    # cancellation at both ends leaves the interior, trimmed
+    ends = sum_of_products([(a, b), (-a, b), (lp({-3: 5, 4: -7}),), (lp({-3: -5}),)])
+    assert ends == lp({4: -7})
+    assert_canonical(ends)
+
+
+def test_sum_of_products_empty_terms():
+    a = lp({e: e + 1 for e in range(20)})
+    assert sum_of_products([]) is ZERO
+    # a lone factor, or none, is no multiply: the value itself, or ONE
+    assert sum_of_products([(a,)]) is a
+    assert sum_of_products([()]) is ONE
+    # an empty term is 1 inside a sum too
+    assert sum_of_products([(), (a, a), ()]) == convolve(a, a) + lp({0: 2})
+
+
+def test_sum_of_products_unpacks_its_span_only(monkeypatch):
+    # the sum is unpacked over the exponents from its lowest term's
+    # valuation to its highest term's top, far below zero too
+    lengths = []
+    trim = laurent._from_coeffs
+
+    def spy(val, coeffs):
+        lengths.append((val, len(coeffs)))
+        return trim(val, coeffs)
+
+    monkeypatch.setattr(laurent, "_from_coeffs", spy)
+    a = lp({-1000 + 2 * e: e + 1 for e in range(10)})
+    b = lp({-901 + 2 * e: 1 for e in range(5)})
+    c = lp({-7 + e: 2 for e in range(4)})
+    total = sum_of_products([(a, b), (b, c), (c, a)])
+    assert total == oracle_sum([(a, b), (b, c), (c, a)])
+    assert lengths == [(-1901, total.degree() - total.valuation() + 1)]
+
+
+def chain_sum(k, exact):
+    """Two terms whose middle coefficients add up to the bound: 17 ones
+    times 17 copies of c1, and 17 ones times the monomial 2 x^2 times 17
+    copies of c2, aligned.  The bound 17 c1 + 17 * 2 * c2 is 2^(8k) - 1
+    when exact, else 16 ones and 16 copies give 2^(8k)."""
+    size = 17 if exact else 16
+    total = ((1 << (8 * k)) - 1) // 17 if exact else 1 << (8 * k - 4)
+    c1 = 1 if exact else 2
+    c2 = (total - c1) // 2
+    ones = lp({e: 1 for e in range(-30, -30 + size)})
+    first = lp({e: c1 for e in range(7, 7 + size)})
+    second = lp({e: c2 for e in range(5, 5 + size)})
+    return [(ones, first), (ones, lp({2: 2}), second)], size * total
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_sum_of_products_slot_width_boundaries(monkeypatch, k):
+    # the bound sums the per-term chain bounds; at 2^(8k) - 1 the sum packs
+    # into k-byte unsigned slots with its middle slot full, at 2^(8k) it
+    # needs the next width (9 bytes: beyond machine words).  Terms of
+    # differing signs read the sum back from biased slots, one bit wider.
+    packed = spy_packing(monkeypatch)
+    wider = {1: 2, 2: 4, 4: 8, 8: 9}[k]
+    for exact, width in ((True, k), (False, wider)):
+        terms, bound = chain_sum(k, exact)
+        assert bound == (1 << (8 * k)) - exact
+        for negate in (False, True):
+            signed_terms = [((-t[0],) + t[1:]) if negate else t for t in terms]
+            packed.clear()
+            total = check_sum(signed_terms)
+            assert set(packed) == {("unsigned", width)}
+            assert max(abs(c) for c in total.terms.values()) == bound
+        packed.clear()
+        check_sum([terms[0], (-terms[1][0],) + terms[1][1:]])
+        assert set(packed) == {("unsigned", wider)}
+
+
+def test_sum_of_products_wider_than_machine_words(monkeypatch):
+    packed = spy_packing(monkeypatch)
+    a = lp({e: 2**100 + e for e in range(0, 40, 2)})
+    b = lp({e: -(3**50) - e for e in range(-5, 15)})
+    c = lp({e: (-1) ** e * 2**70 for e in range(6)})
+    for terms in ([(a, b), (b, a, a)], [(a, b), (-b, a, a)], [(a, c), (b, b)]):
+        packed.clear()
+        check_sum(terms)
+        assert packed and all(k > 8 for _, k in packed)
+
+
+def test_sum_of_products_stride():
+    # stride 2 only when every factor has it and every term's valuation
+    # has one parity
+    a = lp({2 * e: e + 1 for e in range(10)})
+    b = lp({2 * e + 1: 2 for e in range(8)})
+    odd = lp({0: 1, 1: 1})
+    for terms, stride in (([(a, b), (b, a, a)], 2),
+                          ([(a, b), (a, a)], 1),
+                          ([(a, b), (odd, a)], 1)):
+        terms = [tuple(cold(f) for f in term) for term in terms]
+        assert sum_of_products(terms) == oracle_sum(terms)
+        assert {s for term in terms for f in term for _, s, _ in memo_keys(f)} == {stride}
+
+
+def test_cached_q_binomial_packed_once_per_layout(monkeypatch):
+    from qidentities import qcombo
+
+    qcombo.q_binomial.cache_clear()
+    qcombo.q_binomial_signed.cache_clear()
+    binom = qcombo.q_binomial(20, 6)
+    assert not hasattr(binom, "_kron")
+    packs = []
+    pack = laurent._packed
+
+    def spy(p, k, stride, signed, fmt):
+        if p is binom and (k, stride, signed) not in memo_keys(p):
+            packs.append((k, stride, signed))
+        return pack(p, k, stride, signed, fmt)
+
+    monkeypatch.setattr(laurent, "_packed", spy)
+    small = [lp({2 * e: 1 for e in range(n)}) for n in (3, 5, 7)]
+    large = [lp({2 * e: 2**40 for e in range(n)}) for n in (3, 5)]
+    for _ in range(3):
+        assert sum_of_products([(binom, f) for f in small]) == oracle_sum(
+            [(binom, f) for f in small])
+        assert sum_of_products([(f, binom, binom) for f in large]) == oracle_sum(
+            [(f, binom, binom) for f in large])
+    # one pack of the cached value per layout, reused by every later term
+    # and call; the q-binomial cache hands the same value out again
+    assert len(packs) == len(set(packs)) == 2
+    assert memo_keys(binom) == set(packs)
+    assert qcombo.q_binomial(20, 6) is binom
 
 
 @given(polys, nonzero_polys)

@@ -339,26 +339,46 @@ def test_each_slice_is_checked_by_two_paths(monkeypatch, capsys):
     assert record["error"] == "ArithmeticError: internal disagreement in theorem2_lhs(3, 3)"
 
 
+def spy_products(monkeypatch, test):
+    """Record test(operand) over the operands of each LaurentPoly multiply
+    and over the factors of each term sums hands to sum_of_products.
+    Returns (by_mul, by_term): per multiply, whether an operand passes the
+    test, and per term, the list of test(factor) over its factors."""
+    from qidentities import sums
+
+    real_mul, real_kernel = LaurentPoly.__mul__, sums.sum_of_products
+    by_mul, by_term = [], []
+
+    def mul(a, b):
+        by_mul.append(test(a) or test(b))
+        return real_mul(a, b)
+
+    def kernel(terms):
+        by_term.extend([test(f) for f in term] for term in terms)
+        return real_kernel(terms)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+    monkeypatch.setattr(sums, "sum_of_products", kernel)
+    return by_mul, by_term
+
+
 @pytest.mark.parametrize("argv", [
     ["--identity", "prop3", "--D", "1..24", "--d1", "1..8", "--k0", "1..8"],
     ["--identity", "thm2", "--d1", "1..10", "--d2", "1..10"],
 ], ids=["prop3", "thm2"])
 def test_no_multiply_by_one(monkeypatch, capsys, argv):
     # f_term, _refined and the per-slice sum all skip a factor of 1, so no
-    # LaurentPoly multiply on these grids has an operand equal to 1
+    # LaurentPoly multiply and no product term of the sum kernel on these
+    # grids has an operand equal to 1
     from qidentities.cli import main
 
-    real = LaurentPoly.__mul__
-    by_one = []  # per multiply: does an operand equal 1?
-
-    def recording(a, b):
-        by_one.append(a == ONE or b == ONE)
-        return real(a, b)
-
-    monkeypatch.setattr(LaurentPoly, "__mul__", recording)
+    by_mul, by_term = spy_products(monkeypatch, lambda p: p == ONE)
     assert main(["verify"] + argv) == 0
     capsys.readouterr()
-    assert by_one and not any(by_one)
+    assert by_mul and not any(by_mul)
+    # a term of one factor is added, not multiplied: f(1, 1, 1) = 1 is one
+    products = [flags for flags in by_term if len(flags) > 1]
+    assert products and not any(map(any, products))
 
 
 @pytest.mark.parametrize("argv", [
@@ -367,22 +387,19 @@ def test_no_multiply_by_one(monkeypatch, capsys, argv):
 ], ids=["prop3", "thm1"])
 def test_no_multiply_by_zero(monkeypatch, capsys, argv):
     # f_term stops at a zero factor, _refined skips a zero q-binomial and the
-    # per-slice sum a zero slice, so no LaurentPoly multiply on these grids
-    # has a zero operand (prop3 reaches zero binomials [m, k], 0 <= m < k,
-    # at small D; thm1 lists slices k > d, which are 0)
+    # per-slice sum a zero slice, so no LaurentPoly multiply and no product
+    # term of the sum kernel on these grids has a zero operand (prop3
+    # reaches zero binomials [m, k], 0 <= m < k, at small D; thm1 lists
+    # slices k > d, which are 0)
     from qidentities.cli import main
 
-    real = LaurentPoly.__mul__
-    by_zero = []  # per multiply: is an operand 0?
-
-    def recording(a, b):
-        by_zero.append(a.is_zero() or b.is_zero())
-        return real(a, b)
-
-    monkeypatch.setattr(LaurentPoly, "__mul__", recording)
+    by_mul, by_term = spy_products(monkeypatch, LaurentPoly.is_zero)
     assert main(["verify"] + argv) == 0
     capsys.readouterr()
-    assert by_zero and not any(by_zero)
+    assert by_mul and not any(by_mul)
+    # no term is even added with a zero factor
+    assert any(len(flags) > 1 for flags in by_term)
+    assert not any(map(any, by_term))
 
 
 def test_explain_lists_zero_summands_without_multiplying_by_zero(monkeypatch, capsys):
