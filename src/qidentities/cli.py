@@ -63,7 +63,6 @@ import math
 import os
 import sys
 import time
-from typing import Callable, NamedTuple
 
 from .closed_forms import SURFACE_TAGS, nlog_value, prop3_rhs, theorem1_rhs, theorem2_rhs
 from .errors import Degenerate, InvalidHypothesis, NotDivisible, QIdentitiesError
@@ -85,18 +84,15 @@ from .sums import (
 _STYLE = {"text": "plain", "json": "json", "latex": "latex"}
 
 
-class Identity(NamedTuple):
-    """One registry entry.  holds, lhs, rhs and terms take the parameter
-    values in params order.  holds is the hypothesis, checked by each grid
-    cell before it computes either side and used to reject eval of either
-    side outside it; terms yields explain's (label, summand) pairs, whose
-    summands add up to the left-hand side."""
+class Identity(collections.namedtuple("Identity", "params holds lhs rhs terms")):
+    """One registry entry.  params is the tuple of parameter names; holds,
+    lhs, rhs and terms take the parameter values in params order.  holds
+    is the hypothesis, checked by each grid cell before it computes either
+    side and used to reject eval of either side outside it; terms yields
+    explain's (label, summand) pairs, whose summands add up to the
+    left-hand side."""
 
-    params: tuple
-    holds: Callable
-    lhs: Callable
-    rhs: Callable
-    terms: Callable
+    __slots__ = ()
 
 
 def _prop3_terms(D, d1, k0):

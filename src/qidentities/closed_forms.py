@@ -13,14 +13,16 @@ one strided exact division, never a Laurent-polynomial division chain.
 the full numerator before the first division.)
 
 Where a value has two published spellings, they differ in one q-binomial,
-qbinom(n, k) = qbinom(n, n - k), built on the short side of its row for
-the value and again on the long side for the check.  The two are compared
-as QFactored values after the value is expanded, which fails first on a
-value too large to expand.  That comparison is exact
-equality of the rational functions they denote, because the canonical
-form sign * x^p * prod over e of (1 - x^e)^(m_e) (e >= 1, no m_e zero) of
-a nonzero value is unique.  Write 1 - x^e = -prod over d | e of Phi_d(x),
-with Phi_d the d-th cyclotomic polynomial.  The value is then
+qbinom(n, k) = qbinom(n, n - k).  It is built once, on the short side of
+its row, and that very factored value is both expanded into the closed
+form and compared with the same q-binomial built on the long side, so the
+check covers the value the closed form used.  The comparison is made on
+QFactored values after the value is expanded, which fails first on a
+value too large to expand.  It is exact equality of the rational
+functions they denote, because the canonical form sign * x^p * prod over
+e of (1 - x^e)^(m_e) (e >= 1, no m_e zero) of a nonzero value is unique.
+Write 1 - x^e = -prod over d | e of Phi_d(x), with Phi_d the d-th
+cyclotomic polynomial.  The value is then
 +-x^p * prod over d of Phi_d^(c_d) with c_d = sum over multiples e of d of
 m_e.  Factorization of rational functions into irreducibles is unique, so
 the value fixes p, each c_d and the sign; and the map from the m_e to the
@@ -71,10 +73,11 @@ def _times_ratio(ratio, *factors) -> LaurentPoly:
     return qf_expand_ratio(ratio, product)
 
 
-def _check_spellings(n: int, k: int, where: str) -> None:
-    """Raise ArithmeticError unless qbinom(n, k), 0 <= k <= n, is the same
-    built on the short side of its row and on the long side."""
-    if q_binomial_factored(n, k) != _q_binomial_row(n, max(k, n - k)):
+def _check_spellings(published, n: int, k: int, where: str) -> None:
+    """Raise ArithmeticError unless published, the factored qbinom(n, k)
+    (0 <= k <= n) a closed form expanded, equals qbinom(n, k) built on the
+    long side of its row."""
+    if published != _q_binomial_row(n, max(k, n - k)):
         raise ArithmeticError("binomial-spelling disagreement in %s" % where)
 
 
@@ -88,12 +91,13 @@ def theorem1_rhs(d0: int, d1: int) -> LaurentPoly:
     """
     if d1 < 1 or d0 <= d1:
         raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
+    published = q_binomial_factored(d0 + d1 - 1, d0)
     value = _times_ratio(
         _product((4 * d0,), -d0, den=(2 * d0,)),
         qf_expand_ratio(q_binomial_factored(d0, d1)),
-        qf_expand_ratio(q_binomial_factored(d0 + d1 - 1, d0)),
+        qf_expand_ratio(published),
     )
-    _check_spellings(d0 + d1 - 1, d0, "theorem1_rhs(%d, %d)" % (d0, d1))
+    _check_spellings(published, d0 + d1 - 1, d0, "theorem1_rhs(%d, %d)" % (d0, d1))
     return value
 
 
@@ -101,17 +105,18 @@ def theorem2_rhs(d1: int, d2: int) -> LaurentPoly:
     """([2d1 + d2]_q / [d2]_q) * qbinom(d1 + d2 - 1, d1)**2.
 
     Also checks the generating-series spelling with qbinom(d1 + d2 - 1,
-    d2 - 1) squared, the other side of the same row: both sides are built
-    and compared in factored form, which is exact (see the module
-    docstring), after the value is expanded; a disagreement raises
-    ArithmeticError.  Requires d1 >= 1 and d2 >= 1 (the bracket [d2]_q
-    vanishes at d2 = 0).
+    d2 - 1) squared, the other side of the same row: the factored binomial
+    the value expands is compared with that side in factored form, which
+    is exact (see the module docstring), after the value is expanded; a
+    disagreement raises ArithmeticError.  Requires d1 >= 1 and d2 >= 1
+    (the bracket [d2]_q vanishes at d2 = 0).
     """
     if d1 < 1 or d2 < 1:
         raise InvalidHypothesis("theorem 2 requires d1 >= 1 and d2 >= 1")
-    bino = qf_expand_ratio(q_binomial_factored(d1 + d2 - 1, d1))
+    published = q_binomial_factored(d1 + d2 - 1, d1)
+    bino = qf_expand_ratio(published)
     value = _times_ratio(_product((4 * d1 + 2 * d2,), -2 * d1, den=(2 * d2,)), bino, bino)
-    _check_spellings(d1 + d2 - 1, d1, "theorem2_rhs(%d, %d)" % (d1, d2))
+    _check_spellings(published, d1 + d2 - 1, d1, "theorem2_rhs(%d, %d)" % (d1, d2))
     return value
 
 

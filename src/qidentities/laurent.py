@@ -63,16 +63,16 @@ shift by half of one in slots aligns them, the unpacked slots are the even
 offsets of the sum, and its odd offsets are zero.  The F have the
 coefficients of the f, so the bound and k are computed as for stride 1.
 
-A value computes its Kronecker memo, _kron, the first time it is a
-Kronecker factor: its smallest and largest coefficient, its stride, its
-nonzero count and largest magnitude, and one packed int per (slot width,
-stride, signed) it is packed at.  So a cached q-binomial or refined sum is
-packed once per slot layout however often it is a factor: on verify thm2
---d1 1..10 --d2 1..10, 3,553 of the 4,238 factor packs are found in a
-memo.  _new and __init__ leave the slot unset, so a value that never
-reaches the Kronecker kernel, like most of the small values of the
-hypergeometric series, pays nothing for it.  The memo takes no part in
-equality, hashing, pickling or copying.
+A value's Kronecker memo, _kron, is made by _kron_memo from the value
+alone the first time it is a Kronecker factor: its smallest and largest
+coefficient, its stride, its nonzero count and largest magnitude, and one
+packed int per (slot width, stride, signed) it is packed at.  So a
+cached q-binomial or refined sum is packed once per slot layout however
+often it is a factor: on verify thm2 --d1 1..10 --d2 1..10, 3,553 of the
+4,238 factor packs are found in a memo.  _new and __init__ leave the slot
+unset, so a value that never reaches the Kronecker kernel, like most of
+the small values of the hypergeometric series, pays nothing for it.  The
+memo takes no part in equality, hashing, pickling or copying.
 
 Exactness does not depend on coefficient size.  The packed ints, their
 products and their sum are exact ints, and the products' coefficients
@@ -217,9 +217,6 @@ class LaurentPoly:
         nb = len(b) - b.count(0)
         products = na * nb
         if products >= KRONECKER_MIN_PRODUCTS and 2 * (len(a) + len(b) - 1) <= products:
-            # the counts made here seed a memo the kernel has yet to make
-            _kron_memo(self, na)
-            _kron_memo(other, nb)
             return sum_of_products([(self, other)])
         # the product of two nonzero polynomials has nonzero end
         # coefficients, so the schoolbook list is already canonical
@@ -469,23 +466,20 @@ def sum_of_products(terms) -> LaurentPoly:
 _WORD_BYTES = [array(t).itemsize for t in "BHIQ"]
 
 
-def _kron_memo(p: LaurentPoly, nonzeros=None) -> tuple:
+def _kron_memo(p: LaurentPoly) -> tuple:
     """p's Kronecker memo (low, high, stride, packs, nonzeros, magnitude),
-    made when p is first a Kronecker factor: its smallest and largest
-    coefficient, 2 if every odd offset of its list is zero (a polynomial
-    in x^2 times a monomial) and 1 otherwise, a dict {(k, stride, signed):
-    packed int} that _packed fills, its count of nonzero coefficients
-    (counted here unless the caller has counted them) and its largest
-    absolute value."""
+    made from p alone when p is first a Kronecker factor: its smallest and
+    largest coefficient, 2 if every odd offset of its list is zero (a
+    polynomial in x^2 times a monomial) and 1 otherwise, a dict
+    {(k, stride, signed): packed int} that _packed fills, its count of
+    nonzero coefficients and its largest absolute value."""
     try:
         return p._kron
     except AttributeError:
         c = p._coeffs
         low, high = min(c), max(c)
-        if nonzeros is None:
-            nonzeros = len(c) - c.count(0)
         memo = p._kron = (low, high, 1 if any(c[1::2]) else 2, {},
-                          nonzeros, high if high > -low else -low)
+                          len(c) - c.count(0), high if high > -low else -low)
         return memo
 
 

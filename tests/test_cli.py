@@ -1261,12 +1261,14 @@ def test_flag_prefix_is_not_read_as_the_flag(capsys, argv, prefix):
         "qident %s: error: unrecognized arguments: %s\n" % (argv[0], prefix))
 
 
-def _printed_after_import(expr):
-    """What a fresh interpreter prints for expr once it imported qidentities.cli."""
+def _printed_after_import(expr, *flags):
+    """What a fresh interpreter, started with flags, prints for expr once
+    it imported qidentities.cli."""
     code = "import sys, qidentities.cli; print(%s)" % expr
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -1277,10 +1279,13 @@ def test_import_does_not_load_process_pool():
     assert _printed_after_import("'concurrent.futures.process' in sys.modules") == "False\n"
 
 
-def test_import_does_not_load_dataclasses_or_inspect():
+def test_import_does_not_load_typing_dataclasses_or_inspect():
     # every launch pays for what the import loads; the package's value
-    # types are namedtuple subclasses, which need neither module
-    printed = _printed_after_import("sorted({'dataclasses', 'inspect'} & set(sys.modules))")
+    # types and the registry's Identity are namedtuple subclasses, which
+    # need none of these modules.  -S keeps site, which may import typing
+    # itself, from loading any of them first.
+    printed = _printed_after_import(
+        "sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules))", "-S")
     assert printed == "[]\n"
 
 

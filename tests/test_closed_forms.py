@@ -217,6 +217,35 @@ def test_broken_long_row_side_fails_the_spelling_checks(monkeypatch, capsys):
     _assert_spelling_checks_fail(monkeypatch, capsys, "_q_binomial_row", ((3, 2), (3, 3)))
 
 
+@pytest.mark.parametrize("rhs, args, published", [
+    (theorem2_rhs, (1, 3), (3, 1)),
+    (theorem2_rhs, (2, 2), (3, 2)),
+    (theorem1_rhs, (3, 1), (3, 3)),
+], ids=["thm2(1,3)", "thm2(2,2)", "thm1(3,1)"])
+def test_spelling_check_compares_the_binomial_the_value_used(monkeypatch, rhs, args, published):
+    # only the first build of the published binomial carries an extra x^2:
+    # a check that built its own copy would pass the wrong value
+    from qidentities import closed_forms
+    from qidentities.qcombo import QFactored, qf_mul
+
+    real = closed_forms.q_binomial_factored
+    builds = []
+
+    def first_build_off(n, k):
+        value = real(n, k)
+        if (n, k) == published:
+            builds.append((n, k))
+            if len(builds) == 1:
+                return qf_mul(value, QFactored(1, 2))
+        return value
+
+    monkeypatch.setattr(closed_forms, "q_binomial_factored", first_build_off)
+    with pytest.raises(ArithmeticError, match=r"binomial-spelling disagreement in %s\(%d, %d\)"
+                       % ((rhs.__name__,) + args)):
+        rhs(*args)
+    assert builds == [published]
+
+
 def _assert_spelling_checks_fail(monkeypatch, capsys, builder, broken):
     # one side of a row carries an extra x^2, still a polynomial, so only
     # the spelling check sees it

@@ -374,10 +374,14 @@ def test_kronecker_selection(monkeypatch):
     assert calls == []
     assert a16 * a16 == convolve(a16, a16)
     assert calls == [KRONECKER_MIN_PRODUCTS]
+    assert a16 * b17 == convolve(a16, b17)
+    assert calls == [KRONECKER_MIN_PRODUCTS, 16 * 17]
+    # each operand's memo holds its own nonzero count and largest magnitude
+    assert a16._kron[4:] == (16, 106) and b17._kron[4:] == (17, 115)
     # same term count, but the product span exceeds half the term products
     sparse = alternating(0, 160, 10)
     assert sparse * sparse == convolve(sparse, sparse)
-    assert calls == [KRONECKER_MIN_PRODUCTS]
+    assert calls == [KRONECKER_MIN_PRODUCTS, 16 * 17]
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
