@@ -239,6 +239,26 @@ def test_selftest_corrupt_reruns_the_first_checked_cell_from_its_record(
     assert [r["equal"] for r in records] == [False, True, True]
 
 
+def test_selftest_corrupt_leaves_the_series_memo_clean(capsys):
+    # c = x^-3 and c = x^5 give one series, with lower parameters
+    # {x^-3, x^5} (d = ab q^(1-N)/c), so the perturbed first cell's series
+    # is summed again, from the memo, by the last cell, which must pass
+    # with the lhs it has without the control
+    argv = ["verify", "--identity", "saalschutz", "--a", "1", "--b", "3",
+            "--c=-3..5", "--N", "2", "--jobs", "1"]
+    rc, clean = run(capsys, *argv)
+    assert rc == 0
+    rc, out = run(capsys, *argv, "--selftest-corrupt")
+    assert rc == 1
+    records, summary = parse_records(out)
+    assert summary == {"pass": 4, "fail": 1, "degenerate": 4}
+    assert [r["params"]["c"] for r in records] == [-3, -1, 1, 3, 5]
+    assert [r["equal"] for r in records] == [False, True, True, True, True]
+    clean_records, _ = parse_records(clean)
+    assert records[1:] == clean_records[1:]
+    assert records[0]["lhs"] != clean_records[0]["lhs"] == clean_records[-1]["lhs"]
+
+
 def test_serial_verify_checks_each_hypothesis_in_its_cell(monkeypatch, capsys):
     # the grid is a lazy stream: a serial run checks each cell's hypothesis
     # just before it computes the cell, not every cell's first

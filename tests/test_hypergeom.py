@@ -110,11 +110,18 @@ def test_phi_two_term_sum_by_hand():
 
 
 def test_phi_parameter_permutation_invariance():
+    # each order of the parameters, summed fresh, gives the very same
+    # fraction, byte for byte, as the memo's key assumes; once it is kept,
+    # any other order is a hit that returns the kept object
     base = PhiSeries(upper=(4, 6, -4), lower=(8, 10), z_exp=2)
-    value = phi_evaluate(base)
+    text = phi_evaluate(base).to_json()
     for perm in itertools.permutations(base.upper):
-        assert phi_evaluate(PhiSeries(perm, base.lower, 2)) == value
-    assert phi_evaluate(PhiSeries(base.upper, (10, 8), 2)) == value
+        for lower in (base.lower, base.lower[::-1]):
+            hypergeom._phi_sums.cache_clear()
+            fresh = phi_evaluate(PhiSeries(perm, lower, 2))
+            assert fresh.to_json() == text
+            assert phi_evaluate(base) is fresh
+            assert memo_keys() == [((-4, 4, 6), (8, 10), 2)]
 
 
 @given(
@@ -126,7 +133,125 @@ def test_phi_permutation_property(n_order, perm):
     lower = (5, 9)
     base = phi_evaluate(PhiSeries(upper, lower, 2))
     shuffled = tuple(upper[i] for i in perm)
-    assert phi_evaluate(PhiSeries(shuffled, lower, 2)) == base
+    hypergeom._phi_sums.cache_clear()
+    assert phi_evaluate(PhiSeries(shuffled, lower, 2)).to_json() == base.to_json()
+
+
+def test_phi_series_converts_z_exp_to_int():
+    # a float argument exponent is read as the int it equals, as the
+    # parameters are, so it sums and keys the memo as that int does
+    series = PhiSeries((-2, 1, 1), (3, 5), 2.0)
+    assert type(series.z_exp) is int
+    value = phi_evaluate(series).to_json()
+    hypergeom._phi_sums.cache_clear()
+    assert value == phi_evaluate(PhiSeries((-2, 1, 1), (3, 5), 2)).to_json()
+
+
+# -- phi_evaluate's memo ---------------------------------------------------------------
+
+
+def memo_keys():
+    return list(hypergeom._phi_sums._values)
+
+
+def test_memo_misses_on_an_exchanged_parameter_or_another_argument():
+    base = phi_evaluate(PhiSeries(upper=(4, 6, -4), lower=(8, 10), z_exp=2))
+    # 6 moved from the upper parameters to the lower and 8 the other way,
+    # then the same series at z = q^2
+    exchanged = phi_evaluate(PhiSeries(upper=(4, 8, -4), lower=(6, 10), z_exp=2))
+    other_z = phi_evaluate(PhiSeries(upper=(4, 6, -4), lower=(8, 10), z_exp=4))
+    assert len(hypergeom._phi_sums) == 3
+    assert exchanged != base and other_z != base
+    hypergeom._phi_sums.cache_clear()
+    assert exchanged.to_json() == phi_evaluate(
+        PhiSeries(upper=(4, 8, -4), lower=(6, 10), z_exp=2)).to_json()
+    assert other_z.to_json() == phi_evaluate(
+        PhiSeries(upper=(4, 6, -4), lower=(8, 10), z_exp=4)).to_json()
+
+
+@pytest.mark.parametrize("series, error, message", [
+    (PhiSeries(upper=(4, 6, -4), lower=(-2, 8), z_exp=2), Degenerate,
+     "lower parameter x^-2 vanishes within summation range"),
+    (PhiSeries(upper=(2, 4, 3), lower=(6, 6), z_exp=2), NonTerminating,
+     "no upper parameter of the form q^(-N)"),
+])
+def test_memo_keeps_nothing_for_a_series_that_raises(series, error, message):
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            phi_evaluate(series)
+        assert str(info.value) == message
+        assert len(hypergeom._phi_sums) == hypergeom._phi_sums.coefficients == 0
+
+
+def test_memo_bound_counts_coefficients_and_evicts_the_least_recent(monkeypatch):
+    size = hypergeom._coefficient_count
+    series = [PhiSeries((1, 3, -2 * n), (5, 7), 2) for n in range(1, 6)]
+    values = [phi_evaluate(s) for s in series]
+    sizes = [size(v) for v in values]
+    assert sizes == sorted(sizes) and sizes[0] < sizes[1]
+    # a bound that holds the second and third sums, but not the largest alone
+    budget = sizes[1] + sizes[2]
+    assert sizes[-1] > budget
+    monkeypatch.setattr(hypergeom, "PHI_CACHE_COEFFICIENTS", budget)
+    hypergeom._phi_sums.cache_clear()
+    phi_evaluate(series[-1])
+    assert len(hypergeom._phi_sums) == hypergeom._phi_sums.coefficients == 0
+    phi_evaluate(series[0])
+    phi_evaluate(series[1])
+    assert hypergeom._phi_sums.coefficients == sizes[0] + sizes[1]
+    # series[0] is used again, so series[1] is the least recent and goes
+    phi_evaluate(series[0])
+    phi_evaluate(series[2])
+    assert memo_keys() == [((-2, 1, 3), (5, 7), 2), ((-6, 1, 3), (5, 7), 2)]
+    for s in series:
+        phi_evaluate(s)
+        kept = [hypergeom._phi_sums._values[k] for k in memo_keys()]
+        assert hypergeom._phi_sums.coefficients == sum(map(size, kept)) <= budget
+    assert [v.to_json() for v in map(phi_evaluate, series)] == [
+        v.to_json() for v in values]
+
+
+def test_saalschutz_golden_with_a_one_coefficient_memo(monkeypatch, capsys):
+    # only a sum that is 0/1 fits the memo, so every other cell sums its
+    # series afresh
+    from test_golden import GOLDEN, run_digest
+
+    monkeypatch.setattr(hypergeom, "PHI_CACHE_COEFFICIENTS", 1)
+    command = "verify --identity saalschutz --a=-3..3 --b=-2..2 --c=-3..3 --N=4..7"
+    assert run_digest(command, capsys) == GOLDEN[command]
+    assert hypergeom._phi_sums.coefficients <= 1
+
+
+def test_cold_caches_clears_every_module_cache(capsys):
+    # every module-level cache of qcombo, sums and hypergeom is in the
+    # fixture's list, and each holds values after a few small grids
+    import conftest
+    from qidentities import qcombo, sums
+    from qidentities.cli import main
+
+    found = {
+        id(value): value for module in (qcombo, sums, hypergeom)
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear") and not isinstance(value, type)
+    }
+    assert id(hypergeom._phi_sums) in found
+    assert sorted(found) == sorted(map(id, conftest.CACHES))
+    found = found.values()
+
+    def size(cached):
+        info = getattr(cached, "cache_info", None)
+        return info().currsize if info else len(cached)
+
+    for argv in (
+        "verify --identity thm2 --d1 1..3 --d2 1..3",
+        "verify --identity prop3 --D 1..3 --d1 1..3 --k0 1..3",
+        "verify --identity saalschutz --a 1 --b 3 --c 5 --N 1..2",
+    ):
+        assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert all(size(cached) for cached in found)
+    conftest.clear_caches()
+    assert not any(size(cached) for cached in found)
 
 
 # -- the summation formula ---------------------------------------------------------
