@@ -24,7 +24,7 @@ import sys
 from collections import OrderedDict, namedtuple
 
 from .errors import Degenerate, NonTerminating
-from .laurent import ONE, RationalFunction
+from .laurent import ONE, RationalFunction, _as_int
 from .qcombo import QFactored, _product, q_pochhammer, qf_expand, qf_mul, qf_to_rational
 
 
@@ -38,10 +38,11 @@ class PhiSeries(namedtuple("PhiSeries", "upper lower z_exp")):
     __slots__ = ()
 
     def __new__(cls, upper, lower, z_exp):
-        upper, lower = tuple(map(int, upper)), tuple(map(int, lower))
+        upper = tuple([_as_int(e, "upper") for e in upper])
+        lower = tuple([_as_int(e, "lower") for e in lower])
         if len(upper) != len(lower) + 1:
             raise ValueError("need exactly one more upper parameter than lower")
-        return super().__new__(cls, upper, lower, int(z_exp))
+        return super().__new__(cls, upper, lower, _as_int(z_exp, "z_exp"))
 
 
 def _termination_order(upper) -> int:
@@ -176,6 +177,8 @@ class SaalschutzInstance(namedtuple("SaalschutzInstance", "a_exp b_exp c_exp N")
     __slots__ = ()
 
     def __new__(cls, a_exp, b_exp, c_exp, N):
+        a_exp, b_exp = _as_int(a_exp, "a_exp"), _as_int(b_exp, "b_exp")
+        c_exp, N = _as_int(c_exp, "c_exp"), _as_int(N, "N")
         if N < 0:
             raise ValueError("N must be a nonnegative integer")
         return super().__new__(cls, a_exp, b_exp, c_exp, N)

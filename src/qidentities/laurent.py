@@ -33,15 +33,11 @@ gives the int of the sum.  Nothing is unpacked between the multiplies and
 the additions; the sum is unpacked once.  __mul__ above the threshold is
 the sum of one two-factor term.
 
-The slots are unsigned when every factor is sign-uniform (all entries
->= 0, or all <= 0), as is every q-binomial (its coefficients share one
-sign), and two's complement otherwise.  An unsigned slot holds a
-coefficient's absolute value: a nonpositive factor is negated when it is
-packed, so a term's packed product is the absolute value of its product,
-whose sign is the parity of its nonpositive factors.  When the terms
-share one sign the sum is read back from unsigned slots and negated if
-that sign is negative; when they differ, each term's product takes its
-sign before it is added, and the sum is read back from biased slots.
+The sum is read back from unsigned slots when every factor's smallest
+coefficient is >= 0, as every q-binomial's is, and from biased slots
+otherwise.  A pack is the evaluation of its polynomial at X whatever its
+slots, so each factor is packed by its own sign alone, and a nonnegative
+value packed for one kind of sum serves the other at the same width.
 For k <= 8 a slot is a machine word: array(fmt, coeffs).tobytes() read as
 one int, with fmt the unsigned array type, is sum c_i 2^(8k i), and the
 sum's bytes read back as the same array are the output coefficients.
@@ -64,15 +60,15 @@ offsets of the sum, and its odd offsets are zero.  The F have the
 coefficients of the f, so the bound and k are computed as for stride 1.
 
 A value's Kronecker memo, _kron, is made by _kron_memo from the value
-alone the first time it is a Kronecker factor: its smallest and largest
-coefficient, its stride, its nonzero count and largest magnitude, and one
-packed int per (slot width, stride, signed) it is packed at.  So a
-cached q-binomial or refined sum is packed once per slot layout however
-often it is a factor: on verify thm2 --d1 1..10 --d2 1..10, 3,553 of the
-4,238 factor packs are found in a memo.  _new and __init__ leave the slot
-unset, so a value that never reaches the Kronecker kernel, like most of
-the small values of the hypergeometric series, pays nothing for it.  The
-memo takes no part in equality, hashing, pickling or copying.
+alone the first time it is a Kronecker factor: its smallest coefficient,
+its stride, its nonzero count and largest magnitude, and one packed int
+per (slot width, stride) it is packed at.  So a cached q-binomial or
+refined sum is packed once per slot layout however often it is a factor:
+on verify thm2 --d1 1..10 --d2 1..10, 3,553 of the 4,238 factor packs are
+found in a memo.  _new and __init__ leave the slot unset, so a value that
+never reaches the Kronecker kernel, like most of the small values of the
+hypergeometric series, pays nothing for it.  The memo takes no part in
+equality, hashing, pickling or copying.
 
 Exactness does not depend on coefficient size.  The packed ints, their
 products and their sum are exact ints, and the products' coefficients
@@ -82,21 +78,23 @@ the chain is 1, with top = 1 its largest magnitude and 1 nonzero.  Times a
 factor f with n nonzeros, each coefficient is a sum of at most
 min(nonzeros, n) products, each at most top * max|f|, so top becomes
 top * max|f| * min(nonzeros, n), and the chain then has at most
-min(nonzeros * n, its span) nonzeros.  Every coefficient of the sum is at
-most bound = the sum of the terms' tops, max|f| taken from the memo's
-smallest and largest coefficient.  For one product of a and b that is
-max|a| * max|b| * min(nonzeros of a, nonzeros of b).  With unsigned slots
-and terms of one sign every unpacked coefficient lies in [0, bound], and k
-is the smallest width with bound < 2^(8k); every slot of the sum holds its
-coefficient with no carry into the next, and the sum is below 2^(8kn) for
-its n slots.  With signed slots k is the smallest width with
-bound < 2^(8k-1), one bit more.  Adding B to the sum then leaves every
-slot at s_i + 2^(8k-1), which lies in [0, 2^(8k)): no slot carries into
-or borrows from the next, and the slots read back the exact coefficients.
-Every factor's coefficients are at most bound too, so they fit the same
-slots when packed.  So k = ceil((bound.bit_length() + signed) / 8),
-rounded up to 1, 2, 4 or 8 bytes where possible, so packing and unpacking
-can use machine words.
+min(nonzeros * n, its span) nonzeros.  Every coefficient of the sum has
+absolute value at most bound = the sum of the terms' tops, max|f| taken
+from the memo.  For one product of a and b that is
+max|a| * max|b| * min(nonzeros of a, nonzeros of b).  When every factor
+is nonnegative, so is every term, and every coefficient of the sum lies
+in [0, bound]; k is the smallest width with bound < 2^(8k), so every slot
+of the sum holds its coefficient with no carry into the next, and the sum
+is below 2^(8kn) for its n slots.  Otherwise every coefficient s_i lies
+in [-bound, bound], and k is the smallest width with bound < 2^(8k-1),
+one bit more.  Adding B to the sum then leaves every slot at
+s_i + 2^(8k-1), which lies in [0, 2^(8k)): no slot carries into or
+borrows from the next, and the slots read back the exact coefficients.
+Every factor's coefficients are at most bound in absolute value too, so
+they fit the same slots when packed.  So
+k = ceil((bound.bit_length() + signed) / 8), signed when some factor has a
+negative coefficient, rounded up to 1, 2, 4 or 8 bytes where possible, so
+packing and unpacking can use machine words.
 
 The dense layout costs memory and time in the exponent span, so __mul__
 keeps a product whose span has more than half as many exponents as it has
@@ -130,7 +128,8 @@ class LaurentPoly:
     Canonical form: the coefficient list, lowest exponent first, starts
     and ends with a nonzero entry; the zero polynomial is the empty list
     with valuation 0.  Equality is equality of (valuation, list).  The
-    constructor takes a mapping {x-exponent: coefficient}.
+    constructor takes a mapping {x-exponent: coefficient}; each exponent
+    is read by _as_int.
     """
 
     # _kron, the Kronecker memo, is set only when a value first enters
@@ -138,7 +137,9 @@ class LaurentPoly:
     __slots__ = ("_val", "_coeffs", "_kron")
 
     def __init__(self, terms=None):
-        nonzero = {int(e): c for e, c in terms.items() if c} if terms else None
+        nonzero = None
+        if terms:
+            nonzero = {_as_int(e, "exponent"): c for e, c in terms.items() if c}
         if not nonzero:
             self._val, self._coeffs = 0, []
             return
@@ -318,6 +319,21 @@ class LaurentPoly:
         return self.render("plain")
 
 
+def _as_int(value, field: str) -> int:
+    """value as the int it equals: an int as it is, another value equal to
+    an int (2.0, Fraction(4, 2)) that int.  Any other value raises
+    ValueError naming field, so no constructor truncates 2.5 to 2."""
+    if value.__class__ is int:
+        return value
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError("%s must be an integer, got %r" % (field, value))
+    return n
+
+
 def _new(val, coeffs):
     """A LaurentPoly from a valuation and a list already in canonical form."""
     p = LaurentPoly.__new__(LaurentPoly)
@@ -372,27 +388,25 @@ def sum_of_products(terms) -> LaurentPoly:
     packs are multiplied into one int, each product is shifted by its
     term's valuation offset in slots and added, and the sum is unpacked
     once.  The slot width k comes from a bound on every coefficient of the
-    sum; see the module docstring for why it makes them exact.  The slots
-    are unsigned when every factor is sign-uniform and biased two's
-    complement otherwise; the sum is read back from biased slots too when
-    its terms differ in sign.  When every factor is zero at every odd
-    offset and every term's valuation has one parity, only even entries
-    are packed.  A lone term of one factor or none is that factor, or ONE,
-    returned as it is.
+    sum; see the module docstring for why it makes them exact.  The sum is
+    read back from unsigned slots when every factor is nonnegative and
+    from biased slots, one bit wider, when some factor has a negative
+    coefficient.  When every factor is zero at every odd offset and every
+    term's valuation has one parity, only even entries are packed.  A lone
+    term of one factor or none is that factor, or ONE, returned as it is.
     """
     if len(terms) == 1 and len(terms[0]) < 2:
         return terms[0][0] if terms[0] else ONE
     bound = 0
-    low, high_exp = inf, -inf  # the sum's lowest exponent; its top one + 1
-    odd = packed_signed = False  # a factor of stride 1; a mixed-sign factor
-    signs = parities = 0  # bit 1 (2): a term of sign + (-); of even (odd) valuation
-    shapes = []  # per term: (valuation, negated)
+    low, high = inf, -inf  # the sum's lowest exponent; its top one + 1
+    odd = signed = False  # a factor of stride 1; one with a negative coefficient
+    parities = 0  # bit 1 (2): a term of even (odd) valuation
+    vals = []
     for term in terms:
         val = 0
         span = top = nonzeros = 1
-        negated = False
         for f in term:
-            f_low, f_high, f_stride, _, count, magnitude = _kron_memo(f)
+            f_low, f_stride, _, count, magnitude = _kron_memo(f)
             # each coefficient of the chain so far times f is a sum of at
             # most min(nonzeros, count) products, each at most top * max|f|
             top *= magnitude * (count if count < nonzeros else nonzeros)
@@ -402,58 +416,42 @@ def sum_of_products(terms) -> LaurentPoly:
             if f_stride == 1:
                 odd = True
             if f_low < 0:
-                if f_high > 0:
-                    packed_signed = True
-                else:
-                    negated = not negated
+                signed = True
         bound += top
-        signs |= 2 if negated else 1
         parities |= 2 if val & 1 else 1
         if val < low:
             low = val
-        if val + span > high_exp:
-            high_exp = val + span
-        shapes.append((val, negated))
-    if not shapes:
+        if val + span > high:
+            high = val + span
+        vals.append(val)
+    if not vals:
         return ZERO
-    signed = packed_signed or signs == 3
     stride = 1 if odd or parities == 3 else 2
     k = (bound.bit_length() + signed + 7) // 8
-    fmt = pack_fmt = None
     if k <= 8:
-        # the array types of 1, 2, 4 or 8 bytes holding k; k becomes their size
-        index = (k - 1).bit_length()
-        fmt = ("bhiq" if signed else "BHIQ")[index]
-        pack_fmt = ("bhiq" if packed_signed else "BHIQ")[index]
-        k = _WORD_BYTES[index]
-    # unsigned packs hold absolute values: a term's product takes its sign
-    # here when the terms differ in sign, and the sum's at the end otherwise
-    flip = signed and not packed_signed
+        k = 1 << (k - 1).bit_length()  # a machine word: 1, 2, 4 or 8 bytes
     total = 0
-    layout = (k, stride, packed_signed)
-    for term, (val, negated) in zip(terms, shapes):
+    layout = (k, stride)
+    for term, val in zip(terms, vals):
         product = 1
         for f in term:
-            packed = f._kron[3].get(layout)
+            packed = f._kron[2].get(layout)
             if packed is None:
-                packed = _packed(f, k, stride, packed_signed, pack_fmt)
+                packed = _packed(f, k, stride)
             product *= packed
-        if flip and negated:
-            product = -product
         total += product << (8 * k * ((val - low) // stride))
-    length = high_exp - low  # exponents from low to the top of the sum
+    length = high - low  # exponents from low to the top of the sum
     slots = (length - 1) // stride + 1
     if signed:
         bias = _bias(k, slots)
         total = (total + bias) ^ bias
     data = total.to_bytes(k * slots, _ORDER)
+    fmt = _WORD_TYPES.get((k, signed))
     if fmt:
         out = array(fmt, data).tolist()
     else:
         out = [int.from_bytes(data[i : i + k], _ORDER, signed=signed)
                for i in range(0, k * slots, k)]
-    if signs == 2 and not signed:
-        out = list(map(neg, out))
     if stride == 2:
         # a sum of products of polynomials in x^2 is one too
         full = [0] * length
@@ -462,42 +460,42 @@ def sum_of_products(terms) -> LaurentPoly:
     return _from_coeffs(low, out)
 
 
-# the sizes of the array types "BHIQ" (and "bhiq"): 1, 2, 4 and 8 bytes
-_WORD_BYTES = [array(t).itemsize for t in "BHIQ"]
+# the array types of machine-word slots by (bytes, signed): "B" is (1, False)
+_WORD_TYPES = {(array(t).itemsize, t.islower()): t for t in "BHIQbhiq"}
 
 
 def _kron_memo(p: LaurentPoly) -> tuple:
-    """p's Kronecker memo (low, high, stride, packs, nonzeros, magnitude),
-    made from p alone when p is first a Kronecker factor: its smallest and
-    largest coefficient, 2 if every odd offset of its list is zero (a
-    polynomial in x^2 times a monomial) and 1 otherwise, a dict
-    {(k, stride, signed): packed int} that _packed fills, its count of
-    nonzero coefficients and its largest absolute value."""
+    """p's Kronecker memo (low, stride, packs, nonzeros, magnitude), made
+    from p alone when p is first a Kronecker factor: its smallest
+    coefficient, 2 if every odd offset of its list is zero (a polynomial
+    in x^2 times a monomial) and 1 otherwise, a dict {(k, stride): packed
+    int} that _packed fills, its count of nonzero coefficients and its
+    largest absolute value."""
     try:
         return p._kron
     except AttributeError:
         c = p._coeffs
         low, high = min(c), max(c)
-        memo = p._kron = (low, high, 1 if any(c[1::2]) else 2, {},
+        memo = p._kron = (low, 1 if any(c[1::2]) else 2, {},
                           len(c) - c.count(0), high if high > -low else -low)
         return memo
 
 
-def _packed(p: LaurentPoly, k: int, stride: int, signed: bool, fmt) -> int:
+def _packed(p: LaurentPoly, k: int, stride: int) -> int:
     """sum of c_i * 2^(8ki) over p's coefficients c_i at offsets 0, stride,
-    2 stride, ...: their k-byte slots read as one int, kept in p's memo
-    under (k, stride, signed), where sum_of_products looks for it before
-    it calls this, so p is packed once per layout.
+    2 stride, ...: p evaluated at X = 2^(8k), kept in p's memo under
+    (k, stride), where sum_of_products looks for it before it calls this,
+    so p is packed once per layout.
 
-    Unsigned slots hold the absolute values of a sign-uniform p's
-    coefficients.  Signed slots hold two's complement, read as one
-    unsigned int with each slot's bias added by XOR and then subtracted.
-    fmt is the array type for a machine-word k, else None.
+    A nonnegative p is packed in unsigned slots, any other p in two's
+    complement, read as one unsigned int with each slot's bias added by
+    XOR and then subtracted.  Either way the int is the same evaluation,
+    so a sum read back from either kind of slot may use it.
     """
-    _, high, _, packs, _, _ = p._kron
+    low, _, packs, _, _ = p._kron
+    signed = low < 0
     coeffs = p._coeffs if stride == 1 else p._coeffs[::stride]
-    if high <= 0 and not signed:
-        coeffs = list(map(neg, coeffs))
+    fmt = _WORD_TYPES.get((k, signed))
     if fmt:
         data = array(fmt, coeffs).tobytes()
     else:
@@ -506,7 +504,7 @@ def _packed(p: LaurentPoly, k: int, stride: int, signed: bool, fmt) -> int:
     if signed:
         bias = _bias(k, len(coeffs))
         packed = (packed ^ bias) - bias
-    packs[k, stride, signed] = packed
+    packs[k, stride] = packed
     return packed
 
 

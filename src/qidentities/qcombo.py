@@ -28,7 +28,7 @@ from itertools import accumulate
 from operator import neg, sub
 
 from .errors import DivisionByZero, NotDivisible
-from .laurent import ONE, ZERO, LaurentPoly, RationalFunction, _from_coeffs
+from .laurent import ONE, ZERO, LaurentPoly, RationalFunction, _as_int, _from_coeffs
 
 
 class QFactored(namedtuple("QFactored", "sign x_power factors")):
@@ -45,6 +45,7 @@ class QFactored(namedtuple("QFactored", "sign x_power factors")):
     __slots__ = ()
 
     def __new__(cls, sign=1, x_power=0, factors=None):
+        sign = _as_int(sign, "sign")
         if sign not in (1, -1, 0):
             raise ValueError("sign must be +1, -1 or 0")
         if not sign:
@@ -52,11 +53,12 @@ class QFactored(namedtuple("QFactored", "sign x_power factors")):
         cleaned = {}
         if factors:
             for e, m in factors.items():
+                e, m = _as_int(e, "factor exponent"), _as_int(m, "multiplicity")
                 if e < 1:
                     raise ValueError("factor exponents must be >= 1")
                 if m:
-                    cleaned[int(e)] = int(m)
-        return tuple.__new__(cls, (sign, int(x_power), cleaned))
+                    cleaned[e] = m
+        return tuple.__new__(cls, (sign, _as_int(x_power, "x_power"), cleaned))
 
     @property
     def zero(self) -> bool:

@@ -32,7 +32,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InvalidHypothesis
-from .laurent import ONE, ZERO, LaurentPoly, sum_of_products
+from .laurent import ONE, ZERO, LaurentPoly, _as_int, sum_of_products
 from .qcombo import q_binomial, q_binomial_signed
 
 
@@ -43,7 +43,8 @@ class PartitionedIndex(namedtuple("PartitionedIndex", "parts mults")):
     __slots__ = ()
 
     def __new__(cls, parts, mults):
-        parts, mults = tuple(map(int, parts)), tuple(map(int, mults))
+        parts = tuple([_as_int(n, "parts") for n in parts])
+        mults = tuple([_as_int(k, "mults") for k in mults])
         if len(parts) != len(mults):
             raise ValueError("parts and mults must have equal length")
         if any(k < 1 for k in mults):

@@ -72,6 +72,37 @@ def test_phi_series_shape_check():
         PhiSeries(upper=(2, 2), lower=(2, 2), z_exp=2)
 
 
+@pytest.mark.parametrize("upper, lower, z_exp, field", [
+    ((-2.5, 1, 1), (3, 5), 2, "upper"),
+    ((-2, 1, 1), (3, 5.5), 2, "lower"),
+    ((-2, 1, 1), (3, 5), 2.5, "z_exp"),
+    ((-2, "1", 1), (3, 5), 2, "upper"),
+])
+def test_phi_series_refuses_non_integral_exponents(upper, lower, z_exp, field):
+    # PhiSeries((-2.5, 1, 1), (3, 5), 2.5) would otherwise be the series
+    # with upper (-2, 1, 1) and z_exp 2, which terminates at N = 1
+    with pytest.raises(ValueError, match="%s must be an integer" % field):
+        PhiSeries(upper, lower, z_exp)
+
+
+@pytest.mark.parametrize("params, field", [
+    ((1.5, 3, 5, 2), "a_exp"),
+    ((1, 3.5, 5, 2), "b_exp"),
+    ((1, 3, 5.5, 2), "c_exp"),
+    ((1, 3, 5, 2.5), "N"),
+    ((1, 3, 5, None), "N"),
+])
+def test_saalschutz_instance_refuses_non_integral_parameters(params, field):
+    # SaalschutzInstance(1.5, 3, 5, 2).lhs_series() would otherwise have the
+    # lower parameters (5, -2)
+    with pytest.raises(ValueError, match="%s must be an integer" % field):
+        SaalschutzInstance(*params)
+    # values equal to ints are those ints, and the series is the int one's
+    inst = SaalschutzInstance(1.0, 3, 5.0, 2)
+    assert tuple(map(type, inst)) == (int,) * 4
+    assert inst.lhs_series() == SaalschutzInstance(1, 3, 5, 2).lhs_series()
+
+
 def test_phi_requires_termination():
     with pytest.raises(NonTerminating):
         phi_evaluate(PhiSeries(upper=(2, 4, 3), lower=(6, 6), z_exp=2))

@@ -67,6 +67,16 @@ def test_zero_coefficients_dropped():
     assert lp({0: 0}).is_zero()
 
 
+@pytest.mark.parametrize("exponent", [0.5, -2.5, "1", None, float("inf")])
+def test_constructor_refuses_non_integral_exponents(exponent):
+    # an exponent must equal an int: 0.5 is not truncated to 0
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        LaurentPoly({exponent: 1, 3: 2})
+    # one that equals an int is that int
+    p = LaurentPoly({2.0: 5, 3: 1})
+    assert p == lp({2: 5, 3: 1}) and type(p.valuation()) is int
+
+
 def test_add_cancellation():
     assert lp({1: 1, 0: 1}) + lp({1: -1, 0: 1}) == lp({0: 2})
     p = lp({5: 3, -2: 1})
@@ -377,7 +387,7 @@ def test_kronecker_selection(monkeypatch):
     assert a16 * b17 == convolve(a16, b17)
     assert calls == [KRONECKER_MIN_PRODUCTS, 16 * 17]
     # each operand's memo holds its own nonzero count and largest magnitude
-    assert a16._kron[4:] == (16, 106) and b17._kron[4:] == (17, 115)
+    assert a16._kron[3:] == (16, 106) and b17._kron[3:] == (17, 115)
     # same term count, but the product span exceeds half the term products
     sparse = alternating(0, 160, 10)
     assert sparse * sparse == convolve(sparse, sparse)
@@ -388,42 +398,48 @@ def test_kronecker_selection(monkeypatch):
 def test_kronecker_slot_width_boundaries(monkeypatch, k):
     # 32 x 32 equal coefficients c: the middle product coefficient is
     # 32 c^2, exactly the bound.  The largest c with 32 c^2 < 2^(8k-1)
-    # packs into k-byte slots with the middle slot near its top; c + 1
-    # needs the next width (9 bytes: the path beyond machine words).
+    # reads back from biased k-byte slots with the middle slot near its
+    # top; c + 1 needs the next width (9 bytes: the path beyond machine
+    # words).  Both fit unsigned k-byte slots, which serve the product of
+    # two nonnegative operands.
     packed = spy_packing(monkeypatch)
     top = 1 << (8 * k - 1)
     c = isqrt((top - 1) // 32)
     for coeff, width in ((c, k), (c + 1, {1: 2, 2: 4, 4: 8, 8: 9}[k])):
         assert (32 * coeff * coeff < top) is (width == k)
+        assert 32 * coeff * coeff < 2 * top
         a = lp({e: coeff for e in range(-40, -8)})
         b = lp({e: coeff for e in range(5, 37)})
         alternating = lp({e: coeff * (-1) ** e for e in range(5, 37)})
         packed.clear()
-        for other in (b, -b, alternating):
+        check_product(a, b)
+        assert set(packed) == {("unsigned", k)}
+        # a factor with a negative coefficient: biased slots, one bit wider
+        for other in (-b, alternating):
+            packed.clear()
             check_product(a, other)
-        # only the mixed-sign product takes the biased slots
-        assert {k for path, k in packed if path == "signed"} == {width}
+            assert set(packed) == {("unsigned", width), ("signed", width)}
         assert max((a * b).terms.values()) == 32 * coeff * coeff
         assert min((a * -b).terms.values()) == -32 * coeff * coeff
 
 
 def memo_keys(p):
-    """The (slot width, stride, signed) layouts p's Kronecker memo holds
-    packs for."""
-    return set(p._kron[3])
+    """The (slot width, stride) layouts p's Kronecker memo holds packs for."""
+    return set(p._kron[2])
 
 
 def spy_packing(monkeypatch):
     """Record ("signed" or "unsigned", slot width) per operand pack the
-    Kronecker kernel builds; a pack found in the operand's memo is not
+    Kronecker kernel builds: two's complement for an operand with a
+    negative coefficient, unsigned for any other.  The kernel packs only
+    for a layout the operand's memo lacks, so a reused pack is not
     recorded."""
     packed = []
     pack = laurent._packed
 
-    def spy(p, k, stride, signed, fmt):
-        if (k, stride, signed) not in memo_keys(p):
-            packed.append(("signed" if signed else "unsigned", k))
-        return pack(p, k, stride, signed, fmt)
+    def spy(p, k, stride):
+        packed.append(("signed" if min(p._coeffs) < 0 else "unsigned", k))
+        return pack(p, k, stride)
 
     monkeypatch.setattr(laurent, "_packed", spy)
     return packed
@@ -435,20 +451,25 @@ def test_unsigned_slot_width_boundaries(monkeypatch, k):
     # (2^8 = 1 mod 17), so 17 ones times 17 copies of (2^(8k) - 1) / 17
     # give a middle coefficient of exactly 2^(8k) - 1, the top of a k-byte
     # unsigned slot; 16 ones times 16 copies of 2^(8k - 4) give 2^(8k),
-    # which needs the next width (9 bytes: the path beyond machine words)
+    # which needs the next width (9 bytes: the path beyond machine words).
+    # A nonpositive operand reads back from biased slots, one bit wider:
+    # the next width at both bounds.
     packed = spy_packing(monkeypatch)
     top = 1 << (8 * k)
-    cases = (
-        (17, (top - 1) // 17, top - 1, k),
-        (16, top // 16, top, {1: 2, 2: 4, 4: 8, 8: 9}[k]),
-    )
+    wider = {1: 2, 2: 4, 4: 8, 8: 9}[k]
+    cases = ((17, (top - 1) // 17, top - 1, k), (16, top // 16, top, wider))
     for size, coeff, bound, width in cases:
         ones = lp({e: 1 for e in range(-30, -30 + size)})
         b = lp({e: coeff for e in range(7, 7 + size)})
-        for x, y in ((ones, b), (-ones, b), (ones, -b), (-ones, -b)):
+        for x, y, expected in (
+            (ones, b, {("unsigned", width)}),
+            (-ones, b, {("signed", wider), ("unsigned", wider)}),
+            (ones, -b, {("unsigned", wider), ("signed", wider)}),
+            (-ones, -b, {("signed", wider)}),
+        ):
             packed.clear()
             check_product(x, y)
-            assert set(packed) == {("unsigned", width)}
+            assert set(packed) == expected
         assert max((ones * b).terms.values()) == bound
         assert min((ones * -b).terms.values()) == -bound
         assert max((-ones * -b).terms.values()) == bound
@@ -456,35 +477,42 @@ def test_unsigned_slot_width_boundaries(monkeypatch, k):
 
 def test_unsigned_slots_wider_than_machine_words(monkeypatch):
     packed = spy_packing(monkeypatch)
-    # 20 terms each, interior zeros in a, b nonpositive
+    # 20 terms each, interior zeros in a, b nonpositive; a 184-bit bound
+    # fills 23 unsigned bytes, and biased slots need a 24th
     a = lp({e: 2**100 + e for e in range(0, 40, 2)})
     b = lp({e: -(3**50) - e for e in range(-5, 15)})
-    width = (((2**100 + 38) * (3**50 + 14) * 20).bit_length() + 7) // 8
-    assert width > 8
-    for x, y in ((a, b), (-a, b), (a, -b), (-a, -b)):
+    bits = ((2**100 + 38) * (3**50 + 14) * 20).bit_length()
+    width, biased = (bits + 7) // 8, (bits + 8) // 8
+    assert 8 < width < biased
+    for x, y, expected in (
+        (a, -b, {("unsigned", width)}),
+        (a, b, {("unsigned", biased), ("signed", biased)}),
+        (-a, -b, {("signed", biased), ("unsigned", biased)}),
+        (-a, b, {("signed", biased)}),
+    ):
         packed.clear()
         check_product(x, y)
-        assert set(packed) == {("unsigned", width)}
+        assert set(packed) == expected
 
 
 def test_sign_uniform_operands_skip_pack(monkeypatch):
+    # each operand is packed by its own sign: a nonnegative one in unsigned
+    # slots, a nonpositive or mixed-sign one in two's complement, whatever
+    # the other operand is
     packed = spy_packing(monkeypatch)
     pos = lp({e: e + 1 for e in range(16)})
     # interior zeros: 20 terms spread over 58 and 39 exponents
     gappy = lp({e: 3 for e in range(0, 60, 3)})
     gappy_neg = lp({e: -(e + 21) for e in range(-20, 20, 2)})
     mixed = lp({e: (e + 1) * (-1) ** e for e in range(16)})
-    uniform = [pos, -pos, gappy, gappy_neg, -gappy_neg]
-    for x in uniform:
-        for y in uniform:
+    nonnegative = [pos, gappy, -gappy_neg]
+    negative = [-pos, gappy_neg, mixed]
+    for x in nonnegative + negative:
+        for y in nonnegative + negative:
             packed.clear()
             check_product(x, y)
-            assert packed and {path for path, _ in packed} == {"unsigned"}
-    for x in uniform:
-        for y, z in ((mixed, x), (x, mixed), (mixed, mixed)):
-            packed.clear()
-            check_product(y, z)
-            assert packed and {path for path, _ in packed} == {"signed"}
+            paths = {"unsigned" if p in nonnegative else "signed" for p in (x, y)}
+            assert {path for path, _ in packed} == paths
 
 
 @settings(max_examples=40, deadline=None)
@@ -595,10 +623,11 @@ def test_stride2_products(case, negate_a, negate_b, mixed):
     # slots are packed, at the width the bound needs, nonnegative, nonpositive
     # or of mixed signs
     width, a, b = case
-    signed = any(mixed)
+    signed = any(mixed) or negate_a or negate_b
     if signed:
-        # biased slots need one bit more than the bound: the same width, or
-        # the next one when the bound fills the top bit
+        # an operand with a negative coefficient: biased slots need one bit
+        # more than the bound, the same width, or the next one when the
+        # bound fills the top bit
         bound = max(a.terms.values()) * max(b.terms.values()) * 16
         if width <= 8 and bound >> (8 * width - 1):
             width = {1: 2, 2: 4, 4: 8, 8: 9}[width]
@@ -608,8 +637,8 @@ def test_stride2_products(case, negate_a, negate_b, mixed):
     a, b = cold(a), cold(b)
     assert a * b == convolve(a, b)
     for p in (a, b):
-        (k, stride, packed_signed), = memo_keys(p)
-        assert (stride, packed_signed) == (2, signed)
+        (k, stride), = memo_keys(p)
+        assert stride == 2
         assert k == width if width <= 8 else k > 8
 
 
@@ -624,7 +653,7 @@ def test_stride2_times_stride1(a, b, odd, negate):
     check_product(a, b)
     a, b = cold(a), cold(b)
     assert a * b == convolve(a, b)
-    assert {s for _, s, _ in memo_keys(a)} == {s for _, s, _ in memo_keys(b)} == {1}
+    assert {s for _, s in memo_keys(a)} == {s for _, s in memo_keys(b)} == {1}
 
 
 def test_one_value_packed_once_per_slot_width(monkeypatch):
@@ -640,7 +669,7 @@ def test_one_value_packed_once_per_slot_width(monkeypatch):
     # second round reuses every pack
     assert sorted(packed) == [("unsigned", 1), ("unsigned", 1),
                               ("unsigned", 8), ("unsigned", 8)]
-    assert memo_keys(a) == {(1, 2, False), (8, 2, False)}
+    assert memo_keys(a) == {(1, 2), (8, 2)}
 
 
 def test_memo_leaves_equality_hash_and_pickle_unchanged():
@@ -667,12 +696,15 @@ def test_mixed_sign_stride2_product_takes_the_signed_path(monkeypatch):
     # bound 20 * 20 * 20 = 8000 has 13 bits: with the sign bit, 2-byte slots
     check_product(a, b)
     # check_product multiplies cold copies three times: each is packed once,
-    # at stride 2 in biased slots, and the later products reuse the packs
-    assert packed == [("signed", 2), ("signed", 2)]
+    # at stride 2, a in two's complement and the nonnegative b unsigned, and
+    # the later products reuse the packs
+    assert packed == [("signed", 2), ("unsigned", 2)]
     a, b = cold(a), cold(b)
     assert a * b == convolve(a, b)
-    assert a._kron[:3] == (-20, 19, 2) and b._kron[:3] == (0, 20, 2)
-    assert memo_keys(a) == memo_keys(b) == {(2, 2, True)}
+    # (smallest coefficient, stride) and (nonzeros, largest magnitude)
+    assert a._kron[:2] == (-20, 2) and a._kron[3:] == (20, 20)
+    assert b._kron[:2] == (0, 2) and b._kron[3:] == (20, 20)
+    assert memo_keys(a) == memo_keys(b) == {(2, 2)}
 
 
 # -- sums of products: one Kronecker pack and unpack per sum --------------------
@@ -750,6 +782,22 @@ def test_sum_of_products_flipped_terms(terms, shift):
     check_sum(flipped)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["+", "-", "mixed"]).flatmap(kernel_factor), kernel_terms, kernel_terms)
+def test_value_shared_by_sums_of_every_sign_class(shared, first, second):
+    # one value, nonnegative, nonpositive or of mixed signs, is a factor of
+    # some terms in two sums whose other factors mix the three sign
+    # classes; its packs are kept in its memo and reused by the later sums
+    shared = cold(shared)
+    sums = [[(shared,) + term if i % 2 else term for i, term in enumerate(terms)]
+            + [(shared,)] for terms in (first, second)]
+    for _ in range(2):
+        for terms in sums:
+            got = sum_of_products(terms)
+            assert got == oracle_sum(terms)
+            assert_canonical(got)
+
+
 def test_sum_of_products_cancels_to_canonical_zero():
     a = lp({2 * e: e + 1 for e in range(-5, 15)})
     b = lp({2 * e + 1: 3 for e in range(12)})
@@ -811,24 +859,27 @@ def chain_sum(k, exact):
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
 def test_sum_of_products_slot_width_boundaries(monkeypatch, k):
-    # the bound sums the per-term chain bounds; at 2^(8k) - 1 the sum packs
-    # into k-byte unsigned slots with its middle slot full, at 2^(8k) it
-    # needs the next width (9 bytes: beyond machine words).  Terms of
-    # differing signs read the sum back from biased slots, one bit wider.
+    # the bound sums the per-term chain bounds; at 2^(8k) - 1 the sum of
+    # nonnegative factors packs into k-byte unsigned slots with its middle
+    # slot full, at 2^(8k) it needs the next width (9 bytes: beyond machine
+    # words).  A factor with a negative coefficient, in every term or in
+    # one, reads the sum back from biased slots, one bit wider: the next
+    # width at both bounds.
     packed = spy_packing(monkeypatch)
     wider = {1: 2, 2: 4, 4: 8, 8: 9}[k]
     for exact, width in ((True, k), (False, wider)):
         terms, bound = chain_sum(k, exact)
         assert bound == (1 << (8 * k)) - exact
-        for negate in (False, True):
+        for negate, expected in ((False, {("unsigned", width)}),
+                                 (True, {("signed", wider), ("unsigned", wider)})):
             signed_terms = [((-t[0],) + t[1:]) if negate else t for t in terms]
             packed.clear()
             total = check_sum(signed_terms)
-            assert set(packed) == {("unsigned", width)}
+            assert set(packed) == expected
             assert max(abs(c) for c in total.terms.values()) == bound
         packed.clear()
         check_sum([terms[0], (-terms[1][0],) + terms[1][1:]])
-        assert set(packed) == {("unsigned", wider)}
+        assert set(packed) == {("signed", wider), ("unsigned", wider)}
 
 
 def test_sum_of_products_wider_than_machine_words(monkeypatch):
@@ -853,7 +904,7 @@ def test_sum_of_products_stride():
                           ([(a, b), (odd, a)], 1)):
         terms = [tuple(cold(f) for f in term) for term in terms]
         assert sum_of_products(terms) == oracle_sum(terms)
-        assert {s for term in terms for f in term for _, s, _ in memo_keys(f)} == {stride}
+        assert {s for term in terms for f in term for _, s in memo_keys(f)} == {stride}
 
 
 def test_cached_q_binomial_packed_once_per_layout(monkeypatch):
@@ -866,10 +917,10 @@ def test_cached_q_binomial_packed_once_per_layout(monkeypatch):
     packs = []
     pack = laurent._packed
 
-    def spy(p, k, stride, signed, fmt):
-        if p is binom and (k, stride, signed) not in memo_keys(p):
-            packs.append((k, stride, signed))
-        return pack(p, k, stride, signed, fmt)
+    def spy(p, k, stride):
+        if p is binom:
+            packs.append((k, stride))
+        return pack(p, k, stride)
 
     monkeypatch.setattr(laurent, "_packed", spy)
     small = [lp({2 * e: 1 for e in range(n)}) for n in (3, 5, 7)]
@@ -884,6 +935,35 @@ def test_cached_q_binomial_packed_once_per_layout(monkeypatch):
     assert len(packs) == len(set(packs)) == 2
     assert memo_keys(binom) == set(packs)
     assert qcombo.q_binomial(20, 6) is binom
+
+
+def test_nonnegative_value_packed_once_for_both_read_backs(monkeypatch):
+    # a pack is the value at X = 2^(8k) whatever the sum's slots, so a
+    # nonnegative value packed for a sum read back from unsigned slots is
+    # reused by one read back from biased slots at the same (k, stride)
+    from qidentities import qcombo
+
+    binom = cold(qcombo.q_binomial(20, 6))
+    f = lp({2 * e: 1 for e in range(3)})
+    mixed = lp({0: 1, 2: -1, 4: 1})
+    # every bound here, at most 3 times binom's largest coefficient plus 3,
+    # has 12 bits: 2-byte slots, unsigned or with the sign bit
+    assert (3 * max(binom.terms.values()) + 3).bit_length() == 12
+    packed = spy_packing(monkeypatch)
+    sums = ([(binom, f)], [(binom, -f)], [(binom, mixed), (f,)], [(binom, f), (-f, f)])
+    for _ in range(2):
+        for terms in sums:
+            assert sum_of_products(terms) == oracle_sum(terms)
+    assert packed.count(("unsigned", 2)) == 2  # binom and f, once each
+    assert memo_keys(binom) == {(2, 2)}
+    # a factor with odd offsets makes a stride-1 sum at the same width: a
+    # second layout, which the stride-2 sums after it do not take for theirs
+    odd = lp({0: 1, 1: -1})
+    for _ in range(2):
+        for terms in sums + ([(binom, odd)],):
+            assert sum_of_products(terms) == oracle_sum(terms)
+    assert memo_keys(binom) == {(2, 2), (2, 1)}
+    assert packed.count(("unsigned", 2)) == 3
 
 
 @given(polys, nonzero_polys)

@@ -61,6 +61,22 @@ def test_pochhammer_values():
     assert q_pochhammer(-4, 3).zero
 
 
+@pytest.mark.parametrize("args, field", [
+    ((1, 0.5, {2: 1}), "x_power"),
+    ((1, 0, {2.7: 1}), "factor exponent"),
+    ((1, 0, {2: 1.9}), "multiplicity"),
+    ((1, 0.5, {2.7: 1.9}), "factor exponent"),
+    ((1.5, 0, {}), "sign"),
+])
+def test_qfactored_refuses_non_integral_fields(args, field):
+    # QFactored(1, 0.5, {2.7: 1.9}) would otherwise be (1, 0, {2: 1})
+    with pytest.raises(ValueError, match="%s must be an integer" % field):
+        QFactored(*args)
+    v = QFactored(-1.0, 2.0, {3.0: 2.0, 4: 0.0})
+    assert v == (-1, 2, {3: 2})
+    assert {type(n) for n in (v.sign, v.x_power, *v.factors, *v.factors.values())} == {int}
+
+
 def test_pochhammer_negative_count():
     with pytest.raises(ValueError):
         q_pochhammer(2, -1)

@@ -52,6 +52,20 @@ def test_index_validation():
         PartitionedIndex((0,), (1,))
 
 
+@pytest.mark.parametrize("parts, mults, field", [
+    ((2.5,), (1,), "parts"),
+    ((3, 1), (1, 1.5), "mults"),
+    (("2",), (1,), "parts"),
+])
+def test_index_refuses_non_integral_entries(parts, mults, field):
+    # PartitionedIndex((2.5,), (1,)) would otherwise have the parts (2,)
+    with pytest.raises(ValueError, match="%s must be an integer" % field):
+        PartitionedIndex(parts, mults)
+    idx = PartitionedIndex((3.0, 1), (2, 1.0))
+    assert idx == ((3, 1), (2, 1))
+    assert {type(n) for n in idx.parts + idx.mults} == {int}
+
+
 def test_fsumspec_validation():
     with pytest.raises(ValueError):
         FSumSpec(4, -1, 0)
