@@ -28,15 +28,20 @@ Verification records are line-delimited JSON, written in cell order as the
 cells finish and then a summary line.  The cells are generated as they run,
 each range read one value at a time, so no list of cells or of records is
 kept, a range may have any length, and an interrupted run keeps the
-records it wrote.  Each cell writes its own record as JSON text straight
-from its sides' coefficient lists, so with --jobs the workers do the
-encoding and the parent only tallies verdicts and writes lines.  The
-chunks are sized from the grid's cell count alone (_pooled): 16 cells
-first, then each twice the one before, up to CHUNK_CELLS and to the size
-that still gives each worker 16 chunks.  The parent keeps at most 4
-chunks per worker in flight, so its memory does not grow with the grid
-either, and an error, such as a closed stdout, ends the pool's workers,
-and no other process, instead of waiting for their chunks.
+records it wrote.  A cell is the tuple of its parameter values in the
+identity's params order, as the grid yields it and as eval and explain
+pass values to the registry.  Each cell writes its own record as JSON
+text straight from its sides' coefficient lists, so with --jobs the
+workers do the encoding and the parent only tallies verdicts and writes
+lines.  A worker receives the identity and the timing flag once per
+chunk, not once per cell, and the parent pairs each result with its
+cell's tuple from a second lazy walk of the grid.  The chunks are sized
+from the grid's cell count alone (_pooled): 16 cells first, then each
+twice the one before, up to CHUNK_CELLS and to the size that still gives
+each worker 16 chunks.  The parent keeps at most 4 chunks per worker in
+flight, so its memory does not grow with the grid either, and an error,
+such as a closed stdout, ends the pool's workers, and no other process,
+instead of waiting for their chunks.
 Records written to a file via --output carry a measured elapsed_ms
 field; on stdout it is omitted so that identical reruns are
 byte-identical.
@@ -213,32 +218,34 @@ def _cmd_eval(args, parser) -> int:
 # -- verify ----------------------------------------------------------------
 
 
-def _run_cell(cell, corrupt=False):
-    """Compute one grid cell.  Top-level so it pickles for worker pools.
+def _run_cell(identity, timing, values, corrupt=False):
+    """Compute one grid cell of the named identity.  Top-level so it
+    pickles for worker pools.
 
-    cell = (identity, params-dict, timing-flag).  Returns (equal, line):
-    the verdict and the cell's record as one JSON line in its final form,
+    values is the cell: the tuple of its parameter values in the
+    identity's params order, as _grid yields it; the record's params
+    object pairs them with their names.  Returns (equal, line): the
+    verdict and the cell's record as one JSON line in its final form,
     written as text straight from the sides' coefficient lists (to_json),
     so that a pool worker, not the parent, encodes it; or None for a
     cell that is not checked: one outside the identity's hypothesis, or a
     degenerate one.  With corrupt the left-hand side is perturbed before
-    the comparison, for --selftest-corrupt.  An ArithmeticError (two internal code paths
-    disagreeing), or a value the expansion kernel finds not polynomial
-    (NotDivisible), gives a failed record carrying the message under
-    "error", with null lhs and rhs; an OverflowError or a MemoryError (an
-    exponent too large to expand) propagates.  The measured elapsed_ms is
-    added only with the timing flag.
+    the comparison, for --selftest-corrupt.  An ArithmeticError (two
+    internal code paths disagreeing), or a value the expansion kernel
+    finds not polynomial (NotDivisible), gives a failed record carrying
+    the message under "error", with null lhs and rhs; an OverflowError or
+    a MemoryError (an exponent too large to expand) propagates.  The
+    measured elapsed_ms is added only with the timing flag.
     """
-    identity, params, timing = cell
     ident = IDENTITIES[identity]
-    if not ident.holds(*params.values()):
+    if not ident.holds(*values):
         return None
     start = time.perf_counter()
     try:
         # the closed form first: where it is degenerate, as a q-Saalschutz
         # denominator that vanishes, the series is never summed
-        rhs = ident.rhs(*params.values())
-        lhs = ident.lhs(*params.values())
+        rhs = ident.rhs(*values)
+        lhs = ident.lhs(*values)
     except Degenerate:
         # a lower-parameter Pochhammer symbol vanishes in range, and so does
         # a closed-form denominator: the series is undefined there, so the
@@ -266,7 +273,7 @@ def _run_cell(cell, corrupt=False):
     # the compact text json.dumps writes for the record, keys in this order
     return equal, '{"identity":"%s","params":{%s},"lhs":%s,"rhs":%s,"equal":%s%s}\n' % (
         identity,
-        ",".join(['"%s":%d' % kv for kv in params.items()]),
+        ",".join(['"%s":%d' % kv for kv in zip(ident.params, values)]),
         lhs_json,
         rhs_json,
         "true" if equal else "false",
@@ -283,14 +290,17 @@ def _run_cell(cell, corrupt=False):
 CHUNK_CELLS = 256
 
 
-def _run_chunk(cells):
-    """_run_cell over a list of cells, in order: one task for a pool worker."""
-    return [_run_cell(cell) for cell in cells]
+def _run_chunk(identity, timing, cells):
+    """_run_cell over a list of one identity's cells, in order: one task
+    for a pool worker, which receives the identity and the timing flag
+    once and each cell as its tuple of values."""
+    return [_run_cell(identity, timing, values) for values in cells]
 
 
-def _pooled(pool, cells, count, workers):
-    """_run_cell of each of the `count` cells, in cell order, run by the
-    pool of `workers` workers in chunks sized from the count alone.  The
+def _pooled(pool, identity, timing, cells, count, workers):
+    """_run_cell of each of the `count` cells, the named identity's value
+    tuples, in cell order, run by the pool of `workers` workers in chunks
+    sized from the count alone; each chunk is one _run_chunk task.  The
     first chunk holds min(16, limit) cells, so the first record of a long
     grid comes after 16 cells, and each later one twice the one before, up
     to the limit: CHUNK_CELLS, or fewer on a grid too small to give each
@@ -303,7 +313,7 @@ def _pooled(pool, cells, count, workers):
     window = 4 * workers
     pending = collections.deque()
     while chunk := list(itertools.islice(cells, size)):
-        pending.append(pool.submit(_run_chunk, chunk))
+        pending.append(pool.submit(_run_chunk, identity, timing, chunk))
         size = min(2 * size, limit)
         if len(pending) == window:
             yield from _result(pool, pending.popleft())
@@ -379,12 +389,11 @@ def _grid(ranges):
 def _cmd_verify(args, parser) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be an integer >= 1, got %d" % args.jobs)
-    names = IDENTITIES[args.identity].params
+    identity = args.identity
     # the axes in params order: their product, the last varying fastest,
-    # is the grid in canonical order
-    ranges = _params(args, parser, names, "--identity " + args.identity)
+    # is the grid in canonical order, and each of its tuples is one cell
+    ranges = _params(args, parser, IDENTITIES[identity].params, "--identity " + identity)
     timing = args.output is not None
-    cells = ((args.identity, dict(zip(names, v)), timing) for v in _grid(ranges))
     # from the bounds, as a range longer than sys.maxsize has no len()
     count = math.prod(r.stop - r.start for r in ranges)
     workers = min(args.jobs, _usable_cpus(), count)
@@ -405,22 +414,21 @@ def _cmd_verify(args, parser) -> int:
             others = set(multiprocessing.active_children())
             pool = ProcessPoolExecutor(max_workers=workers)
             stack.push(functools.partial(_close_pool, pool, others))
-            results = _pooled(pool, cells, count, workers)
+            results = _pooled(pool, identity, timing, _grid(ranges), count, workers)
         else:
-            results = map(_run_cell, cells)
+            results = map(functools.partial(_run_cell, identity, timing), _grid(ranges))
         # the results come in cell order, so stdout is independent of
-        # --jobs, and the first that is not None is the first cell that is
-        # not degenerate: the negative control reruns that cell here,
-        # perturbed, from the params its line carries
+        # --jobs, and a second walk of the grid pairs each with its cell;
+        # the first that is not None is the first cell that is not
+        # degenerate: the negative control reruns that cell here, perturbed
         corrupt = args.selftest_corrupt
-        for result in results:
+        for values, result in zip(_grid(ranges), results):
             if result is None:
                 tally["degenerate"] += 1
                 continue
             equal, line = result
             if corrupt:
-                cell = (args.identity, json.loads(line)["params"], timing)
-                (equal, line), corrupt = _run_cell(cell, corrupt=True), False
+                (equal, line), corrupt = _run_cell(identity, timing, values, corrupt=True), False
             tally["pass" if equal else "fail"] += 1
             out.write(line)
         summary = json.dumps(tally, separators=(",", ":"))

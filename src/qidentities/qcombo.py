@@ -206,8 +206,10 @@ def q_int(alpha: int) -> QFactored:
 
     Vanishes at alpha = 0 and is antisymmetric in alpha.  A ratio
     [a]_q / [b]_q is x**(b - a) (1 - x**(2a)) / (1 - x**(2b)), one
-    _product call.
+    _product call.  alpha is read as the int it equals (_as_int), so a
+    non-integral value raises ValueError naming it.
     """
+    alpha = _as_int(alpha, "alpha")
     return _product((2 * alpha,), -alpha, -1)
 
 
@@ -217,7 +219,10 @@ def q_pochhammer(t: int, m: int) -> QFactored:
     The base parameter is restricted to the monomial x**t; m must be >= 0.
     The result is zero iff some t + 2j vanishes in range; otherwise an m
     no expansion could index (above sys.maxsize) raises OverflowError.
+    t and m are read as the ints they equal (_as_int), so a non-integral
+    value raises ValueError naming it.
     """
+    t, m = _as_int(t, "t"), _as_int(m, "m")
     if m < 0:
         raise ValueError("Pochhammer count must be >= 0")
     exps = range(t, t + 2 * m, 2)
@@ -236,8 +241,10 @@ def q_binomial_factored(n: int, k: int) -> QFactored:
     row is built on its short side, min(k, n - k).  Returns zero for k < 0
     and for 0 <= n < k.  The ratio typically carries negative
     multiplicities even though its value is polynomial; qf_expand divides
-    them out.
+    them out.  n and k are read as the ints they equal (_as_int), so a
+    non-integral value raises ValueError naming it.
     """
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if k < 0 or 0 <= n < k:
         return QFactored(0)
     if n < 0:
@@ -292,8 +299,12 @@ def q_binomial(n: int, k: int) -> LaurentPoly:
 
     [n choose k]_q = [n]_q [n-1]_q ... [n-k+1]_q / ([k]_q ... [1]_q) for
     0 <= k <= n, and the zero polynomial otherwise (negative arguments
-    included).  Always palindromic under x -> x^(-1).
+    included).  Always palindromic under x -> x^(-1).  On a cache miss n
+    and k are read as the ints they equal (_as_int), so a non-integral
+    value raises ValueError naming it, whatever the cache holds; a value
+    equal to an int finds that int's entry.
     """
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     return ZERO if n < 0 else q_binomial_signed(n, k)
 
 
@@ -318,8 +329,10 @@ def q_binomial_signed(n: int, k: int) -> LaurentPoly:
     [n, k] = [n, n - k], and min(k, -n - 1) for n < 0, by the reflection
     [n, k] = (-1)^k [k - n - 1, k].  The row below k is looked up in
     ascending order, so a cold row is built upward from [n, 0] = 1 in a
-    loop, and the stack depth does not grow with k.
+    loop, and the stack depth does not grow with k.  Arguments are read
+    as q_binomial reads them.
     """
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if k < 0 or 0 <= n < k:
         return ZERO
     if k == 0:

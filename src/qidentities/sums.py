@@ -66,12 +66,14 @@ class FSumSpec(namedtuple("FSumSpec", "D d1 k0")):
 
     D is the doubled first parameter (D = 2*d0), so half-integer d0 is
     representable; d1 is the weighted-sum target and k0 the total
-    multiplicity.
+    multiplicity.  Each is stored as the int it equals (laurent._as_int),
+    so a non-integral value raises ValueError naming its field.
     """
 
     __slots__ = ()
 
     def __new__(cls, D, d1, k0):
+        D, d1, k0 = _as_int(D, "D"), _as_int(d1, "d1"), _as_int(k0, "k0")
         if d1 < 0 or k0 < 0:
             raise ValueError("d1 and k0 must be nonnegative")
         return super().__new__(cls, D, d1, k0)

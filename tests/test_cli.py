@@ -174,12 +174,12 @@ def test_degenerate_saalschutz_cells_sum_no_series(monkeypatch):
         return original(value)
 
     monkeypatch.setattr(hypergeom, "qf_to_rational", spy)
-    assert cli._run_cell(("saalschutz", {"a": -2, "b": 1, "c": -2, "N": 3}, False)) is None
+    assert cli._run_cell("saalschutz", False, (-2, 1, -2, 3)) is None
     assert calls == []
     degenerate = 0
     for a, b, c, n in itertools.product(range(-3, 4), range(-3, 4), range(-3, 4), (1, 2, 3)):
         before = len(calls)
-        result = cli._run_cell(("saalschutz", {"a": a, "b": b, "c": c, "N": n}, False))
+        result = cli._run_cell("saalschutz", False, (a, b, c, n))
         if result is None:
             degenerate += 1
             assert len(calls) == before, (a, b, c, n)
@@ -220,12 +220,22 @@ def test_selftest_corrupt_perturbs_the_first_non_degenerate_cell(capsys, jobs):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_selftest_corrupt_reruns_the_first_checked_cell_from_its_record(
+def test_selftest_corrupt_reruns_the_first_checked_cell_from_its_tuple(
         monkeypatch, capsys, jobs):
     # (1, 1), (1, 2) and (2, 2) lie outside d0 > d1 >= 1; each cell, in a
     # worker at --jobs 2, finds that itself, so the control perturbs (2, 1)
-    # by rerunning it from the params its record carries
-    monkeypatch.setattr("qidentities.cli._usable_cpus", lambda: 2)
+    # by rerunning the tuple its result is paired with: no record is parsed
+    import types
+
+    import qidentities.cli as cli
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("verify parsed a record")
+
+    proxy = types.ModuleType("json")
+    proxy.__dict__.update(json.__dict__, loads=no_parse)
+    monkeypatch.setattr(cli, "json", proxy)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     rc, out = run(
         capsys, "verify", "--identity", "thm1", "--d0", "1..3", "--d1", "1..2",
         "--selftest-corrupt", "--jobs", jobs,
@@ -294,14 +304,14 @@ def test_equal_polynomial_sides_are_encoded_once(monkeypatch, capsys):
     monkeypatch.setattr(
         LaurentPoly, "to_json", lambda self: encoded.append(self) or to_json(self)
     )
-    equal, line = cli._run_cell(("thm2", {"d1": 2, "d2": 3}, False))
+    equal, line = cli._run_cell("thm2", False, (2, 3))
     record = json.loads(line)
     assert equal is record["equal"] is True and len(encoded) == 1
     assert line.endswith("}\n") and line.count("\n") == 1
     assert record["lhs"] == record["rhs"]
     # an unequal cell encodes each side on its own
     encoded.clear()
-    equal, line = cli._run_cell(("thm2", {"d1": 2, "d2": 3}, False), corrupt=True)
+    equal, line = cli._run_cell("thm2", False, (2, 3), corrupt=True)
     assert equal is False and len(encoded) == 2
     rhs = theorem2_rhs(2, 3)
     assert json.loads(line)["rhs"] == rhs.to_pairs() == record["rhs"]
@@ -356,7 +366,7 @@ RECORD_CELLS = [
 def test_record_line_is_the_dict_records_dump(identity, params, corrupt):
     import qidentities.cli as cli
 
-    equal, line = cli._run_cell((identity, params, False), corrupt=corrupt)
+    equal, line = cli._run_cell(identity, False, tuple(params.values()), corrupt=corrupt)
     assert equal is not corrupt
     assert line == dict_record_line(identity, params, corrupt=corrupt)
 
@@ -371,7 +381,7 @@ def test_failed_record_line_escapes_its_message(monkeypatch):
 
     monkeypatch.setattr(cli, "theorem2_lhs", disagree)
     params = {"d1": 2, "d2": 3}
-    equal, line = cli._run_cell(("thm2", params, False))
+    equal, line = cli._run_cell("thm2", False, tuple(params.values()))
     assert equal is False
     error = "ArithmeticError: " + message
     assert line == dict_record_line("thm2", params, error=error)
@@ -386,7 +396,7 @@ def test_timed_record_line_is_the_dict_records_dump(monkeypatch, identity, param
 
     clock = iter([100.0, 100.0421])
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
-    _, line = cli._run_cell((identity, params, True))
+    _, line = cli._run_cell(identity, True, tuple(params.values()))
     elapsed_ms = int((100.0421 - 100.0) * 1000)
     assert line == dict_record_line(identity, params, elapsed_ms=elapsed_ms)
     assert json.loads(line)["elapsed_ms"] == 42
@@ -1558,9 +1568,9 @@ def test_verify_small_grid_is_spread_over_the_workers(monkeypatch, capsys, cells
     submitted = []
 
     class RecordingPool(SerialPool):
-        def submit(self, fn, chunk):
+        def submit(self, fn, identity, timing, chunk):
             submitted.append(len(chunk))
-            return super().submit(fn, chunk)
+            return super().submit(fn, identity, timing, chunk)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
@@ -1569,6 +1579,38 @@ def test_verify_small_grid_is_spread_over_the_workers(monkeypatch, capsys, cells
                   "--c", "1", "--N=-%d..-1" % cells, "--jobs", str(jobs))
     assert (rc, out) == (0, '{"pass":0,"fail":0,"degenerate":%d}\n' % cells)
     assert submitted == sizes
+
+
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
+def test_pool_task_carries_the_identity_and_timing_once(tmp_path, monkeypatch, capsys, output):
+    # each task is _run_chunk(identity, timing, cells): the identity and
+    # the timing flag once, and each cell as its tuple of ints in params
+    # order, so the chunks together are the grid
+    import qidentities.cli as cli
+
+    tasks = []
+
+    class RecordingPool(SerialPool):
+        def submit(self, fn, *args):
+            tasks.append((fn, args))
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv = ["verify", "--identity", "thm1", "--d0", "1..6", "--d1", "1..5", "--jobs", "2"]
+    if output:
+        argv += ["--output", str(tmp_path / "report.jsonl")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(tasks) == 30
+    cells = []
+    for fn, args in tasks:
+        assert fn is cli._run_chunk
+        identity, timing, chunk = args
+        assert (identity, timing) == ("thm1", output)
+        assert all(type(v) is tuple and [type(x) for x in v] == [int, int] for v in chunk)
+        cells += chunk
+    assert cells == [(d0, d1) for d0 in range(1, 7) for d1 in range(1, 6)]
 
 
 @pytest.mark.parametrize("cells, workers, sizes", [
@@ -1586,8 +1628,8 @@ def test_pooled_chunks_follow_the_cell_count(monkeypatch, cells, workers, sizes)
     submitted, unread = [], []
 
     class CountingPool(SerialPool):
-        def submit(self, fn, chunk):
-            future = super().submit(fn, chunk)
+        def submit(self, fn, identity, timing, chunk):
+            future = super().submit(fn, identity, timing, chunk)
             submitted.append(len(chunk))
             unread.append(future)
             read = future.result
@@ -1600,8 +1642,10 @@ def test_pooled_chunks_follow_the_cell_count(monkeypatch, cells, workers, sizes)
             assert len(unread) <= 4 * workers
             return future
 
-    monkeypatch.setattr(cli, "_run_cell", lambda cell: cell)
-    results = list(cli._pooled(CountingPool(workers), iter(range(cells)), cells, workers))
+    monkeypatch.setattr(cli, "_run_cell", lambda identity, timing, values: values)
+    results = list(
+        cli._pooled(CountingPool(workers), "thm2", False, iter(range(cells)), cells, workers)
+    )
     assert results == list(range(cells))
     assert unread == []
     assert submitted == sizes
@@ -1615,9 +1659,9 @@ def test_verify_growing_chunks_with_a_real_pool_same_stdout(monkeypatch, capsys)
     sizes = []
 
     class RecordingPool(ForkedPool):
-        def submit(self, fn, chunk):
+        def submit(self, fn, identity, timing, chunk):
             sizes.append(len(chunk))
-            return super().submit(fn, chunk)
+            return super().submit(fn, identity, timing, chunk)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)

@@ -77,6 +77,42 @@ def test_qfactored_refuses_non_integral_fields(args, field):
     assert {type(n) for n in (v.sign, v.x_power, *v.factors, *v.factors.values())} == {int}
 
 
+BUILDER_ARGS = [
+    # (builder, a non-integral call, the argument it names, a call with a
+    # float equal to an int)
+    (q_int, (2.5,), "alpha", (4.0,)),
+    (q_pochhammer, (2.5, 2), "t", (4.0, 2)),
+    (q_pochhammer, (1, 2.5), "m", (1, 4.0)),
+    (q_binomial_factored, (2.5, 1), "n", (4.0, 2)),
+    (q_binomial_factored, (4, 2.5), "k", (6, 4.0)),
+    (q_binomial, (-2.5, 1), "n", (4.0, 2)),
+    (q_binomial, (4, 1.5), "k", (4, 2.0)),
+    (q_binomial_signed, (2.5, 1), "n", (-4.0, 2)),
+    (q_binomial_signed, (4, 1.5), "k", (4.0, 2)),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize(
+    "builder, bad, field, good", BUILDER_ARGS,
+    ids=["%s-%s" % (case[0].__name__, case[2]) for case in BUILDER_ARGS],
+)
+def test_q_symbol_builders_read_their_arguments_as_ints(builder, bad, field, good, warm):
+    # read as given, q_int(0.5) would be a QFactored with x_power -0.5,
+    # q_binomial(-2.5, 1) would be 0, and q_binomial_signed(4.0, 2) would
+    # raise TypeError on a cold cache but give [4, 2] on a warm one
+    exact = tuple(int(v) for v in good)
+    if warm:
+        builder(*[int(v) for v in bad])
+        builder(*exact)
+    with pytest.raises(ValueError, match="%s must be an integer, got" % field):
+        builder(*bad)
+    value = builder(*good)
+    assert value == builder(*exact)
+    if isinstance(value, QFactored):
+        assert {type(n) for n in (value.sign, value.x_power, *value.factors)} == {int}
+
+
 def test_pochhammer_negative_count():
     with pytest.raises(ValueError):
         q_pochhammer(2, -1)

@@ -73,6 +73,21 @@ def test_fsumspec_validation():
         FSumSpec(4, 0, -1)
 
 
+@pytest.mark.parametrize("args, field", [
+    ((2.5, 3, 2), "D"),
+    ((4, 3.5, 2), "d1"),
+    ((4, 3, "2"), "k0"),
+])
+def test_fsumspec_refuses_non_integral_fields(args, field):
+    # stored as given, FSumSpec(2.5, 3, 2) would make f_recursive fail
+    # with a TypeError deep in the recursion
+    with pytest.raises(ValueError, match="%s must be an integer" % field):
+        FSumSpec(*args)
+    spec = FSumSpec(4.0, 3.0, 2.0)
+    assert spec == (4, 3, 2) and {type(v) for v in spec} == {int}
+    assert f_recursive(spec) == f_enumerated(spec) == f_enumerated(FSumSpec(4, 3, 2))
+
+
 # -- enumeration -------------------------------------------------------------------
 
 
