@@ -1,10 +1,14 @@
 """Command-line front end: single evaluations, grid verification, traces.
 
 Every identity the tool checks is one entry of IDENTITIES: its parameter
-names (flag, grid-axis and JSON-key order), its hypothesis, both sides, and
-the summands that explain lists.  eval, verify and explain all dispatch
-through that registry and take every identity in it, each with one flag
-per parameter of any identity, so adding an identity is one entry.  A side
+names (flag, grid-axis and JSON-key order) and its hypothesis, both taken
+from its errors.HYPOTHESES statement, both sides, and the summands that
+explain lists.  eval, verify and explain all dispatch through that
+registry and take every identity in it, each with one flag per parameter
+of any identity, so adding an identity is one HYPOTHESES statement and
+one entry.  eval refuses values outside the hypothesis with
+errors.require, the check the theorems' sides make themselves, so eval,
+explain and eval --kind nlog give one message for them.  A side
 or summand is a LaurentPoly, or for a series an unreduced RationalFunction,
 and both render in every --format style.
 
@@ -70,7 +74,7 @@ import sys
 import time
 
 from .closed_forms import SURFACE_TAGS, nlog_value, prop3_rhs, theorem1_rhs, theorem2_rhs
-from .errors import Degenerate, InvalidHypothesis, NotDivisible, QIdentitiesError
+from .errors import HYPOTHESES, Degenerate, NotDivisible, QIdentitiesError, require
 from .hypergeom import SaalschutzInstance, phi_evaluate, saalschutz_rhs, series_terms
 from .laurent import ONE, LaurentPoly, RationalFunction
 from .qcombo import q_binomial, q_int, qf_expand, qf_to_rational
@@ -90,12 +94,13 @@ _STYLE = {"text": "plain", "json": "json", "latex": "latex"}
 
 
 class Identity(collections.namedtuple("Identity", "params holds lhs rhs terms")):
-    """One registry entry.  params is the tuple of parameter names; holds,
-    lhs, rhs and terms take the parameter values in params order.  holds
-    is the hypothesis, checked by each grid cell before it computes either
-    side and used to reject eval of either side outside it; terms yields
-    explain's (label, summand) pairs, whose summands add up to the
-    left-hand side."""
+    """One registry entry.  params, the tuple of parameter names, and
+    holds, the hypothesis, are the identity's errors.HYPOTHESES entry;
+    holds, lhs, rhs and terms take the parameter values in params order.
+    Each grid cell checks holds before it computes either side, and eval
+    rejects values outside it with errors.require, the check the
+    theorems' sides make themselves; terms yields explain's (label,
+    summand) pairs, whose summands add up to the left-hand side."""
 
     __slots__ = ()
 
@@ -113,36 +118,33 @@ def _saalschutz_terms(a, b, c, N):
         yield {"k": k}, qf_to_rational(term)
 
 
-# The entries look the library functions up in this module's globals at
-# call time, so patching e.g. cli.theorem2_lhs (as a tracer or a test does)
-# reaches every subcommand.
+# Each entry's params and holds are its errors.HYPOTHESES entry.  The sides
+# look the library functions up in this module's globals at call time, so
+# patching e.g. cli.theorem2_lhs (as a tracer or a test does) reaches every
+# subcommand.
 IDENTITIES = {
     "thm1": Identity(
-        ("d0", "d1"),
-        holds=lambda d0, d1: d0 > d1 >= 1,
-        lhs=lambda d0, d1: theorem1_lhs(d0, d1),
-        rhs=lambda d0, d1: theorem1_rhs(d0, d1),
-        terms=lambda d0, d1: theorem1_terms(d0, d1),
+        *HYPOTHESES["thm1"],
+        lhs=lambda *values: theorem1_lhs(*values),
+        rhs=lambda *values: theorem1_rhs(*values),
+        terms=lambda *values: theorem1_terms(*values),
     ),
     "thm2": Identity(
-        ("d1", "d2"),
-        holds=lambda d1, d2: d1 >= 1 and d2 >= 1,
-        lhs=lambda d1, d2: theorem2_lhs(d1, d2),
-        rhs=lambda d1, d2: theorem2_rhs(d1, d2),
-        terms=lambda d1, d2: theorem2_terms(d1, d2),
+        *HYPOTHESES["thm2"],
+        lhs=lambda *values: theorem2_lhs(*values),
+        rhs=lambda *values: theorem2_rhs(*values),
+        terms=lambda *values: theorem2_terms(*values),
     ),
     "prop3": Identity(
-        ("D", "d1", "k0"),
-        holds=lambda D, d1, k0: D >= 1 and 1 <= k0 <= d1,
-        lhs=lambda D, d1, k0: prop3_lhs(D, d1, k0),
-        rhs=lambda D, d1, k0: prop3_rhs(D, d1, k0),
+        *HYPOTHESES["prop3"],
+        lhs=lambda *values: prop3_lhs(*values),
+        rhs=lambda *values: prop3_rhs(*values),
         terms=_prop3_terms,
     ),
     "saalschutz": Identity(
-        ("a", "b", "c", "N"),
-        holds=lambda a, b, c, N: N >= 0,
-        lhs=lambda a, b, c, N: phi_evaluate(SaalschutzInstance(a, b, c, N).lhs_series()),
-        rhs=lambda a, b, c, N: saalschutz_rhs(SaalschutzInstance(a, b, c, N)),
+        *HYPOTHESES["saalschutz"],
+        lhs=lambda *values: phi_evaluate(SaalschutzInstance(*values).lhs_series()),
+        rhs=lambda *values: saalschutz_rhs(SaalschutzInstance(*values)),
         terms=_saalschutz_terms,
     ),
 }
@@ -205,12 +207,7 @@ def _cmd_eval(args, parser) -> int:
         ident = IDENTITIES[name]
         chosen = "--kind %s --identity %s" % (kind, name)
         _, *values = _params(args, parser, ("identity", *ident.params), chosen)
-        if not ident.holds(*values):
-            raise InvalidHypothesis(
-                "outside the %s hypothesis: %s"
-                % (name, ", ".join("%s=%d" % p for p in zip(ident.params, values)))
-            )
-        value = (ident.lhs if kind == "lhs" else ident.rhs)(*values)
+        value = (ident.lhs if kind == "lhs" else ident.rhs)(*require(name, *values))
     print(value.render(_STYLE[args.format]))
     return 0
 

@@ -32,7 +32,7 @@ m_e, from the largest e down.
 
 from __future__ import annotations
 
-from .errors import InvalidHypothesis
+from .errors import require
 from .laurent import ONE, ZERO, LaurentPoly
 from .qcombo import _product, _q_binomial_row, q_binomial_factored, qf_expand_ratio
 
@@ -42,16 +42,14 @@ SURFACE_TAGS = ("dP1_04", "F0_04")
 def prop3_rhs(D: int, d1: int, k0: int) -> LaurentPoly:
     """Closed form of the refined sum:
     ([D]_q / [k0]_q) * qbinom(D - d1 + k0 - 1, k0 - 1) * qbinom(d1 - 1, k0 - 1),
-    where D is the doubled first parameter.  Requires 1 <= k0 <= d1 and D >= 1.
+    where D is the doubled first parameter.  D, d1 and k0 are read and
+    checked by errors.require("prop3", ...): 1 <= k0 <= d1 and D >= 1.
 
     The first binomial's top D - d1 + k0 - 1 can be negative for small D;
     it is taken in the generic-ratio (signed) convention, which is what
     makes the closed form valid for arbitrary positive D.
     """
-    if D < 1:
-        raise InvalidHypothesis("D must be >= 1")
-    if not 1 <= k0 <= d1:
-        raise InvalidHypothesis("requires 1 <= k0 <= d1")
+    D, d1, k0 = require("prop3", D, d1, k0)
     return _times_ratio(
         _product((2 * D,), k0 - D, den=(2 * k0,)),
         qf_expand_ratio(q_binomial_factored(D - d1 + k0 - 1, k0 - 1)),
@@ -86,11 +84,10 @@ def theorem1_rhs(d0: int, d1: int) -> LaurentPoly:
 
     The bracket ratio equals x**d0 + x**(-d0).  Also checks the
     generating-series spelling with qbinom(d0 + d1 - 1, d1 - 1), the other
-    side of the last binomial's row, as theorem2_rhs does.  Requires
-    d0 > d1 >= 1.
+    side of the last binomial's row, as theorem2_rhs does.  d0 and d1 are
+    read and checked by errors.require("thm1", ...): d0 > d1 >= 1.
     """
-    if d1 < 1 or d0 <= d1:
-        raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
+    d0, d1 = require("thm1", d0, d1)
     published = q_binomial_factored(d0 + d1 - 1, d0)
     value = _times_ratio(
         _product((4 * d0,), -d0, den=(2 * d0,)),
@@ -108,11 +105,11 @@ def theorem2_rhs(d1: int, d2: int) -> LaurentPoly:
     d2 - 1) squared, the other side of the same row: the factored binomial
     the value expands is compared with that side in factored form, which
     is exact (see the module docstring), after the value is expanded; a
-    disagreement raises ArithmeticError.  Requires d1 >= 1 and d2 >= 1
-    (the bracket [d2]_q vanishes at d2 = 0).
+    disagreement raises ArithmeticError.  d1 and d2 are read and checked
+    by errors.require("thm2", ...): d1 >= 1 and d2 >= 1 (the bracket
+    [d2]_q vanishes at d2 = 0).
     """
-    if d1 < 1 or d2 < 1:
-        raise InvalidHypothesis("theorem 2 requires d1 >= 1 and d2 >= 1")
+    d1, d2 = require("thm2", d1, d2)
     published = q_binomial_factored(d1 + d2 - 1, d1)
     bino = qf_expand_ratio(published)
     value = _times_ratio(_product((4 * d1 + 2 * d2,), -2 * d1, den=(2 * d2,)), bino, bino)
@@ -123,9 +120,10 @@ def theorem2_rhs(d1: int, d2: int) -> LaurentPoly:
 def nlog_value(surface: str, p: int, r: int) -> LaurentPoly:
     """The generating-series value for one of the two supported surfaces.
 
-    For "dP1_04" the arguments are (d0, d1) with d0 > d1 >= 1; for "F0_04"
-    they are (d1, d2) with both >= 1, as each theorem checks.  Each
-    theorem's closed form checks the published binomial spelling.
+    For "dP1_04" the arguments are thm1's (d0, d1), for "F0_04" thm2's
+    (d1, d2), read and checked as each theorem's closed form reads them
+    (errors.require).  Each theorem's closed form checks the published
+    binomial spelling.
     """
     if surface not in SURFACE_TAGS:
         raise ValueError("unknown surface tag: %r" % (surface,))

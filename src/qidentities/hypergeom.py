@@ -23,8 +23,8 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict, namedtuple
 
-from .errors import Degenerate, NonTerminating
-from .laurent import ONE, RationalFunction, _as_int
+from .errors import Degenerate, NonTerminating, _as_int
+from .laurent import ONE, RationalFunction
 from .qcombo import QFactored, _product, q_pochhammer, qf_expand, qf_mul, qf_to_rational
 
 

@@ -115,7 +115,7 @@ from math import inf
 from operator import add, mul, neg, sub
 from sys import byteorder as _ORDER
 
-from .errors import DivisionByZero, NotDivisible
+from .errors import DivisionByZero, NotDivisible, _as_int
 
 # Nonzero term products (nonzeros of a times nonzeros of b) from which
 # __mul__ uses Kronecker substitution instead of the schoolbook loop.
@@ -317,21 +317,6 @@ class LaurentPoly:
 
     def __str__(self):
         return self.render("plain")
-
-
-def _as_int(value, field: str) -> int:
-    """value as the int it equals: an int as it is, another value equal to
-    an int (2.0, Fraction(4, 2)) that int.  Any other value raises
-    ValueError naming field, so no constructor truncates 2.5 to 2."""
-    if value.__class__ is int:
-        return value
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value:
-        raise ValueError("%s must be an integer, got %r" % (field, value))
-    return n
 
 
 def _new(val, coeffs):

@@ -27,8 +27,8 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import neg, sub
 
-from .errors import DivisionByZero, NotDivisible
-from .laurent import ONE, ZERO, LaurentPoly, RationalFunction, _as_int, _from_coeffs
+from .errors import DivisionByZero, NotDivisible, _as_int
+from .laurent import ONE, ZERO, LaurentPoly, RationalFunction, _from_coeffs
 
 
 class QFactored(namedtuple("QFactored", "sign x_power factors")):

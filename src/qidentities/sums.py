@@ -31,8 +31,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import InvalidHypothesis
-from .laurent import ONE, ZERO, LaurentPoly, _as_int, sum_of_products
+from .errors import _as_int, require
+from .laurent import ONE, ZERO, LaurentPoly, sum_of_products
 from .qcombo import q_binomial, q_binomial_signed
 
 
@@ -66,7 +66,7 @@ class FSumSpec(namedtuple("FSumSpec", "D d1 k0")):
 
     D is the doubled first parameter (D = 2*d0), so half-integer d0 is
     representable; d1 is the weighted-sum target and k0 the total
-    multiplicity.  Each is stored as the int it equals (laurent._as_int),
+    multiplicity.  Each is stored as the int it equals (errors._as_int),
     so a non-integral value raises ValueError naming its field.
     """
 
@@ -129,13 +129,16 @@ def enumerate_indices(d: int, k0: int | None = None):
     d = 0 gives the empty index alone.
 
     Each d's sorted indices are built once (a bounded LRU memo); every
-    call returns a new list, which the caller may change."""
+    call returns a new list, which the caller may change.  d and k0 are
+    read as the ints they equal (_as_int), so a non-integral value raises
+    ValueError naming it."""
+    d = _as_int(d, "d")
     if d < 0:
         raise ValueError("d must be >= 0")
-    found = _sorted_indices(d)
     if k0 is None:
-        return list(found)
-    return [idx for idx in found if idx.mult_sum() == k0]
+        return list(_sorted_indices(d))
+    k0 = _as_int(k0, "k0")
+    return [idx for idx in _sorted_indices(d) if idx.mult_sum() == k0]
 
 
 def f_term(D: int, idx: PartitionedIndex) -> LaurentPoly:
@@ -244,18 +247,18 @@ def _two_path_sum(D, d, trailing, where):
 def _theorem1(d0, d1):
     """Theorem 1's (D, d, trailing): D = 2*d0, d = d0 - d1 and
     trailing[d1 - k0] = qbinom(2*d1, k0) for k0 = 0..d1, so an index
-    with sum k_i > d1 is left out.  Requires d0 > d1 >= 1."""
-    if d1 < 1 or d0 <= d1:
-        raise InvalidHypothesis("theorem 1 requires d0 > d1 >= 1")
+    with sum k_i > d1 is left out.  d0 and d1 are read and checked by
+    errors.require("thm1", ...): d0 > d1 >= 1."""
+    d0, d1 = require("thm1", d0, d1)
     return 2 * d0, d0 - d1, {d1 - k0: q_binomial(2 * d1, k0) for k0 in range(d1 + 1)}
 
 
 def _theorem2(d1, d2):
     """Theorem 2's (D, d, trailing): D = 2*d1 + d2, d = d1 and
     trailing[k] = qbinom(d2, k) for k = 1..d1, zero for k > d2 but still
-    listed for explain's summands.  Requires d1 >= 1 and d2 >= 1."""
-    if d1 < 1 or d2 < 1:
-        raise InvalidHypothesis("theorem 2 requires d1 >= 1 and d2 >= 1")
+    listed for explain's summands.  d1 and d2 are read and checked by
+    errors.require("thm2", ...): d1 >= 1 and d2 >= 1."""
+    d1, d2 = require("thm2", d1, d2)
     return 2 * d1 + d2, d1, {k: q_binomial(d2, k) for k in range(1, d1 + 1)}
 
 
@@ -265,8 +268,10 @@ def theorem1_terms(d0: int, d1: int):
     carrying k0 = d1 - sum k_i >= 0 and the partition with
     sum n_i k_i = d0 - d1.  Requires d0 > d1 >= 1 (checked on the first
     next())."""
-    for idx, term in _summands(*_theorem1(d0, d1)):
-        yield {"k0": d1 - idx.mult_sum(), **idx.to_json_obj()}, term
+    D, d, trailing = _theorem1(d0, d1)
+    for idx, term in _summands(D, d, trailing):
+        # d1 = D/2 - d, as the int _theorem1 read
+        yield {"k0": D // 2 - d - idx.mult_sum(), **idx.to_json_obj()}, term
 
 
 def theorem2_terms(d1: int, d2: int):

@@ -8,8 +8,19 @@ import operator
 
 import pytest
 
-from qidentities import Degenerate, InvalidHypothesis
+from qidentities import (
+    Degenerate,
+    InvalidHypothesis,
+    enumerate_indices,
+    nlog_value,
+    prop3_rhs,
+    theorem1_lhs,
+    theorem1_rhs,
+    theorem2_lhs,
+    theorem2_rhs,
+)
 from qidentities.cli import IDENTITIES, build_parser, main
+from qidentities.errors import HYPOTHESES
 from qidentities.sums import theorem1_terms, theorem2_terms
 
 # a few cells per identity, some outside its hypothesis
@@ -77,12 +88,19 @@ HYPOTHESIS_BOXES = {
 }
 
 
+def first_term(ident):
+    return lambda *values: next(iter(ident.terms(*values)))
+
+
 @pytest.mark.parametrize("name", list(IDENTITIES))
 def test_holds_is_the_closed_form_hypothesis(name):
-    # holds restates the hypothesis the closed form checks itself; the two
-    # must agree on every point of the box, a degenerate one counting as
-    # inside (a q-Saalschutz N < 0 is a ValueError of its instance)
+    # holds is the identity's HYPOTHESES predicate, and the closed form
+    # checks it itself; the two must agree on every point of the box, a
+    # degenerate one counting as inside (a q-Saalschutz N < 0 is a
+    # ValueError of its instance)
     ident = IDENTITIES[name]
+    assert ident.holds is HYPOTHESES[name][1]
+    assert ident.params == HYPOTHESES[name][0]
     refused = ValueError if name == "saalschutz" else InvalidHypothesis
     for point in itertools.product(HYPOTHESIS_BOXES[name], repeat=len(ident.params)):
         try:
@@ -93,6 +111,57 @@ def test_holds_is_the_closed_form_hypothesis(name):
             assert not ident.holds(*point), point
             continue
         assert ident.holds(*point), point
+    # every other side that checks the hypothesis itself refuses exactly
+    # the points outside it (prop3's lhs and terms keep the refined sum's
+    # own domain, and saalschutz's its instance's)
+    sides = {
+        "thm1": (ident.lhs, ident.rhs, first_term(ident)),
+        "thm2": (ident.lhs, ident.rhs, first_term(ident)),
+        "prop3": (ident.rhs,),
+    }.get(name, ())
+    for side in sides:
+        for point in itertools.product(HYPOTHESIS_BOXES[name], repeat=len(ident.params)):
+            try:
+                side(*point)
+            except InvalidHypothesis:
+                assert not ident.holds(*point), point
+            else:
+                assert ident.holds(*point), point
+
+
+# each library function that reads its values as ints: the function, a
+# point of its domain, and its parameter names; a generator of summands is
+# listed with its labels as JSON text, so a float label shows
+INT_READERS = {
+    "theorem1_lhs": (theorem1_lhs, (4, 2), ("d0", "d1")),
+    "theorem1_rhs": (theorem1_rhs, (4, 2), ("d0", "d1")),
+    "theorem1_terms": (theorem1_terms, (4, 2), ("d0", "d1")),
+    "theorem2_lhs": (theorem2_lhs, (2, 3), ("d1", "d2")),
+    "theorem2_rhs": (theorem2_rhs, (2, 3), ("d1", "d2")),
+    "theorem2_terms": (theorem2_terms, (2, 3), ("d1", "d2")),
+    "prop3_rhs": (prop3_rhs, (4, 2, 1), ("D", "d1", "k0")),
+    "nlog_value": (functools.partial(nlog_value, "F0_04"), (2, 3), ("d1", "d2")),
+    "enumerate_indices": (enumerate_indices, (4, 2), ("d", "k0")),
+    "enumerate_indices-d": (enumerate_indices, (2,), ("d",)),
+}
+
+
+@pytest.mark.parametrize("reader", list(INT_READERS))
+def test_library_functions_read_their_values_as_ints(reader):
+    function, point, names = INT_READERS[reader]
+
+    def value(*values):
+        result = function(*values)
+        if reader.endswith("_terms"):
+            return [(json.dumps(label), term) for label, term in result]
+        return result
+
+    expected = value(*point)
+    for i, name in enumerate(names):
+        assert value(*point[:i], float(point[i]), *point[i + 1:]) == expected, name
+        message = r"^%s must be an integer, got %d\.5$" % (name, point[i])
+        with pytest.raises(ValueError, match=message):
+            value(*point[:i], point[i] + 0.5, *point[i + 1:])
 
 
 @pytest.mark.parametrize("name", list(IDENTITIES))
@@ -118,6 +187,23 @@ def test_explain_out_of_hypothesis_is_domain_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("InvalidHypothesis: ")
     assert len(captured.err.splitlines()) == 1
+
+
+THM1_OUTSIDE = ["--identity", "thm1", "--d0", "2", "--d1", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--kind", "lhs", *THM1_OUTSIDE],
+    ["eval", "--kind", "rhs", *THM1_OUTSIDE],
+    ["explain", *THM1_OUTSIDE],
+    ["eval", "--kind", "nlog", "--surface", "dP1_04", "--p", "2", "--r", "2"],
+], ids=["eval-lhs", "eval-rhs", "explain", "eval-nlog"])
+def test_every_command_refuses_a_point_outside_with_one_message(capsys, argv):
+    # eval, explain and the generating-series value read one hypothesis
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "InvalidHypothesis: outside the thm1 hypothesis: d0=2, d1=2\n"
 
 
 def test_theorem_terms_check_hypothesis_on_first_next():
